@@ -26,8 +26,9 @@ from .codes import (
     code_from_json,
     extract_routing,
     locals_to_json,
-    random_local_table,
     propagate,
+    random_decodable_code,
+    random_local_table,
 )
 from .errors import InfodistError, NetworkFormatError, PathEnumerationTruncated
 from .graph import validate_network
@@ -220,14 +221,11 @@ def cmd_gen_code(args) -> int:
     net = validate_network(_read_json(args.network))
     rates = [int(r) for r in args.rates.split(",")]
     rng = random.Random(args.seed)
-    attempts = args.attempts if args.decodable else 1
-    chosen = None
-    for _ in range(attempts):
+    if args.decodable:
+        chosen = random_decodable_code(net, rates, args.field, rng, args.attempts)
+    else:
         table = random_local_table(net, rates, args.field, rng)
-        code = propagate(net, rates, table, args.field)
-        if not args.decodable or all(check_decodable(code)):
-            chosen = (code, table)
-            break
+        chosen = propagate(net, rates, table, args.field), table
     if chosen is None:
         _emit(args, _envelope(args, "gen-code", {"error": "no decodable code found"}))
         return EXIT_ERROR

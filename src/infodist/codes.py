@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import gfmatrix
 from .errors import FieldTooSmall, MissingEncoder, WitnessInvalid
 from .graph import Network, Path
@@ -48,6 +46,7 @@ class EntropyQuery:
 #   ("edge", in-edge id, coefficient)           for interior edges
 LocalTerm = tuple
 LocalTable = dict[int, list[LocalTerm]]
+Row = tuple[int, ...]
 
 
 @dataclass
@@ -55,29 +54,27 @@ class LinearCode:
     net: Network
     q: int
     rates: tuple[int, ...]
-    rows: np.ndarray  # shape (num_edges, total symbols); row e is G_e
+    rows: tuple[Row, ...]  # row e is G_e, one entry per source symbol
 
     @property
     def dim(self) -> int:
-        return int(self.rows.shape[1])
+        return sum(self.rates)
 
     def offset(self, i: int) -> int:
         return sum(self.rates[: i - 1])
 
-    def session_rows(self, i: int) -> np.ndarray:
-        sel = np.zeros((self.rates[i - 1], self.dim), dtype=np.int64)
-        for k in range(self.rates[i - 1]):
-            sel[k, self.offset(i) + k] = 1
-        return sel
-
-    def edge_row(self, eid: int) -> np.ndarray:
-        return self.rows[eid : eid + 1]
+    def session_rows(self, i: int) -> list[Row]:
+        start = self.offset(i)
+        return [
+            tuple(int(j == start + k) for j in range(self.dim))
+            for k in range(self.rates[i - 1])
+        ]
 
     def to_json_dict(self, locals_table: Optional[LocalTable] = None) -> dict:
         data = {"field": self.q, "rates": list(self.rates)}
         if locals_table is not None:
             data["locals"] = locals_to_json(locals_table)
-        data["global"] = [[int(v) for v in row] for row in self.rows]
+        data["global"] = [list(row) for row in self.rows]
         return data
 
 
@@ -98,14 +95,14 @@ def propagate(net: Network, rates: Sequence[int], locals_table: LocalTable, q: i
         raise ValueError("one nonnegative rate per session required")
     dim = sum(rates)
     offsets = [sum(rates[:i]) for i in range(len(rates))]
-    rows = np.zeros((len(net.edges), max(dim, 1)), dtype=np.int64)
+    rows: list[Row] = [(0,) * dim] * len(net.edges)
     order = sorted(range(len(net.edges)), key=lambda e: (net.topo_pos[net.edges[e].tail], e))
     for eid in order:
         if eid not in locals_table:
             raise MissingEncoder(net.edge_str(eid))
         tail = net.edges[eid].tail
         tail_sessions = sources_at(net, tail)
-        row = np.zeros(max(dim, 1), dtype=np.int64)
+        row = [0] * dim
         for term in locals_table[eid]:
             kind = term[0]
             if kind == "session":
@@ -123,13 +120,11 @@ def propagate(net: Network, rates: Sequence[int], locals_table: LocalTable, q: i
                     raise ValueError(
                         f"edge {net.edge_str(ref)} is not an in-edge of {tail!r}"
                     )
-                row = (row + coeff * rows[ref]) % q
+                row = [(a + coeff * b) % q for a, b in zip(row, rows[ref])]
             else:
                 raise ValueError(f"unknown local term {term!r}")
-        rows[eid] = row
-    if dim == 0:
-        rows = rows[:, :0]
-    return LinearCode(net, q, rates, rows % q)
+        rows[eid] = tuple(row)
+    return LinearCode(net, q, rates, tuple(rows))
 
 
 def locals_to_json(table: LocalTable) -> list[dict]:
@@ -173,24 +168,21 @@ def code_from_json(net: Network, data) -> LinearCode:
     return propagate(net, data["rates"], locals_from_json(data["locals"]), int(data["field"]))
 
 
-def _collect(code: LinearCode, refs: Iterable[VarRef]) -> np.ndarray:
-    parts = []
+def _collect(code: LinearCode, refs: Iterable[VarRef]) -> list[Row]:
+    mat: list[Row] = []
     for kind, idx in refs:
         if kind == "edge":
-            parts.append(code.edge_row(idx))
+            mat.append(code.rows[idx])
         elif kind == "session":
-            parts.append(code.session_rows(idx))
+            mat += code.session_rows(idx)
         else:
             raise ValueError(f"unknown variable kind {kind!r}")
-    return gfmatrix.stack(parts, code.dim)
+    return mat
 
 
-def entropy(code: LinearCode, refs: Iterable[VarRef], extra: Optional[np.ndarray] = None) -> int:
-    """H(refs) in field symbols = rank of the stacked matrices."""
-    mat = _collect(code, refs)
-    if extra is not None:
-        mat = gfmatrix.stack([mat, extra], code.dim)
-    return gfmatrix.rank(mat, code.q)
+def entropy(code: LinearCode, refs: Iterable[VarRef], extra: Sequence[Row] = ()) -> int:
+    """H(refs, extra rows) in field symbols = rank of the stacked rows."""
+    return gfmatrix.rank(_collect(code, refs) + list(extra), code.q)
 
 
 def cond_mutual_info(
@@ -294,13 +286,13 @@ def _random_refs(rng: random.Random, code: LinearCode, k: int) -> tuple[VarRef, 
     return tuple(rng.sample(pool, min(k, len(pool))))
 
 
-def _random_function_of(rng: random.Random, code: LinearCode, refs) -> np.ndarray:
-    """One random row in the row space of the stacked refs."""
+def _random_function_of(rng: random.Random, code: LinearCode, refs) -> list[Row]:
+    """One random row in the row space of the stacked refs (none if refs is empty)."""
     mat = _collect(code, refs)
-    if mat.shape[0] == 0:
-        return np.zeros((1, code.dim), dtype=np.int64)
-    coeffs = np.array([[rng.randrange(code.q) for _ in range(mat.shape[0])]], dtype=np.int64)
-    return (coeffs @ mat) % code.q
+    if not mat:
+        return []
+    coeffs = [rng.randrange(code.q) for _ in mat]
+    return [tuple(sum(c * v for c, v in zip(coeffs, col)) % code.q for col in zip(*mat))]
 
 
 def audit(

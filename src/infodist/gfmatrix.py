@@ -1,73 +1,63 @@
-"""Dense linear algebra over a prime field GF(p).
+"""Exact linear algebra over a prime field GF(p).
 
-Gaussian elimination on numpy int64 arrays with entries reduced mod p.
-Ranks of stacked encoding matrices are the entropies (in field symbols) of
-the linear source/edge variables, so everything downstream is exact integer
-arithmetic.
+Matrices are sequences of rows of Python ints, which never overflow, so one
+elimination is exact for every prime.  Ranks of stacked encoding matrices are
+the entropies (in field symbols) of the linear source/edge variables, so
+everything downstream is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Sequence
+
+Matrix = Sequence[Sequence[int]]
+
+# Miller-Rabin with the first 12 primes as bases is exact for n < 2^64
+# (Sorenson & Webster 2015 prove it up to 3.18e23).
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def is_prime(p: int) -> bool:
-    if p < 2:
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError for n >= 2^64."""
+    if n >= 1 << 64:
+        raise ValueError(f"field size {n} is not below 2^64")
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
-def row_reduce(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row-echelon form mod p; returns (R, pivot column indices)."""
-    R = np.array(M, dtype=np.int64, copy=True) % p
-    rows, cols = R.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot = -1
-        for i in range(r, rows):
-            if R[i, c] % p:
-                pivot = i
-                break
-        if pivot < 0:
-            continue
-        if pivot != r:
-            R[[r, pivot]] = R[[pivot, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = (R[r] * inv) % p
-        for i in range(rows):
-            if i != r and R[i, c]:
-                R[i] = (R[i] - R[i, c] * R[r]) % p
-        pivots.append(c)
-        r += 1
-    return R, pivots
-
-
-def rank(M: np.ndarray, p: int) -> int:
-    if M.size == 0:
-        return 0
-    _, pivots = row_reduce(M, p)
+def rank(M: Matrix, p: int) -> int:
+    """Rank mod p, by reducing each row against the pivot rows kept so far."""
+    pivots: list[tuple[int, list[int]]] = []  # (column, row with 1 there)
+    for row in M:
+        row = [v % p for v in row]
+        for c, prow in pivots:
+            f = row[c]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+        c = next((j for j, v in enumerate(row) if v), None)
+        if c is not None:
+            inv = pow(row[c], p - 2, p)
+            pivots.append((c, [v * inv % p for v in row]))
     return len(pivots)
 
 
-def stack(parts: list[np.ndarray], width: int) -> np.ndarray:
-    parts = [part.reshape(-1, width) for part in parts if part.size]
-    if not parts:
-        return np.zeros((0, width), dtype=np.int64)
-    return np.vstack(parts)
-
-
-def in_rowspace(rows: np.ndarray, targets: np.ndarray, p: int) -> bool:
+def in_rowspace(rows: Matrix, targets: Matrix, p: int) -> bool:
     """True iff every target row lies in the row space of `rows`."""
-    if targets.size == 0:
-        return True
-    base = rank(rows, p)
-    width = targets.shape[-1]
-    return rank(stack([rows, targets], width), p) == base
+    return rank([*rows, *targets], p) == rank(rows, p)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from infodist import corpus
 from infodist.cli import main
@@ -142,6 +146,43 @@ def test_audit_corrupted_scheme_names_edge(tmp_path, capsys):
     assert rc == 10
     assert data["result"]["scheme_ok"] is False
     assert data["result"]["scheme_violation"] == ["capacity", 0]
+
+
+def test_audit_reduces_oversized_coefficients(tmp_path, capsys):
+    _, data = run(capsys, "gen-code", "fig1a", "--rates", "1,1", "--field", "5",
+                  "--seed", "11", "--decodable")
+    code = data["result"]
+    _, data = run(capsys, "check", "fig1a")
+    wit_path = tmp_path / "wit.json"
+    wit_path.write_text(json.dumps(data["result"]["witness"]))
+    outputs = []
+    for value in (2**70, 2**70 % code["field"]):
+        for entry in code["locals"]:
+            for coeff in entry["coeffs"]:
+                coeff["value"] = value
+        code_path = tmp_path / f"code-{value}.json"
+        code_path.write_text(json.dumps(code))
+        rc = main(["audit", "fig1a", "--code", str(code_path), "--witness", str(wit_path)])
+        outputs.append((rc, capsys.readouterr().out))
+    assert outputs[0][0] in (0, 10)
+    assert outputs[0] == outputs[1]
+
+
+def test_field_of_2_64_or_more_rejected(capsys):
+    argv = ["gen-code", "fig1a", "--rates", "1,1", "--field"]
+    assert main(argv + [str(2**64 + 13)]) == 1
+    assert "2^64" in capsys.readouterr().err
+    assert main(argv + [str(2**61 - 1)]) == 0
+
+
+def test_cli_import_does_not_load_numpy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import infodist.cli, sys; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_determinism_byte_identical(tmp_path):

@@ -2,7 +2,6 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,20 +41,20 @@ def test_propagate_identity_chain():
     net = chain_network()
     table = {0: [("session", 1, 0, 1)], 1: [("edge", 0, 1)]}
     code = propagate(net, (1,), table, 2)
-    assert (code.rows[0] == code.rows[1]).all()
+    assert code.rows[0] == code.rows[1]
     assert check_decodable(code) == (True,)
 
 
 def test_propagate_butterfly_xor_bottleneck(nets):
     code = butterfly_code(nets)
-    assert list(code.rows[4]) == [1, 1]
+    assert code.rows[4] == (1, 1)
     assert check_decodable(code) == (True, True)
 
 
 def test_propagate_zero_locals(nets):
     net = nets["fig1a"]
     code = propagate(net, (1, 1), {e: [] for e in range(len(net.edges))}, 3)
-    assert not code.rows.any()
+    assert not any(any(row) for row in code.rows)
     assert check_decodable(code) == (False, False)
 
 
@@ -84,9 +83,9 @@ def test_source_edges_touch_only_their_session_block(nets):
     code = propagate(net, (2, 1), random_local_table(net, (2, 1), 5, rng), 5)
     for eid, e in enumerate(net.edges):
         if e.tail == "s1":
-            assert not code.rows[eid, 2:].any()
+            assert not any(code.rows[eid][2:])
         if e.tail == "s2":
-            assert not code.rows[eid, :2].any()
+            assert not any(code.rows[eid][:2])
 
 
 def test_cond_mutual_info_examples(nets):
@@ -224,19 +223,78 @@ def test_locals_json_roundtrip(nets):
     back = locals_from_json(locals_to_json(table))
     c1 = propagate(net, (1, 1), table, 5)
     c2 = propagate(net, (1, 1), back, 5)
-    assert (c1.rows == c2.rows).all()
+    assert c1.rows == c2.rows
 
 
 def test_gfmatrix_rank_basics():
-    m = np.array([[1, 2], [2, 4], [0, 1]], dtype=np.int64)
+    m = [[1, 2], [2, 4], [0, 1]]
     assert gfmatrix.rank(m, 5) == 2
     assert gfmatrix.rank(m, 2) == 2  # mod 2: rows (1,0),(0,0),(0,1)
-    assert gfmatrix.rank(np.zeros((0, 3), dtype=np.int64), 3) == 0
-    assert gfmatrix.in_rowspace(
-        np.array([[1, 1], [0, 1]], dtype=np.int64),
-        np.array([[1, 0]], dtype=np.int64),
-        2,
-    )
+    assert gfmatrix.rank([], 3) == 0
+    assert gfmatrix.in_rowspace([[1, 1], [0, 1]], [[1, 0]], 2)
+
+
+RANK_PRIMES = [2, 3, 1000003, 2**31 - 1, 4294967311, 2**61 - 1]
+
+
+def _matmul(A, B, p):
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*B)] for row in A]
+
+
+@pytest.mark.parametrize("p", RANK_PRIMES)
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    m=st.integers(1, 6),
+    r=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gfmatrix_rank_of_ldu_product(p, n, m, r, seed):
+    # M = L*D*U with L, U unit triangular and D carrying exactly r nonzero
+    # diagonal entries, so rank(M) = r by construction.  Entries are uniform
+    # in GF(p), so at large p the products leave the 64-bit range.
+    r = min(r, n, m)
+    rng = random.Random(seed)
+    support = set(rng.sample(range(min(n, m)), r))
+    L = [[1 if i == j else rng.randrange(p) if j < i else 0 for j in range(n)] for i in range(n)]
+    U = [[1 if i == j else rng.randrange(p) if j > i else 0 for j in range(m)] for i in range(m)]
+    D = [[rng.randrange(1, p) if i == j and i in support else 0 for j in range(m)] for i in range(n)]
+    M = _matmul(_matmul(L, D, p), U, p)
+    assert gfmatrix.rank(M, p) == r
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_exact_below_2_64():
+    assert [n for n in range(2000) if gfmatrix.is_prime(n)] == [
+        n for n in range(2000) if _trial_division(n)
+    ]
+    primes = [
+        65537,
+        2**31 - 1,
+        4294967291,  # largest prime below 2^32
+        4294967311,  # smallest prime above 2^32
+        1000000000039,
+        2**61 - 1,
+        18446744073709551557,  # largest prime below 2^64
+    ]
+    composites = [
+        561,  # Carmichael
+        3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+        4294967297,  # 2^32 + 1 = 641 * 6700417
+        (2**31 - 1) ** 2,
+        2**59 - 1,
+        4294967311 * 1000003,
+        3825123056546413051,  # strong pseudoprime to the first 9 prime bases
+        2**64 - 1,
+    ]
+    assert all(gfmatrix.is_prime(n) for n in primes)
+    assert not any(gfmatrix.is_prime(n) for n in composites)
+    for n in (2**64, 2**89 - 1):
+        with pytest.raises(ValueError):
+            gfmatrix.is_prime(n)
 
 
 def test_random_local_table_field_too_small(nets):
