@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -287,7 +286,12 @@ class MinCut(NamedTuple):
 
 
 def _max_flow(net: Network, u: str, v: str, within):
-    """Unit-capacity max flow via BFS augmentation. Returns (value, flow set)."""
+    """Unit-capacity max flow via BFS augmentation.
+
+    Returns (value, flow edge set, nodes the residual graph reaches from u).
+    """
+    if u == v:
+        raise ValueError("min_cut endpoints must differ")
     flow: set[int] = set()
     value = 0
     while True:
@@ -338,8 +342,6 @@ def _max_flow(net: Network, u: str, v: str, within):
 
 def min_cut(net: Network, u: str, v: str, within=None) -> MinCut:
     """Max number of edge-disjoint u->v paths and one minimum edge cut-set."""
-    if u == v:
-        raise ValueError("min_cut endpoints must differ")
     value, _flow, residual_reach = _max_flow(net, u, v, within)
     cut = tuple(
         sorted(
@@ -362,20 +364,100 @@ def enumerate_min_cutsets(
 ) -> tuple[list[frozenset[int]], bool]:
     """All minimum-cardinality u->v edge cut-sets in lexicographic order.
 
-    Exhaustive over edge subsets at cardinality = min-cut; fine at desk scale.
-    Returns (cutsets, truncated).
+    After one max flow, the minimum cut-sets are the edge boundaries of the
+    node sets S that hold u, miss v and are closed under the residual arcs
+    (Picard & Queyranne 1980); only flow-carrying edges can cross such an S.
+    The flow edges are branched on in ascending id order, "in the cut"
+    before "not in the cut" (Provan & Shier 1996).  A partial choice is kept
+    iff the least S grown from u and the tails of the chosen cut edges, and
+    closed also under tail->head of every rejected edge, reaches neither v
+    nor a head of a chosen cut edge.  Every kept branch ends in a cut-set,
+    and once it has min-cut many edges that cut-set is the choice itself.
+    S is grown and shrunk in place along the branch, so each cut-set costs
+    O(F) closure searches of O(|E|) each, with F the number of flow edges.
+    The branching keeps its own stack, so deep networks do not recurse.
+
+    Returns (cutsets, truncated); truncated means more than ``limit`` exist.
     """
-    value, _ = min_cut(net, u, v, within)
+    value, flow, _ = _max_flow(net, u, v, within)
     if value == 0:
         return [frozenset()], False
-    pool = sorted(within) if within is not None else range(len(net.edges))
+    # arcs[x]: nodes that every closed S holding x must hold too.
+    arcs: dict[str, list[str]] = {x: [] for x in net.nodes}
+    for eid, e in enumerate(net.edges):
+        if within is None or eid in within:
+            if eid in flow:
+                arcs[e.head].append(e.tail)
+            else:
+                arcs[e.tail].append(e.head)
+    saturated = sorted(flow)
+    chosen: list[int] = []
+    # Per decided flow edge, in order: is it in the cut, and which nodes the
+    # decision added to S (so a backtrack can take them out again).
+    decided: list[tuple[bool, set[str]]] = []
+    # Nodes S may not hold: v, the heads of the chosen cut edges, and each
+    # node seen to force one of those in.  Until the next backtrack choices
+    # only add constraints, so a doomed node stays doomed.
+    doomed = {v}
+
+    def grow(closed: set[str], start: str) -> Optional[set[str]]:
+        """Nodes the closure of closed + {start} adds; None if one is doomed."""
+        new: set[str] = set()
+        queue = [start]
+        while queue:
+            x = queue.pop()
+            if x in doomed:
+                doomed.add(start)
+                return None
+            if x not in closed and x not in new:
+                new.add(x)
+                queue.extend(arcs[x])
+        return new
+
+    closed = grow(set(), u)  # not None: the residual graph has no u->v path
     found: list[frozenset[int]] = []
-    for combo in combinations(pool, value):
-        if is_cutset(net, u, v, combo, within=within):
-            found.append(frozenset(combo))
-            if limit is not None and len(found) >= limit:
-                return found, True
-    return found, False
+    while True:
+        if len(chosen) == value:
+            # Every cut-set below holds `chosen` and has `value` edges.
+            found.append(frozenset(chosen))
+            if limit is not None and len(found) > limit:
+                return found[:limit], True
+            # Backtrack to the deepest cut edge that can be rejected instead.
+            while decided:
+                eid = saturated[len(decided) - 1]
+                tail, head = net.edges[eid].tail, net.edges[eid].head
+                in_cut, added = decided.pop()
+                closed -= added
+                if not in_cut:
+                    arcs[tail].pop()
+                    continue
+                chosen.pop()
+                doomed.clear()
+                doomed.add(v)
+                doomed.update(net.edges[c].head for c in chosen)
+                arcs[tail].append(head)
+                new = grow(closed, head) if tail in closed else set()
+                if new is not None:
+                    closed |= new
+                    decided.append((False, new))
+                    break
+                arcs[tail].pop()
+            else:
+                return found, False
+            continue
+        eid = saturated[len(decided)]
+        tail, head = net.edges[eid].tail, net.edges[eid].head
+        new = None if head in closed else grow(closed, tail)
+        if new is not None and head not in new:
+            closed |= new
+            chosen.append(eid)
+            doomed.add(head)
+            decided.append((True, new))
+        else:
+            # Rejecting keeps the same S: the arc tail->head only binds when
+            # tail is in S, and then head is in S already.
+            arcs[tail].append(head)
+            decided.append((False, set()))
 
 
 def edge_disjoint_paths(net: Network, u: str, v: str, cut: Iterable[int], within=None) -> list[Path]:
@@ -385,10 +467,9 @@ def edge_disjoint_paths(net: Network, u: str, v: str, cut: Iterable[int], within
     j-th path crosses the j-th cut edge (and no other cut edge).
     """
     cut = frozenset(cut)
-    value, _ = min_cut(net, u, v, within)
+    value, flow, _ = _max_flow(net, u, v, within)
     if len(cut) != value or not is_cutset(net, u, v, cut, within=within):
         raise CutNotSaturable(f"{sorted(cut)} is not a minimum {u!r}->{v!r} cut-set")
-    _, flow, _ = _max_flow(net, u, v, within)
     # Decompose the flow: walk from u along flow edges, consuming them.
     succ: dict[str, list[int]] = {}
     for eid in flow:
@@ -425,30 +506,31 @@ def enumerate_paths(
     # Prune branches that cannot reach v; enumerate one past the cap so an
     # exactly-full result is not misreported as truncated.
     alive = co_reachable(net, v, within=within)
-    paths: list[Path] = []
-    stack: list[int] = []
-
-    def walk(x: str) -> bool:
-        if x == v:
-            paths.append(tuple(stack))
-            return len(paths) <= limit
-        for eid in net.out_edges[x]:
-            if within is not None and eid not in within:
-                continue
-            if net.edges[eid].head not in alive:
-                continue
-            stack.append(eid)
-            more = walk(net.edges[eid].head)
-            stack.pop()
-            if not more:
-                return False
-        return True
-
     if u not in alive:
         return [], False
-    walk(u)
-    if len(paths) > limit:
-        return paths[:limit], True
+    paths: list[Path] = []
+    prefix: list[int] = []
+    # frames[j]: the out-edges of the j-th node on the prefix still to try
+    frames = [iter(net.out_edges[u])]
+    while frames:
+        for eid in frames[-1]:
+            if within is not None and eid not in within:
+                continue
+            head = net.edges[eid].head
+            if head not in alive:
+                continue
+            if head == v:
+                paths.append((*prefix, eid))
+                if len(paths) > limit:
+                    return paths[:limit], True
+                continue
+            prefix.append(eid)
+            frames.append(iter(net.out_edges[head]))
+            break
+        else:
+            frames.pop()
+            if prefix:
+                prefix.pop()
     return paths, False
 
 

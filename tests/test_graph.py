@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIG1A, FIG5
 from oracles import brute_min_cut, random_network
@@ -106,6 +108,36 @@ def test_enumerate_min_cutsets_trivial_cases(nets):
     assert sets == [frozenset({0}), frozenset({1})]
 
 
+def test_enumerate_min_cutsets_truncation_flag():
+    chain = Network(["s", "x", "d"], [("s", "x", 0), ("x", "d", 0)], [("s", "d")])
+    # exactly two cut-sets exist, so a cap of two is not a truncation
+    assert enumerate_min_cutsets(chain, "s", "d", limit=2) == (
+        [frozenset({0}), frozenset({1})],
+        False,
+    )
+    assert enumerate_min_cutsets(chain, "s", "d", limit=1) == ([frozenset({0})], True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    use_domain=st.booleans(),
+    limit=st.sampled_from([None, 1, 2, 3]),
+)
+def test_enumerate_min_cutsets_matches_bruteforce_oracle(seed, use_domain, limit):
+    net = random_network(random.Random(seed), max_internal=6, max_sessions=3)
+    for i in range(1, net.num_sessions + 1):
+        s, d = net.sessions[i - 1]
+        within = routing_domain(net, i).edges if use_domain else None
+        value, expected = brute_min_cut(net, s, d, within=within)
+        expected = sorted(expected, key=sorted)
+        truncated = False
+        if value and limit is not None:
+            expected, truncated = expected[:limit], len(expected) > limit
+        got = enumerate_min_cutsets(net, s, d, within=within, limit=limit)
+        assert got == (expected, truncated)
+
+
 def test_enumerate_min_cutsets_fig1a_matches_bruteforce(nets):
     net = nets["fig1a"]
     dom = routing_domain(net, 1)
@@ -199,6 +231,15 @@ def test_enumerate_paths_truncation_flag(nets):
     assert len(paths) == 2 and trunc
     paths, trunc = enumerate_paths(nets["fig1a"], "s1", "d1", limit=3)
     assert len(paths) == 3 and not trunc
+
+
+def test_deep_chain_enumerates_without_recursion():
+    nodes = [f"c{i}" for i in range(1201)]
+    chain = Network(nodes, list(zip(nodes, nodes[1:], [0] * 1200)), [("c0", "c1200")])
+    assert enumerate_paths(chain, "c0", "c1200") == ([tuple(range(1200))], False)
+    sets, trunc = enumerate_min_cutsets(chain, "c0", "c1200")
+    assert sets == [frozenset({eid}) for eid in range(1200)] and not trunc
+    assert edge_disjoint_paths(chain, "c0", "c1200", {600}) == [tuple(range(1200))]
 
 
 def test_paths_cross_every_min_cutset(nets):

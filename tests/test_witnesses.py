@@ -278,6 +278,14 @@ def test_decide_matches_bruteforce_on_small_networks():
         assert (verdict.status == "yes") == brute_decide(net)
 
 
+def test_decide_on_1200_edge_chain():
+    nodes = [f"c{i}" for i in range(1201)]
+    chain = Network(nodes, list(zip(nodes, nodes[1:], [0] * 1200)), [("c0", "c1200")])
+    verdict = decide_information_distributive(chain)
+    assert verdict.status == "yes"
+    assert verify_witness(chain, verdict.witness).ok
+
+
 def test_find_cumulative_order_gadget():
     net, cuts = no_perm_gadget()
     assert find_cumulative_order(net, list(cuts)) is not None
