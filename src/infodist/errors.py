@@ -89,6 +89,10 @@ class WitnessInvalid(InfodistError):
     """A witness failed re-verification against its network."""
 
 
+class CertificateInvalid(InfodistError):
+    """An LP answer failed its exact re-check outside the solver."""
+
+
 class UnknownPath(InfodistError):
     """A routing scheme keys a path that is not a valid session path."""
 

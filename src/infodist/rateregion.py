@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
-from .errors import UnknownPath
+from .errors import CertificateInvalid, UnknownPath
 from .graph import DEFAULT_PATH_LIMIT, Network, Path, require_paths, validate_path
 
 RateVector = tuple[Fraction, ...]
@@ -75,12 +75,39 @@ def _session_paths(net: Network, limit: int) -> list[list[Path]]:
     return out
 
 
-def _loaded_edges(net: Network, session_paths) -> list[int]:
-    used = set()
-    for paths in session_paths:
+def _path_lp(session_paths, demand, scaled: bool):
+    """(A, b) of the path-flow LP  A x <= b: one column per path, sessions
+    in order, then a lambda column if `scaled`.
+
+    Session rows come first: -sum(f_i) <= -demand_i, or if `scaled`
+    lambda*demand_i - sum(f_i) <= 0 (no row when demand_i == 0).  Then one
+    unit-capacity load row per used edge, in id order.
+    """
+    ncols = sum(len(p) for p in session_paths) + scaled
+    A, b = [], []
+    edge_cols: dict[int, list[int]] = {}
+    col = 0
+    for paths, d in zip(session_paths, demand):
+        row = [0] * ncols
         for path in paths:
-            used.update(path)
-    return sorted(used)
+            row[col] = -1
+            for eid in path:
+                edge_cols.setdefault(eid, []).append(col)
+            col += 1
+        if not scaled:
+            A.append(row)
+            b.append(-d)
+        elif d:
+            row[-1] = d
+            A.append(row)
+            b.append(0)
+    for eid in sorted(edge_cols):
+        row = [0] * ncols
+        for col in edge_cols[eid]:
+            row[col] = 1
+        A.append(row)
+        b.append(1)
+    return A, b
 
 
 @dataclass
@@ -113,31 +140,8 @@ def check_rate_feasible(
     if len(rates) != net.num_sessions:
         raise ValueError("one rate per session required")
     session_paths = _session_paths(net, path_limit)
-    nvars = sum(len(p) for p in session_paths)
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    offsets = []
-    col = 0
-    for paths in session_paths:
-        offsets.append(col)
-        col += len(paths)
-    # Session rows: -sum(f) <= -R_i.
-    for i, paths in enumerate(session_paths):
-        row = [Fraction(0)] * nvars
-        for k in range(len(paths)):
-            row[offsets[i] + k] = Fraction(-1)
-        A.append(row)
-        b.append(-rates[i])
-    # Edge rows: load <= 1.
-    for eid in _loaded_edges(net, session_paths):
-        row = [Fraction(0)] * nvars
-        for i, paths in enumerate(session_paths):
-            for k, path in enumerate(paths):
-                if eid in path:
-                    row[offsets[i] + k] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
-    result = simplex.solve([Fraction(0)] * nvars, A, b)
+    A, b = _path_lp(session_paths, rates, scaled=False)
+    result = simplex.solve([0] * sum(map(len, session_paths)), A, b)
     if result.status == simplex.INFEASIBLE:
         return FeasibilityResult(False)
     assert result.status == simplex.OPTIMAL
@@ -161,39 +165,37 @@ def max_scaled_rate(
     if all(d == 0 for d in direction):
         raise ValueError("direction must be nonzero")
     session_paths = _session_paths(net, path_limit)
-    nvars = sum(len(p) for p in session_paths) + 1  # flows then lambda
-    lam_col = nvars - 1
-    offsets = []
-    col = 0
-    for paths in session_paths:
-        offsets.append(col)
-        col += len(paths)
-    A: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    # lambda * d_i - sum(f) <= 0
-    for i, paths in enumerate(session_paths):
-        if direction[i] == 0:
-            continue
-        row = [Fraction(0)] * nvars
-        row[lam_col] = direction[i]
-        for k in range(len(paths)):
-            row[offsets[i] + k] = Fraction(-1)
-        A.append(row)
-        b.append(Fraction(0))
-    for eid in _loaded_edges(net, session_paths):
-        row = [Fraction(0)] * nvars
-        for i, paths in enumerate(session_paths):
-            for k, path in enumerate(paths):
-                if eid in path:
-                    row[offsets[i] + k] = Fraction(1)
-        A.append(row)
-        b.append(Fraction(1))
-    c = [Fraction(0)] * nvars
-    c[lam_col] = Fraction(1)
+    A, b = _path_lp(session_paths, direction, scaled=True)
+    c = [0] * sum(map(len, session_paths)) + [1]  # flows, then lambda
     result = simplex.solve(c, A, b)
     assert result.status == simplex.OPTIMAL, result.status
+    lam = result.value
+    if not _is_dual_certificate(c, A, b, result.dual, lam):
+        raise CertificateInvalid(f"the LP dual does not certify lambda* = {lam}")
     scheme = _build_scheme(net, session_paths, result.x[:-1])
-    return ScalingResult(result.value, scheme, result.dual)
+    check = verify_routing_scheme(net, scheme, [lam * d for d in direction])
+    if not check:
+        raise CertificateInvalid(
+            f"the LP scheme does not route lambda* = {lam} times the direction: "
+            f"{check.violation[0]} {check.violation[1]} violated"
+        )
+    return ScalingResult(lam, scheme, result.dual)
+
+
+def _is_dual_certificate(c, A, b, y, value) -> bool:
+    """Weak duality, exactly: y >= 0, y^T A >= c and y^T b == value, so no
+    feasible x has c.x > value."""
+    if len(y) != len(A) or any(v < 0 for v in y):
+        return False
+    if sum(yi * bi for yi, bi in zip(y, b)) != value:
+        return False
+    yA = [0] * len(c)
+    for yi, row in zip(y, A):
+        if yi:
+            for j, a in enumerate(row):
+                if a:
+                    yA[j] += yi * a
+    return all(s >= cj for s, cj in zip(yA, c))
 
 
 @dataclass

@@ -177,28 +177,32 @@ class RawnessReport:
 def decide_index_rawness(inst: IndexCodingInstance) -> RawnessReport:
     """Raw (no coding gain) iff the side-information graph is acyclic.
 
-    Deliberately uses recursive three-color DFS so the result is independent
-    of both the Kahn reindexing and the cumulativity order search used in
-    cross-checks.
+    Deliberately uses a three-color DFS (on an explicit stack, so long
+    chains of side information cannot exhaust the interpreter's recursion
+    limit) so the result is independent of both the Kahn reindexing and the
+    cumulativity order search used in cross-checks.
     """
     graph = side_information_graph(inst)
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {v: WHITE for v in graph}
-
-    def dfs(v) -> bool:
-        color[v] = GRAY
-        for w in graph[v]:
-            if color[w] == GRAY:
-                return False
-            if color[w] == WHITE and not dfs(w):
-                return False
-        color[v] = BLACK
-        return True
-
     acyclic = True
-    for v in sorted(graph):
-        if color[v] == WHITE and not dfs(v):
-            acyclic = False
+    for root in sorted(graph):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        stack = [(root, iter(graph[root]))]
+        while stack and acyclic:
+            v, succ = stack[-1]
+            w = next(succ, None)
+            if w is None:
+                color[v] = BLACK
+                stack.pop()
+            elif color[w] == GRAY:
+                acyclic = False
+            elif color[w] == WHITE:
+                color[w] = GRAY
+                stack.append((w, iter(graph[w])))
+        if not acyclic:
             break
     return RawnessReport(acyclic, inst.m * inst.K if acyclic else None, inst.m, inst.K)
 

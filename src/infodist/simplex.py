@@ -1,15 +1,24 @@
-"""Two-phase primal simplex over exact rationals.
+"""Two-phase primal simplex over exact rationals, on an integer tableau.
 
-Solves  max c.x  s.t.  A x <= b,  x >= 0  with Fraction arithmetic and
-Bland's anti-cycling rule.  Small and dense on purpose: the LPs here have a
-handful of path variables, and verdicts feed theorem checks, so no floating
-point or tolerance is acceptable.
+Solves  max c.x  s.t.  A x <= b,  x >= 0  with Bland's anti-cycling rule.
+Verdicts feed theorem checks, so no floating point or tolerance is allowed.
+
+The tableau is fraction-free (Bareiss, Math. Comp. 22, 1968): each
+constraint row is scaled by the positive lcm L_i of its denominators, its
+slack and artificial keep coefficient +-1, and every stored row, the
+objective row included, holds its true value times one common positive
+denominator D.  A pivot is then one exact integer division per cell instead
+of a Fraction gcd.  The scaling multiplies tableau rows and slack columns by
+positive constants only, so signs, ratio-test order and hence every pivot
+are those of the plain Fraction tableau; the phase-1 weights below keep its
+objective a uniform multiple of -sum(artificials).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 OPTIMAL = "optimal"
@@ -25,60 +34,80 @@ class LPResult:
     dual: Optional[list[Fraction]] = None
 
 
-def _pivot(T, basis, prow, pcol):
-    piv = T[prow][pcol]
-    T[prow] = [v / piv for v in T[prow]]
-    for r, row in enumerate(T):
-        if r != prow and row[pcol] != 0:
-            factor = row[pcol]
-            T[r] = [v - factor * p for v, p in zip(row, T[prow])]
+def _integer_row(values) -> tuple[int, list[int]]:
+    """(L, L*values) for the least positive L that makes every entry integral."""
+    if all(type(v) is int for v in values):
+        return 1, list(values)
+    exact = [Fraction(v) for v in values]
+    L = lcm(*[v.denominator for v in exact])
+    return L, [v.numerator * (L // v.denominator) for v in exact]
+
+
+def _pivot(T, basis, prow, pcol, D):
+    """Pivot every row of T (objective last) on T[prow][pcol]; return the new D."""
+    P = T[prow]
+    piv = P[pcol]
+    if piv < 0:  # keep D positive: the pivot row's true value is P / piv either way
+        piv = -piv
+        P = T[prow] = [-v for v in P]
+    if piv == D:
+        # (v*D - f*p) // D == v - f*p // D, as f*p is then a multiple of D:
+        # only the pivot row's nonzero columns change, in place.
+        support = [(j, p) for j, p in enumerate(P) if p]
+        for r, row in enumerate(T):
+            f = row[pcol]
+            if f and r != prow:
+                for j, p in support:
+                    row[j] -= f * p // D
+    else:
+        for r, row in enumerate(T):
+            if r == prow:
+                continue
+            f = row[pcol]
+            if f:
+                T[r] = [(v * piv - f * p) // D for v, p in zip(row, P)]
+            else:
+                T[r] = [v * piv // D for v in row]
     basis[prow] = pcol
+    return piv
 
 
-def _optimize(T, basis, obj, allowed):
-    """Run simplex steps on constraint rows T with objective row obj.
+def _optimize(T, basis, allowed, D):
+    """Run simplex steps on T, whose last row holds the reduced costs.
 
-    obj holds reduced costs z_j - c_j (last entry: -current value for a max
-    problem after pricing out).  Only columns in `allowed` may enter.
+    The objective row is [z_j - c_j ... | z] times D.  Only columns in
+    `allowed` (ascending) may enter.  Returns the status and the new D.
     """
-    m = len(T)
+    obj = T[-1]
+    m = len(basis)
     while True:
-        enter = -1
-        for j in sorted(allowed):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in allowed if obj[j] < 0), -1)
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, D
         leave = -1
-        best = None
         for r in range(m):
             a = T[r][enter]
             if a > 0:
-                ratio = T[r][-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and basis[r] < basis[leave]
-                ):
-                    best = ratio
-                    leave = r
+                if leave < 0:
+                    leave, num, den = r, T[r][-1], a
+                    continue
+                # T[r][-1] / a  vs  num / den, cross-multiplied (a, den > 0)
+                lhs, rhs = T[r][-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, num, den = r, T[r][-1], a
         if leave < 0:
-            return UNBOUNDED
-        _pivot(T, basis, leave, enter)
-        factor = obj[enter]
-        obj[:] = [v - factor * p for v, p in zip(obj, T[leave])]
+            return UNBOUNDED, D
+        D = _pivot(T, basis, leave, enter, D)
+        obj = T[-1]
 
 
-def _price_out(T, basis, cost, ncols):
-    """Objective row [z_j - c_j ... | z] for the current basis.
-
-    The rhs slot carries +z so the shared pivot update keeps it current.
-    """
-    obj = [-cost[j] for j in range(ncols)] + [Fraction(0)]
+def _price_out(T, basis, cost, D):
+    """Objective row [z_j - c_j ... | z] for the current basis, times D."""
+    obj = [-cj * D for cj in cost] + [0]
     for r, bcol in enumerate(basis):
         cb = cost[bcol]
-        if cb != 0:
-            for j in range(ncols + 1):
-                obj[j] += cb * T[r][j]
+        if cb:
+            obj = [o + cb * v for o, v in zip(obj, T[r])]
     return obj
 
 
@@ -88,50 +117,45 @@ def solve(
     """Maximize c.x subject to A x <= b, x >= 0 (everything exact)."""
     m = len(A)
     n = len(c)
-    c = [Fraction(v) for v in c]
-    b = [Fraction(v) for v in b]
-    rows = [[Fraction(v) for v in row] for row in A]
-    for row in rows:
-        assert len(row) == n
-
+    assert len(b) == m
     nslack = m
-    sign = [1] * m
-    art_rows = [i for i in range(m) if b[i] < 0]
+    scaled = [_integer_row([*row, bi]) for row, bi in zip(A, b)]
+    scale = [L for L, _ in scaled]
+    sign = [-1 if row[-1] < 0 else 1 for _, row in scaled]
+    art_rows = [i for i in range(m) if sign[i] < 0]
     nart = len(art_rows)
     ncols = n + nslack + nart
 
-    T: list[list[Fraction]] = []
+    T: list[list[int]] = []
     basis: list[int] = []
-    art_col = {}
-    for k, i in enumerate(art_rows):
-        art_col[i] = n + nslack + k
-    for i in range(m):
-        row = [Fraction(0)] * (ncols + 1)
-        mult = Fraction(1)
-        if b[i] < 0:
-            mult = Fraction(-1)
-            sign[i] = -1
-        for j in range(n):
-            row[j] = mult * rows[i][j]
-        row[n + i] = mult
-        row[-1] = mult * b[i]
+    art_col = {i: n + nslack + k for k, i in enumerate(art_rows)}
+    for i, (_, head) in enumerate(scaled):
+        assert len(head) == n + 1
+        s = sign[i]
+        row = [s * v for v in head[:n]] + [0] * (ncols - n) + [s * head[n]]
+        row[n + i] = s
         if i in art_col:
-            row[art_col[i]] = Fraction(1)
+            row[art_col[i]] = 1
             basis.append(art_col[i])
         else:
             basis.append(n + i)
         T.append(row)
+    D = 1
 
     if nart:
-        cost1 = [Fraction(0)] * ncols
+        # Artificial i carries L_i times its true value; weighting it by
+        # lcm/L_i makes this objective lcm * (-sum of true artificials).
+        art_lcm = lcm(*[scale[i] for i in art_rows])
+        cost1 = [0] * ncols
         for i in art_rows:
-            cost1[art_col[i]] = Fraction(-1)
-        obj = _price_out(T, basis, cost1, ncols)
-        status = _optimize(T, basis, obj, range(ncols))
+            cost1[art_col[i]] = -(art_lcm // scale[i])
+        T.append(_price_out(T, basis, cost1, D))
+        status, D = _optimize(T, basis, range(ncols), D)
         assert status == OPTIMAL, "phase 1 cannot be unbounded"
-        if obj[-1] != 0:  # -value != 0  =>  some artificial stuck positive
+        if T[-1][-1] != 0:  # -value != 0  =>  some artificial stuck positive
             return LPResult(INFEASIBLE)
-        # Drive leftover artificials out of the basis.
+        # Drive leftover artificials out of the basis; the phase-1 objective
+        # row rides along and is dropped after.
         arts = set(art_col.values())
         for r in range(m):
             if basis[r] in arts:
@@ -140,16 +164,19 @@ def solve(
                 )
                 if pcol is None:
                     continue  # redundant row; harmless to keep
-                _pivot(T, basis, r, pcol)
+                D = _pivot(T, basis, r, pcol, D)
+        T.pop()
 
-    cost2 = c + [Fraction(0)] * (nslack + nart)
-    obj = _price_out(T, basis, cost2, ncols)
-    status = _optimize(T, basis, obj, range(n + nslack))
+    cl, cost2 = _integer_row(c)
+    cost2 += [0] * (nslack + nart)
+    T.append(_price_out(T, basis, cost2, D))
+    status, D = _optimize(T, basis, range(n + nslack), D)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * n
     for r, bcol in enumerate(basis):
         if bcol < n:
-            x[bcol] = T[r][-1]
-    dual = [sign[i] * obj[n + i] for i in range(m)]
-    return LPResult(OPTIMAL, x=x, value=obj[-1], dual=dual)
+            x[bcol] = Fraction(T[r][-1], D)
+    obj = T[-1]
+    dual = [Fraction(sign[i] * scale[i] * obj[n + i], D * cl) for i in range(m)]
+    return LPResult(OPTIMAL, x=x, value=Fraction(obj[-1], D * cl), dual=dual)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BijectionViolated, NotExtendable, PermutationMismatch
 from .graph import (
@@ -170,11 +170,33 @@ def find_permutation_sequence(
     net: Network, cuts: CutSetSequence, strict: bool = False
 ) -> Optional[PermutationSequence]:
     """First permutation sequence (lexicographic) passing the ordering check."""
-    pools = [list(permutations(sorted(cut))) for cut in cuts]
-    for perms in product(*pools):
+    for perms in _permutation_sequences(cuts):
         if is_distributive(net, cuts, perms, strict=strict):
             return perms
     return None
+
+
+def _permutation_sequences(cuts: CutSetSequence) -> Iterator[PermutationSequence]:
+    """product(*(permutations(sorted(cut)) for cut in cuts)), in the same
+    order but lazily: each cut's permutations restart per prefix instead of
+    being stored, so the first sequence comes without |C_1|!...|C_K|! work."""
+    pools = [sorted(cut) for cut in cuts]
+    if not pools:
+        yield ()
+        return
+    prefix: list[tuple[int, ...]] = []
+    iters = [permutations(pools[0])]
+    while iters:
+        perm = next(iters[-1], None)
+        if perm is None:
+            iters.pop()
+            if prefix:
+                prefix.pop()
+        elif len(iters) == len(pools):
+            yield (*prefix, perm)
+        else:
+            prefix.append(perm)
+            iters.append(permutations(pools[len(iters)]))
 
 
 def _crossing(path: Path, cut: frozenset[int]) -> list[int]:

@@ -2,7 +2,8 @@
 
 Nothing here shares algorithmic machinery with the package: min-cuts come
 from exhaustive subset scans, LP optima from vertex enumeration over exact
-linear solves, and the no-witness verdict from undimmed full enumeration.
+linear solves or a dense Fraction tableau, and the no-witness verdict from
+undimmed full enumeration.
 """
 
 from __future__ import annotations
@@ -84,6 +85,93 @@ def vertex_enum_max(c, A, b):
         if best is None or value > best:
             best = value
     return best
+
+
+def fraction_simplex(c, A, b):
+    """Two-phase Bland simplex for max c.x, A x <= b, x >= 0 on a dense
+    Fraction tableau: every row is divided by its pivot and every entry kept
+    in lowest terms.  Returns (status, x, value, dual, pivots); x, value and
+    dual are None unless the status is "optimal"."""
+    m, n = len(A), len(c)
+    c = [Fraction(v) for v in c]
+    b = [Fraction(v) for v in b]
+    sign = [-1 if bi < 0 else 1 for bi in b]
+    art_rows = [i for i in range(m) if b[i] < 0]
+    ncols = n + m + len(art_rows)
+    art_col = {i: n + m + k for k, i in enumerate(art_rows)}
+    T, basis = [], []
+    for i in range(m):
+        row = [Fraction(0)] * (ncols + 1)
+        for j in range(n):
+            row[j] = sign[i] * Fraction(A[i][j])
+        row[n + i] = Fraction(sign[i])
+        row[-1] = sign[i] * b[i]
+        if i in art_col:
+            row[art_col[i]] = Fraction(1)
+        basis.append(art_col.get(i, n + i))
+        T.append(row)
+    pivots = 0
+
+    def pivot(prow, pcol):
+        nonlocal pivots
+        pivots += 1
+        piv = T[prow][pcol]
+        T[prow] = [v / piv for v in T[prow]]
+        for r, row in enumerate(T):
+            if r != prow and row[pcol] != 0:
+                f = row[pcol]
+                T[r] = [v - f * p for v, p in zip(row, T[prow])]
+        basis[prow] = pcol
+
+    def price_out(cost):
+        obj = [-cost[j] for j in range(ncols)] + [Fraction(0)]
+        for r, bcol in enumerate(basis):
+            for j in range(ncols + 1):
+                obj[j] += cost[bcol] * T[r][j]
+        return obj
+
+    def optimize(obj, allowed):
+        while True:
+            enter = next((j for j in allowed if obj[j] < 0), None)
+            if enter is None:
+                return "optimal"
+            leave, best = None, None
+            for r in range(m):
+                if T[r][enter] > 0:
+                    ratio = T[r][-1] / T[r][enter]
+                    if best is None or ratio < best or (
+                        ratio == best and basis[r] < basis[leave]
+                    ):
+                        leave, best = r, ratio
+            if leave is None:
+                return "unbounded"
+            pivot(leave, enter)
+            f = obj[enter]
+            obj[:] = [v - f * p for v, p in zip(obj, T[leave])]
+
+    if art_rows:
+        cost1 = [Fraction(0)] * ncols
+        for col in art_col.values():
+            cost1[col] = Fraction(-1)
+        obj = price_out(cost1)
+        assert optimize(obj, range(ncols)) == "optimal"
+        if obj[-1] != 0:
+            return "infeasible", None, None, None, pivots
+        arts = set(art_col.values())
+        for r in range(m):
+            if basis[r] in arts:
+                pcol = next((j for j in range(n + m) if T[r][j] != 0), None)
+                if pcol is not None:
+                    pivot(r, pcol)
+    obj = price_out(c + [Fraction(0)] * (ncols - n))
+    if optimize(obj, range(n + m)) == "unbounded":
+        return "unbounded", None, None, None, pivots
+    x = [Fraction(0)] * n
+    for r, bcol in enumerate(basis):
+        if bcol < n:
+            x[bcol] = T[r][-1]
+    dual = [sign[i] * obj[n + i] for i in range(m)]
+    return "optimal", x, obj[-1], dual, pivots
 
 
 def brute_decide(net: Network) -> bool:

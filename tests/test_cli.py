@@ -83,6 +83,29 @@ def test_reduce_index_mutual_not_raw(tmp_path, capsys):
     assert set(data["result"]["cycle"]) == {1, 2}
 
 
+def test_reduce_index_1100_message_chain(tmp_path, capsys):
+    # H_i = {X_(i+1)}: a side-information path 1 -> 2 -> ... -> 1100.
+    inst = tmp_path / "chain.json"
+    side = [[i + 1] for i in range(1, 1100)] + [[]]
+    inst.write_text(json.dumps({"K": 1100, "m": 1, "side": side}))
+    code, data = run(capsys, "reduce-index", str(inst))
+    assert code == 0
+    assert data["result"]["rawness"]["raw"] is True
+    assert data["result"]["rawness"]["l_min"] == 1100
+
+
+def test_check_20_parallel_edges(tmp_path, capsys):
+    net = tmp_path / "parallel20.json"
+    net.write_text(json.dumps({
+        "nodes": ["s", "d"],
+        "edges": [{"tail": "s", "head": "d", "index": i} for i in range(20)],
+        "sessions": [{"source": "s", "sink": "d"}],
+    }))
+    code, data = run(capsys, "check", str(net))
+    assert code == 0
+    assert data["result"]["status"] == "yes"
+
+
 def test_reduce_deadline_fig4(capsys):
     code, data = run(capsys, "reduce-deadline", "fig4-deadline")
     assert code == 0

@@ -1,14 +1,17 @@
 import random
+from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import vertex_enum_max
+from oracles import fraction_simplex, vertex_enum_max
 
 from infodist import simplex
-from infodist.errors import PathEnumerationTruncated, UnknownPath
+from infodist.cli import main
+from infodist.errors import CertificateInvalid, PathEnumerationTruncated, UnknownPath
 from infodist.graph import Network, require_paths
 from infodist.rateregion import (
     RoutingScheme,
@@ -120,6 +123,126 @@ def test_lp_duality_certificate(nets):
         for j in range(len(c)):
             assert sum(y[i] * A[i][j] for i in range(len(A))) >= c[j]
         assert sum(yi * bi for yi, bi in zip(y, b)) == res.value
+
+
+@contextmanager
+def _counted_pivots():
+    """Count simplex pivots (and the negative ones) while the block runs."""
+    counts = {"pivots": 0, "negative": 0}
+    original = simplex._pivot
+
+    def counting(T, basis, prow, pcol, D):
+        counts["pivots"] += 1
+        counts["negative"] += T[prow][pcol] < 0
+        return original(T, basis, prow, pcol, D)
+
+    simplex._pivot = counting
+    try:
+        yield counts
+    finally:
+        simplex._pivot = original
+
+
+def _solve_matches_oracle(c, A, b):
+    """Assert the integer tableau returns what the Fraction tableau returns,
+    after the same number of pivots; give back (status, negative pivots)."""
+    with _counted_pivots() as counts:
+        res = simplex.solve(c, A, b)
+    assert (res.status, res.x, res.value, res.dual, counts["pivots"]) == fraction_simplex(c, A, b)
+    for v in (res.x or []) + (res.dual or []) + ([res.value] if res.value is not None else []):
+        assert type(v) is Fraction
+    return res.status, counts["negative"]
+
+
+_entry = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def _small_lps(draw):
+    m, n = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    row = st.lists(_entry, min_size=n, max_size=n)
+    return draw(row), [draw(row) for _ in range(m)], draw(st.lists(_entry, min_size=m, max_size=m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps())
+@example(([1], [[1]], [-1]))  # infeasible
+@example(([1], [[-1]], [0]))  # unbounded
+@example(([0, 1], [[-1, 0]], [-1]))  # unbounded after phase 1
+@example(([1], [[-1], [1]], [-1, 1]))  # artificial driven out on a negative pivot
+def test_simplex_matches_fraction_oracle(lp):
+    _solve_matches_oracle(*lp)
+
+
+def test_simplex_oracle_cases_cover_every_branch():
+    rng = random.Random(4)
+
+    def entry():
+        k = rng.random()
+        if k < 0.35:
+            return 0
+        if k < 0.7:
+            return rng.randint(-3, 3)
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+
+    seen = set()
+    for _ in range(400):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        c = [entry() for _ in range(n)]
+        A = [[entry() for _ in range(n)] for _ in range(m)]
+        seen.add(_solve_matches_oracle(c, A, [entry() for _ in range(m)])[0])
+    assert seen == {simplex.OPTIMAL, simplex.INFEASIBLE, simplex.UNBOUNDED}
+    # x1 >= 1 and x1 <= 1: phase 1 leaves the artificial basic at zero, and
+    # driving it out pivots on its slack's -1.
+    assert _solve_matches_oracle([1], [[-1], [1]], [-1, 1]) == (simplex.OPTIMAL, 1)
+
+
+def test_simplex_matches_fraction_oracle_on_corpus_lps(nets):
+    for name, net in nets.items():
+        for direction in ([1] * net.num_sessions, [Fraction(k + 1, 2) for k in range(net.num_sessions)]):
+            c, A, b = _lp_for_direction(net, direction)
+            assert _solve_matches_oracle(c, A, b)[0] == simplex.OPTIMAL, name
+
+
+def _tamper_value(res):
+    return replace(res, value=res.value + Fraction(1, 7))
+
+
+def _tamper_dual(res):
+    return replace(res, dual=[-v for v in res.dual])
+
+
+def _tamper_dual_infeasible(res):
+    # y >= 0 and y.b == value still hold (the last row is an edge row, b = 1),
+    # but y^T A >= c fails on the lambda column.
+    return replace(res, dual=[Fraction(0)] * (len(res.dual) - 1) + [res.value])
+
+
+def _tamper_overload(res):
+    return replace(res, x=[2 * v for v in res.x])
+
+
+def _tamper_underdeliver(res):
+    return replace(res, x=[Fraction(0)] * len(res.x))
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_tamper_value, _tamper_dual, _tamper_dual_infeasible, _tamper_overload, _tamper_underdeliver],
+)
+def test_max_scaled_rate_rejects_tampered_lp_answer(nets, monkeypatch, capsys, tamper):
+    honest = simplex.solve
+    monkeypatch.setattr(simplex, "solve", lambda c, A, b: tamper(honest(c, A, b)))
+    with pytest.raises(CertificateInvalid):
+        max_scaled_rate(nets["fig1a"], [1, 1])
+    assert main(["rate", "fig1a", "--direction", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "infodist: the LP" in captured.err
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,9 @@
 import random
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     FIG1A,
@@ -18,6 +21,7 @@ from infodist.errors import BijectionViolated, NotExtendable, PermutationMismatc
 from infodist.graph import Network
 from infodist.witnesses import (
     SearchBudget,
+    _permutation_sequences,
     Witness,
     decide_information_distributive,
     find_cumulative_order,
@@ -284,6 +288,20 @@ def test_decide_on_1200_edge_chain():
     verdict = decide_information_distributive(chain)
     assert verdict.status == "yes"
     assert verify_witness(chain, verdict.witness).ok
+
+
+def test_decide_on_20_parallel_edges():
+    net = Network(["s", "d"], [("s", "d", i) for i in range(20)], [("s", "d")])
+    verdict = decide_information_distributive(net)
+    assert verdict.status == "yes"
+    assert verify_witness(net, verdict.witness).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 9), max_size=4), max_size=3))
+def test_permutation_sequences_equal_itertools_product(cuts):
+    expected = list(product(*(permutations(sorted(cut)) for cut in cuts)))
+    assert list(_permutation_sequences(tuple(cuts))) == expected
 
 
 def test_find_cumulative_order_gadget():
