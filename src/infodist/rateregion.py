@@ -145,7 +145,9 @@ def check_rate_feasible(
     if result.status == simplex.INFEASIBLE:
         return FeasibilityResult(False)
     assert result.status == simplex.OPTIMAL
-    return FeasibilityResult(True, _build_scheme(net, session_paths, result.x))
+    scheme = _build_scheme(net, session_paths, result.x)
+    _certify_scheme(net, scheme, rates, "the rates")
+    return FeasibilityResult(True, scheme)
 
 
 @dataclass
@@ -173,13 +175,21 @@ def max_scaled_rate(
     if not _is_dual_certificate(c, A, b, result.dual, lam):
         raise CertificateInvalid(f"the LP dual does not certify lambda* = {lam}")
     scheme = _build_scheme(net, session_paths, result.x[:-1])
-    check = verify_routing_scheme(net, scheme, [lam * d for d in direction])
+    _certify_scheme(
+        net, scheme, [lam * d for d in direction],
+        f"lambda* = {lam} times the direction",
+    )
+    return ScalingResult(lam, scheme, result.dual)
+
+
+def _certify_scheme(net, scheme, rates, what: str) -> None:
+    """Re-check an LP scheme exactly, outside the solver."""
+    check = verify_routing_scheme(net, scheme, rates)
     if not check:
         raise CertificateInvalid(
-            f"the LP scheme does not route lambda* = {lam} times the direction: "
+            f"the LP scheme does not route {what}: "
             f"{check.violation[0]} {check.violation[1]} violated"
         )
-    return ScalingResult(lam, scheme, result.dual)
 
 
 def _is_dual_certificate(c, A, b, y, value) -> bool:
@@ -201,22 +211,28 @@ def _is_dual_certificate(c, A, b, y, value) -> bool:
 @dataclass
 class VerifyResult:
     ok: bool
-    violation: Optional[tuple] = None  # ("rate", session) | ("capacity", edge)
+    # ("negative", session, path) | ("rate", session) | ("capacity", edge)
+    violation: Optional[tuple] = None
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def verify_routing_scheme(net: Network, scheme: RoutingScheme, rates: Sequence) -> VerifyResult:
-    """Substitute the scheme into both constraint families exactly."""
+    """Substitute the scheme into both constraint families exactly, after
+    checking that every flow is nonnegative."""
     rates = parse_rates(rates)
     if len(scheme.flows) != net.num_sessions or len(rates) != net.num_sessions:
         raise ValueError("scheme/rates must cover every session")
     for i, per_session in enumerate(scheme.flows, start=1):
         s, d = net.sessions[i - 1]
-        for path, value in per_session.items():
-            if value < 0 or not validate_path(net, path, s, d):
+        for path in per_session:
+            if not validate_path(net, path, s, d):
                 raise UnknownPath(i, path)
+    for i, per_session in enumerate(scheme.flows, start=1):
+        for path, value in per_session.items():
+            if value < 0:
+                return VerifyResult(False, ("negative", i, path))
     for i in range(1, net.num_sessions + 1):
         if scheme.rate(i) < rates[i - 1]:
             return VerifyResult(False, ("rate", i))

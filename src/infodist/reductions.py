@@ -22,6 +22,7 @@ from .graph import (
     alpha,
     enumerate_min_cutsets,
     enumerate_paths,
+    has_path,
     min_cut,
     routing_domain,
     validate_path,
@@ -29,6 +30,8 @@ from .graph import (
 from .witnesses import (
     CheckResult,
     Witness,
+    candidate_masks,
+    forward_check,
     is_cumulative,
     is_distributive,
     is_extendable,
@@ -461,8 +464,6 @@ def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
     if len(c0) != tnet.mincut0 or not c0 <= dom.edges:
         raise NotACutset("C[0] must be a minimum cut-set of the session-0 domain")
     removed = frozenset(c0)
-    from .graph import has_path
-
     if has_path(tnet.net, "#s0", "#d0", removed=removed):
         raise NotACutset("C[0] does not disconnect session 0")
     pairs = []
@@ -562,8 +563,11 @@ def check_p_extendable(tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]) -> 
 def find_extendable_paths(
     tnet: TimeExtendedNetwork, c0, path_limit: int = 10**4
 ) -> Optional[tuple[Path, ...]]:
-    """Backtracking search for an edge-disjoint, offset-consistent family,
-    one path per cut edge (ascending edge id)."""
+    """Forward-checking search for an edge-disjoint, offset-consistent family,
+    one path per cut edge (ascending edge id).  A path using two shifts of
+    one family never extends.  Paths crossing (b, t) and (b', t') conflict
+    when they share a family at times a, a' with b != b' or a - a' != t - t'
+    (a shared edge is offset 0)."""
     c0 = sorted(frozenset(c0))
     dom = _session0_domain(tnet)
     all_paths, truncated = enumerate_paths(
@@ -571,51 +575,37 @@ def find_extendable_paths(
     )
     if truncated:
         return None
-    per_edge: dict[int, list[Path]] = {e: [] for e in c0}
-    c0set = frozenset(c0)
+    slot_of = {e: k for k, e in enumerate(c0)}
+    cands: list[list[tuple[Path, dict]]] = [[] for _ in c0]  # (path, family -> time)
     for path in all_paths:
-        hits = [e for e in path if e in c0set]
+        hits = [e for e in path if e in slot_of]
         if len(hits) == 1:
-            per_edge[hits[0]].append(path)
-    chosen: list[Path] = []
+            times = {_family(tnet.labels[e]): _family_time(tnet.labels[e]) for e in path}
+            if len(times) == len(path):
+                cands[slot_of[hits[0]]].append((path, times))
+    crossing = [tnet.base_pair(e) for e in c0]
+    # per slot: family -> candidates using it, (family, time) -> likewise
+    uses = [
+        (candidate_masks(t for _, t in slot), candidate_masks(t.items() for _, t in slot))
+        for slot in cands
+    ]
 
-    def place(idx: int) -> bool:
-        if idx == len(c0):
-            return True
-        for path in per_edge[c0[idx]]:
-            if any(set(path) & set(q) for q in chosen):
-                continue
-            chosen.append(path)
-            if _partial_consistent(tnet, c0set, chosen) and place(idx + 1):
-                return True
-            chosen.pop()
-        return False
+    def conflicts(k: int, c: int) -> list[int]:
+        times = cands[k][c][1]
+        base_k, t_k = crossing[k]
+        out = []
+        for (base_j, t_j), (by_family, by_time) in zip(crossing[k + 1:], uses[k + 1:]):
+            mask = 0
+            for fam, t in times.items():
+                clash = by_family.get(fam, 0)
+                if clash and base_j == base_k:
+                    clash &= ~by_time.get((fam, t - t_k + t_j), 0)
+                mask |= clash
+            out.append(mask)
+        return out
 
-    if place(0):
-        return tuple(chosen)
-    return None
-
-
-def _partial_consistent(tnet, c0set, chosen) -> bool:
-    crossing = []
-    for path in chosen:
-        hits = [e for e in path if e in c0set]
-        crossing.append(tnet.base_pair(hits[0]))
-    for i in range(len(chosen)):
-        fam_i = {
-            _family(tnet.labels[e]): _family_time(tnet.labels[e]) for e in chosen[i]
-        }
-        if len(fam_i) != len(chosen[i]):
-            return False
-        for j in range(i + 1, len(chosen)):
-            for e in chosen[j]:
-                fam = _family(tnet.labels[e])
-                if fam in fam_i:
-                    a, b = fam_i[fam], _family_time(tnet.labels[e])
-                    (bi, ti), (bj, tj) = crossing[i], crossing[j]
-                    if bi != bj or ti - tj != a - b:
-                        return False
-    return True
+    chosen = forward_check([(1 << len(s)) - 1 for s in cands], conflicts)
+    return None if chosen is None else tuple(cands[k][c][0] for k, c in enumerate(chosen))
 
 
 @dataclass

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .errors import BijectionViolated, NotExtendable, PermutationMismatch
 from .graph import (
@@ -328,6 +328,64 @@ class _BudgetExceeded(Exception):
     pass
 
 
+def forward_check(
+    domains: list[int], conflicts: Callable[[int, int], list[int]],
+    on_try: Callable[[], None] = lambda: None,
+) -> Optional[list[int]]:
+    """First assignment of one candidate per slot with no pairwise conflict.
+
+    domains[k] is a bitmask over slot k's candidates; conflicts(k, c) gives,
+    for each later slot, the mask of its candidates that conflict with
+    candidate c of slot k.  Slots are filled in order, candidates in bit
+    order, so the answer (candidate indices) is the one chronological
+    backtracking finds; a placement strikes its conflicts from the later
+    domains and backtracks once one empties (Haralick & Elliott 1980).
+    on_try runs once per candidate tried."""
+    if not all(domains):
+        return None
+    # stack[k]: (the candidate chosen at slot k-1, [slot k's untried
+    # candidates, then the later slots' domains given the choices so far])
+    stack = [(-1, list(domains))]
+    keep: dict[tuple[int, int], list[int]] = {}  # ~conflicts per (slot, candidate)
+    room = 2**28 // (1 + sum(d.bit_length() + 64 for d in domains))  # ~2^28 bits kept
+    while len(stack) <= len(domains):
+        live = stack[-1][1]
+        if not live[0]:
+            stack.pop()
+            if not stack:
+                return None
+            continue
+        low = live[0] & -live[0]
+        live[0] ^= low
+        key = (len(stack) - 1, low.bit_length() - 1)
+        on_try()
+        masks = keep.get(key)
+        if masks is None:
+            masks = [~m for m in conflicts(*key)]
+            if len(keep) < room:
+                keep[key] = masks
+        later = [d & m for d, m in zip(live[1:], masks)]
+        if all(later):
+            stack.append((key[1], later))
+    return [c for c, _ in stack[1:]]
+
+
+def candidate_masks(candidates) -> dict:
+    """key -> bitmask of the candidates (by index) among whose keys it is."""
+    masks: dict = {}
+    for c, keys in enumerate(candidates):
+        for key in keys:
+            masks[key] = masks.get(key, 0) | (1 << c)
+    return masks
+
+
+def _union(masks: dict, keys) -> int:
+    out = 0
+    for key in keys:
+        out |= masks.get(key, 0)
+    return out
+
+
 class _Searcher:
     def __init__(self, net: Network, budget: SearchBudget):
         self.net = net
@@ -336,42 +394,55 @@ class _Searcher:
         self.deadline = (
             time.monotonic() + budget.max_seconds if budget.max_seconds else None
         )
-        # Per original session: routing domain, min-cut sets, session paths.
-        self.domains = [routing_domain(net, i) for i in range(1, net.num_sessions + 1)]
+        # Per original session: min-cut sets and session paths (see _enumerate).
         self.cutsets: list[list[frozenset[int]]] = []
-        self.paths_by_cut_edge: list[dict[frozenset[int], dict[int, list[Path]]]] = []
-        for i, dom in enumerate(self.domains, start=1):
-            s, d = net.sessions[i - 1]
-            if dom.empty:
-                self.cutsets.append([frozenset()])
-                self.paths_by_cut_edge.append({frozenset(): {}})
-                continue
-            sets, trunc = enumerate_min_cutsets(
-                net, s, d, within=dom.edges, limit=budget.cutset_limit
-            )
-            if trunc:
-                self.stats.truncated = True
-            sets.sort(key=sorted)
-            self.cutsets.append(sets)
-            all_paths, trunc = enumerate_paths(
-                net, s, d, within=dom.edges, limit=budget.path_limit
-            )
-            if trunc:
-                self.stats.truncated = True
-            table: dict[frozenset[int], dict[int, list[Path]]] = {}
-            for cut in sets:
-                per_edge: dict[int, list[Path]] = {eid: [] for eid in sorted(cut)}
-                for path in all_paths:
-                    crossed = _crossing(path, cut)
-                    if len(crossed) == 1:
-                        per_edge[crossed[0]].append(path)
-                table[cut] = per_edge
-            self.paths_by_cut_edge.append(table)
+        self.paths: list[list[Path]] = []
+        self._tables: dict[tuple[int, frozenset[int]], dict[int, tuple]] = {}
         self._bad_cache: dict[tuple[int, frozenset[int], int], bool] = {}
 
     def _tick(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _BudgetExceeded
+
+    def _enumerate(self) -> None:
+        for i in range(1, self.net.num_sessions + 1):
+            s, d = self.net.sessions[i - 1]
+            dom = routing_domain(self.net, i)
+            if dom.empty:
+                self.cutsets.append([frozenset()])
+                self.paths.append([])
+                continue
+            self._tick()
+            sets, trunc = enumerate_min_cutsets(
+                self.net, s, d, within=dom.edges, limit=self.budget.cutset_limit
+            )
+            self.cutsets.append(sorted(sets, key=sorted))
+            self._tick()
+            paths, trunc_paths = enumerate_paths(
+                self.net, s, d, within=dom.edges, limit=self.budget.path_limit
+            )
+            self.paths.append(paths)
+            if trunc or trunc_paths:
+                self.stats.truncated = True
+
+    def _cut_table(self, sess: int, cut: frozenset[int]) -> dict[int, tuple]:
+        """Per cut edge: the session's paths crossing `cut` only there, and a
+        map edge -> bitmask of those paths using it.  Built on first use."""
+        table = self._tables.get((sess, cut))
+        if table is None:
+            per_edge: dict[int, list[Path]] = {eid: [] for eid in cut}
+            for path in self.paths[sess - 1]:
+                self._tick()
+                crossed = _crossing(path, cut)
+                if len(crossed) == 1:
+                    per_edge[crossed[0]].append(path)
+            table = {eid: (ps, candidate_masks(ps)) for eid, ps in per_edge.items()}
+            self._tables[sess, cut] = table
+        return table
+
+    def _try(self) -> None:
+        self.stats.path_assignments += 1
+        self._tick()
 
     def _cumulative_ok(self, sess_i: int, cut: frozenset[int], sess_j: int) -> bool:
         """No s_j -> d_i path survives the removal of session i's cut."""
@@ -385,50 +456,32 @@ class _Searcher:
         return hit
 
     def _find_paths(self, order, cuts) -> Optional[PathSetSequence]:
-        """Backtracking over per-cut-edge path choices with a shared-edge
-        representative map; exhaustive, so failure means no extendable set."""
-        slots: list[tuple[int, int, list[Path]]] = []  # (position, cut edge, choices)
+        """One path per cut edge, paths sharing an edge crossing the same cut
+        edge, by forward checking (exhaustive).  A path through another
+        slot's cut edge is dead up front: that slot's path crosses it too."""
+        slots = []  # (position, cut edge, candidate paths, edge -> mask)
         for pos, sess in enumerate(order):
-            table = self.paths_by_cut_edge[sess - 1][cuts[pos]]
-            for eid in sorted(cuts[pos]):
-                choices = table[eid]
-                if not choices:
-                    return None
-                slots.append((pos, eid, choices))
-        chosen: list[Path] = []
-        rep: dict[int, int] = {}
+            table = self._cut_table(sess, cuts[pos])
+            slots += [(pos, eid, *table[eid]) for eid in sorted(cuts[pos])]
+        cut_edges = {eid for _, eid, _, _ in slots}
+        domains = [
+            (1 << len(paths)) - 1 & ~_union(uses, (e for e in uses if e in cut_edges and e != eid))
+            for _, eid, paths, uses in slots
+        ]
 
-        def place(idx: int) -> bool:
-            if idx == len(slots):
-                return True
-            self._tick()
-            _pos, cut_edge, choices = slots[idx]
-            for path in choices:
-                self.stats.path_assignments += 1
-                added = []
-                ok = True
-                for eid in path:
-                    prev = rep.get(eid)
-                    if prev is None:
-                        rep[eid] = cut_edge
-                        added.append(eid)
-                    elif prev != cut_edge:
-                        ok = False
-                        break
-                if ok:
-                    chosen.append(path)
-                    if place(idx + 1):
-                        return True
-                    chosen.pop()
-                for eid in added:
-                    del rep[eid]
-            return False
+        def conflicts(k: int, c: int) -> list[int]:
+            _, eid, paths, _ = slots[k]
+            return [
+                0 if other == eid else _union(uses, paths[c])
+                for _, other, _, uses in slots[k + 1:]
+            ]
 
-        if not place(0):
+        chosen = forward_check(domains, conflicts, self._try)
+        if chosen is None:
             return None
         result: list[list[Path]] = [[] for _ in order]
-        for (pos, _eid, _), path in zip(slots, chosen):
-            result[pos].append(path)
+        for (pos, _eid, paths, _), c in zip(slots, chosen):
+            result[pos].append(paths[c])
         return tuple(tuple(ps) for ps in result)
 
     def run(self) -> Verdict:
@@ -439,6 +492,7 @@ class _Searcher:
             else [tuple(range(1, K + 1))]
         )
         try:
+            self._enumerate()
             for order in orders:
                 self.stats.orders_tried += 1
                 ordered_net = self.net.reindex_sessions(order)
@@ -491,9 +545,8 @@ def decide_information_distributive(
     candidate (under all session orders, if enabled) was examined; budget or
     enumeration-cap exhaustion yields "unknown".
     """
-    searcher = _Searcher(net, budget or SearchBudget())
     start = time.monotonic()
-    verdict = searcher.run()
+    verdict = _Searcher(net, budget or SearchBudget()).run()
     verdict.stats.elapsed = time.monotonic() - start
     return verdict
 
@@ -507,37 +560,18 @@ def find_cumulative_order(
     at position i-1); the returned order is 1-based original session ids.
     """
     K = net.num_sessions
-    bad: dict[tuple[int, int], bool] = {}
 
-    def conflict(j: int, i: int) -> bool:
-        # True when some s_j -> d_i path avoids session i's cut-set.
-        key = (j, i)
-        if key not in bad:
-            bad[key] = has_path(
-                net, net.source(j), net.sink(i), removed=cuts_by_session[i - 1]
-            )
-        return bad[key]
+    def conflicts(k: int, c: int) -> list[int]:
+        # Session c+1 rules out itself and each s_j reaching d_{c+1} around C_{c+1}.
+        i = c + 1
+        mask = sum(
+            1 << (j - 1) for j in range(1, K + 1)
+            if j == i or has_path(net, net.source(j), net.sink(i), removed=cuts_by_session[c])
+        )
+        return [mask] * (K - k - 1)
 
-    chosen: list[int] = []
-    remaining = set(range(1, K + 1))
-
-    def place() -> bool:
-        if not remaining:
-            return True
-        for cand in sorted(remaining):
-            if any(conflict(cand, earlier) for earlier in chosen):
-                continue
-            chosen.append(cand)
-            remaining.remove(cand)
-            if place():
-                return True
-            chosen.pop()
-            remaining.add(cand)
-        return False
-
-    if place():
-        return tuple(chosen)
-    return None
+    chosen = forward_check([(1 << K) - 1] * K, conflicts)
+    return None if chosen is None else tuple(c + 1 for c in chosen)
 
 
 def menger_witness_for_single_session(net: Network) -> Witness:

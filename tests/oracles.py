@@ -3,7 +3,8 @@
 Nothing here shares algorithmic machinery with the package: min-cuts come
 from exhaustive subset scans, LP optima from vertex enumeration over exact
 linear solves or a dense Fraction tableau, and the no-witness verdict from
-undimmed full enumeration.
+undimmed full enumeration.  The two extendable-path-family searches are the
+chronological recursive backtrackers the library's forward checking replaced.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from infodist.graph import (
     enumerate_paths,
     has_path,
     routing_domain,
+)
+from infodist.reductions import (
+    DeadlineInstance,
+    _family,
+    _family_time,
+    _session0_domain,
 )
 from infodist.witnesses import is_cumulative, is_distributive, is_extendable
 
@@ -252,3 +259,131 @@ def random_network(rng: random.Random, max_internal=5, max_sessions=3, edge_prob
             edges.append((v, d, 0))
         sessions.append((s, d))
     return Network(nodes, edges, sessions)
+
+
+def backtrack_paths(searcher, order, cuts):
+    """`witnesses._Searcher._find_paths` before forward checking: recursive
+    backtracking over per-cut-edge path choices with a shared-edge
+    representative map.  The per-edge choices are filtered from the
+    searcher's session paths, as its constructor used to; usable as a
+    drop-in `_find_paths` method."""
+    slots = []  # (position, cut edge, choices)
+    for pos, sess in enumerate(order):
+        for eid in sorted(cuts[pos]):
+            choices = [
+                p for p in searcher.paths[sess - 1]
+                if [x for x in p if x in cuts[pos]] == [eid]
+            ]
+            if not choices:
+                return None
+            slots.append((pos, eid, choices))
+    chosen = []
+    rep = {}
+
+    def place(idx: int) -> bool:
+        if idx == len(slots):
+            return True
+        searcher._tick()
+        _pos, cut_edge, choices = slots[idx]
+        for path in choices:
+            searcher.stats.path_assignments += 1
+            added = []
+            ok = True
+            for eid in path:
+                prev = rep.get(eid)
+                if prev is None:
+                    rep[eid] = cut_edge
+                    added.append(eid)
+                elif prev != cut_edge:
+                    ok = False
+                    break
+            if ok:
+                chosen.append(path)
+                if place(idx + 1):
+                    return True
+                chosen.pop()
+            for eid in added:
+                del rep[eid]
+        return False
+
+    if not place(0):
+        return None
+    result = [[] for _ in order]
+    for (pos, _eid, _), path in zip(slots, chosen):
+        result[pos].append(path)
+    return tuple(tuple(ps) for ps in result)
+
+
+def backtrack_extendable_paths(tnet, c0, path_limit: int = 10**4):
+    """`reductions.find_extendable_paths` before forward checking: recursive
+    backtracking that re-checks every chosen pair at each step."""
+    c0 = sorted(frozenset(c0))
+    dom = _session0_domain(tnet)
+    all_paths, truncated = enumerate_paths(
+        tnet.net, "#s0", "#d0", within=dom.edges, limit=path_limit
+    )
+    if truncated:
+        return None
+    per_edge = {e: [] for e in c0}
+    c0set = frozenset(c0)
+    for path in all_paths:
+        hits = [e for e in path if e in c0set]
+        if len(hits) == 1:
+            per_edge[hits[0]].append(path)
+    chosen = []
+
+    def place(idx: int) -> bool:
+        if idx == len(c0):
+            return True
+        for path in per_edge[c0[idx]]:
+            if any(set(path) & set(q) for q in chosen):
+                continue
+            chosen.append(path)
+            if _partial_consistent(tnet, c0set, chosen) and place(idx + 1):
+                return True
+            chosen.pop()
+        return False
+
+    if place(0):
+        return tuple(chosen)
+    return None
+
+
+def _partial_consistent(tnet, c0set, chosen) -> bool:
+    crossing = []
+    for path in chosen:
+        hits = [e for e in path if e in c0set]
+        crossing.append(tnet.base_pair(hits[0]))
+    for i in range(len(chosen)):
+        fam_i = {
+            _family(tnet.labels[e]): _family_time(tnet.labels[e]) for e in chosen[i]
+        }
+        if len(fam_i) != len(chosen[i]):
+            return False
+        for j in range(i + 1, len(chosen)):
+            for e in chosen[j]:
+                fam = _family(tnet.labels[e])
+                if fam in fam_i:
+                    a, b = fam_i[fam], _family_time(tnet.labels[e])
+                    (bi, ti), (bj, tj) = crossing[i], crossing[j]
+                    if bi != bj or ti - tj != a - b:
+                        return False
+    return True
+
+
+def random_deadline(rng: random.Random):
+    """Small deadline instance: a random delay DAG on s < a < b < c < d with
+    an s -> d route, short deadline and horizon, memory 0 or 1."""
+    order = ["s", "a", "b", "c", "d"]
+    edges = [
+        (u, v, rng.randint(1, 2))
+        for i, u in enumerate(order)
+        for v in order[i + 1:]
+        if (u, v) != ("s", "d") and rng.random() < 0.6
+    ]
+    hop = rng.choice(order[1:4])
+    edges += [("s", hop, 1), (hop, "d", 1)]
+    return DeadlineInstance(
+        edges=tuple(dict.fromkeys(edges)), source="s", sink="d",
+        tau=rng.randint(2, 4), horizon=rng.randint(1, 3), memory=rng.randint(0, 1),
+    )

@@ -106,6 +106,20 @@ def test_check_20_parallel_edges(tmp_path, capsys):
     assert data["result"]["status"] == "yes"
 
 
+def test_check_1100_parallel_edges(tmp_path, capsys):
+    # One path-family slot per cut edge: 1100 slots, past the default
+    # recursion limit.
+    net = tmp_path / "parallel1100.json"
+    net.write_text(json.dumps({
+        "nodes": ["s", "d"],
+        "edges": [{"tail": "s", "head": "d", "index": i} for i in range(1100)],
+        "sessions": [{"source": "s", "sink": "d"}],
+    }))
+    code, data = run(capsys, "check", str(net))
+    assert code == 0
+    assert data["result"]["status"] == "yes"
+
+
 def test_reduce_deadline_fig4(capsys):
     code, data = run(capsys, "reduce-deadline", "fig4-deadline")
     assert code == 0
@@ -169,6 +183,25 @@ def test_audit_corrupted_scheme_names_edge(tmp_path, capsys):
     assert rc == 10
     assert data["result"]["scheme_ok"] is False
     assert data["result"]["scheme_violation"] == ["capacity", 0]
+
+
+def test_audit_reports_negative_flow(tmp_path, capsys):
+    code_path = tmp_path / "code.json"
+    wit_path = tmp_path / "wit.json"
+    scheme_path = tmp_path / "scheme.json"
+    _, data = run(capsys, "gen-code", "single-edge", "--rates", "1", "--field", "5",
+                  "--seed", "0", "--decodable")
+    code_path.write_text(json.dumps(data["result"]))
+    _, data = run(capsys, "check", "single-edge")
+    wit_path.write_text(json.dumps(data["result"]["witness"]))
+    scheme_path.write_text(json.dumps(
+        {"flows": [{"session": 1, "path": [0], "value": "-1"}]}
+    ))
+    rc, data = run(capsys, "audit", "single-edge", "--code", str(code_path),
+                   "--witness", str(wit_path), "--scheme", str(scheme_path))
+    assert rc == 10
+    assert data["result"]["scheme_ok"] is False
+    assert data["result"]["scheme_violation"] == ["negative", 1, [0]]
 
 
 def test_audit_reduces_oversized_coefficients(tmp_path, capsys):

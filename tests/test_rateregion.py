@@ -15,6 +15,7 @@ from infodist.errors import CertificateInvalid, PathEnumerationTruncated, Unknow
 from infodist.graph import Network, require_paths
 from infodist.rateregion import (
     RoutingScheme,
+    VerifyResult,
     check_rate_feasible,
     max_scaled_rate,
     scheme_from_json,
@@ -230,6 +231,10 @@ def _tamper_underdeliver(res):
     return replace(res, x=[Fraction(0)] * len(res.x))
 
 
+def _tamper_negate(res):
+    return replace(res, x=[-v for v in res.x])
+
+
 @pytest.mark.parametrize(
     "tamper",
     [_tamper_value, _tamper_dual, _tamper_dual_infeasible, _tamper_overload, _tamper_underdeliver],
@@ -278,6 +283,24 @@ def test_verify_rate_violation_names_session(nets):
     scheme = RoutingScheme(({(0, 1, 2): Fraction(1)}, dict()))
     res = verify_routing_scheme(net, scheme, [1, 1])
     assert res.violation == ("rate", 2)
+
+
+def test_verify_reports_negative_flow_on_valid_path(nets):
+    net = nets["single-edge"]
+    scheme = RoutingScheme(({(0,): Fraction(-1)},))
+    assert verify_routing_scheme(net, scheme, [0]) == VerifyResult(False, ("negative", 1, (0,)))
+
+
+@pytest.mark.parametrize("tamper", [_tamper_overload, _tamper_underdeliver, _tamper_negate])
+def test_check_rate_feasible_rejects_tampered_lp_answer(nets, monkeypatch, capsys, tamper):
+    honest = simplex.solve
+    monkeypatch.setattr(simplex, "solve", lambda c, A, b: tamper(honest(c, A, b)))
+    with pytest.raises(CertificateInvalid):
+        check_rate_feasible(nets["fig1a"], [1, 1])
+    assert main(["rate", "fig1a", "--rate", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "infodist: the LP scheme does not route the rates" in captured.err
 
 
 def test_verify_rejects_unknown_path(nets):

@@ -1,6 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from infodist import corpus
 from infodist.codes import check_decodable, propagate
@@ -355,6 +359,45 @@ def test_lemma_implications_on_random_instances_with_memory():
             checked += 1
             break
     assert checked >= 10
+
+
+def _base_cutsets(tnet):
+    dom = routing_domain(tnet.net, 1)
+    sets, _ = enumerate_min_cutsets(tnet.net, "#s0", "#d0", within=dom.edges, limit=10**4)
+    return [cut for cut in sets if all(tnet.labels[e][0] == "base" for e in cut)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_find_extendable_paths_matches_backtracking_oracle(seed):
+    try:
+        tnet = deadline_to_time_extended(oracles.random_deadline(random.Random(seed)))
+    except DeadlineTooSmall:
+        return
+    for cut in _base_cutsets(tnet):
+        assert find_extendable_paths(tnet, cut) == oracles.backtrack_extendable_paths(tnet, cut)
+
+
+def test_find_extendable_paths_matches_backtracking_oracle_on_fig4_grids():
+    for tau, horizon, memory in ((7, 7, 1), (7, 14, 2), (8, 16, 1), (9, 9, 1)):
+        inst = fig4()
+        tnet = deadline_to_time_extended(
+            DeadlineInstance(inst.edges, inst.source, inst.sink, tau, horizon, memory)
+        )
+        for cut in _base_cutsets(tnet):
+            assert find_extendable_paths(tnet, cut) == oracles.backtrack_extendable_paths(tnet, cut)
+
+
+def test_find_extendable_paths_skips_paths_with_two_shifts_of_one_family():
+    # Waiting twice in one memory slot uses two shifts of its family, which
+    # never extends; the first family found waits in two different slots.
+    tnet = deadline_to_time_extended(DeadlineInstance((("s", "d", 1),), "s", "d", 3, 0, 2))
+    c0 = [tnet.label_to_id[("base", 0, t)] for t in range(3)]
+    paths = find_extendable_paths(tnet, c0)
+    assert paths == oracles.backtrack_extendable_paths(tnet, c0)
+    assert [tnet.label_str(e) for e in paths[0]] == [
+        "in0#0", "e1[0]", "mem(d)[1]#0", "mem(d)[2]#1", "out0#0"
+    ]
 
 
 def test_search_deadline_certificate_fig4():

@@ -15,10 +15,12 @@ from conftest import (
     FIG1B_PERMS,
     FIG5,
 )
+import oracles
 from oracles import brute_decide, random_network
 
 from infodist.errors import BijectionViolated, NotExtendable, PermutationMismatch
 from infodist.graph import Network
+from infodist import witnesses
 from infodist.witnesses import (
     SearchBudget,
     _permutation_sequences,
@@ -297,11 +299,131 @@ def test_decide_on_20_parallel_edges():
     assert verify_witness(net, verdict.witness).ok
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_find_paths_matches_backtracking_oracle(seed):
+    net = random_network(random.Random(seed), max_internal=5, max_sessions=4, edge_prob=0.6)
+    searcher = witnesses._Searcher(net, SearchBudget())
+    searcher._enumerate()
+    K = net.num_sessions
+    for order in permutations(range(1, K + 1)):
+        for cuts in product(*(searcher.cutsets[sess - 1] for sess in order)):
+            expected = oracles.backtrack_paths(searcher, order, cuts)
+            assert searcher._find_paths(order, cuts) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_forward_check_finds_first_conflict_free_tuple(nslots, width, seed):
+    rng = random.Random(seed)
+    domains = [rng.getrandbits(width) for _ in range(nslots)]
+    clash = {
+        (k, c, j, d)
+        for k in range(nslots) for j in range(k + 1, nslots)
+        for c in range(width) for d in range(width) if rng.random() < 0.3
+    }
+
+    def conflicts(k, c):
+        return [
+            sum(1 << d for d in range(width) if (k, c, j, d) in clash)
+            for j in range(k + 1, nslots)
+        ]
+
+    pools = [[c for c in range(width) if dom >> c & 1] for dom in domains]
+    expected = next(
+        (
+            list(combo) for combo in product(*pools)
+            if not any(
+                (k, combo[k], j, combo[j]) in clash
+                for k in range(nslots) for j in range(k + 1, nslots)
+            )
+        ),
+        None,
+    )
+    assert witnesses.forward_check(domains, conflicts) == expected
+
+
+def _decide_outcome(net):
+    verdict = decide_information_distributive(net)
+    stats = verdict.stats.to_json_dict()
+    del stats["path_assignments"]
+    wit = verdict.witness.to_json_dict() if verdict.witness else None
+    return verdict.status, wit, verdict.representative_map, stats
+
+
+def test_decide_with_backtracking_oracle_on_corpus(nets, monkeypatch):
+    searched = {name: _decide_outcome(net) for name, net in nets.items()}
+    monkeypatch.setattr(witnesses._Searcher, "_find_paths", oracles.backtrack_paths)
+    for name, net in nets.items():
+        assert _decide_outcome(net) == searched[name], name
+
+
+class _Clock:
+    """A stand-in for time.monotonic that only moves when told to."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+def _spy(monkeypatch, name, clock, calls):
+    real = getattr(witnesses, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        clock.now += 10  # past any deadline once this returns
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(witnesses, name, spy)
+
+
+def test_budget_stops_between_cutset_and_path_enumeration(nets, monkeypatch):
+    clock, calls = _Clock(), []
+    monkeypatch.setattr(witnesses.time, "monotonic", clock)
+    _spy(monkeypatch, "enumerate_min_cutsets", clock, calls)
+    _spy(monkeypatch, "enumerate_paths", clock, calls)
+    verdict = decide_information_distributive(nets["fig1a"], SearchBudget(max_seconds=1))
+    assert verdict.status == "unknown"
+    assert calls == ["enumerate_min_cutsets"]
+
+
+def test_budget_stops_while_a_path_table_is_built(nets, monkeypatch):
+    clock, calls = _Clock(), []
+    monkeypatch.setattr(witnesses.time, "monotonic", clock)
+    _spy(monkeypatch, "_crossing", clock, calls)
+    verdict = decide_information_distributive(nets["fig1a"], SearchBudget(max_seconds=1))
+    assert verdict.status == "unknown"
+    # The first candidate passed its ordering check; its first path-table
+    # lookup ran out of time before any path was placed.
+    assert verdict.stats.candidates == 1
+    assert verdict.stats.path_assignments == 0
+    assert calls == ["_crossing"]
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.frozensets(st.integers(0, 9), max_size=4), max_size=3))
 def test_permutation_sequences_equal_itertools_product(cuts):
     expected = list(product(*(permutations(sorted(cut)) for cut in cuts)))
     assert list(_permutation_sequences(tuple(cuts))) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_find_cumulative_order_is_first_cumulative_permutation(seed, pick):
+    net = random_network(random.Random(seed), max_internal=5, max_sessions=4, edge_prob=0.6)
+    searcher = witnesses._Searcher(net, SearchBudget())
+    searcher._enumerate()
+    cuts = [sets[pick % len(sets)] for sets in searcher.cutsets]
+    expected = next(
+        (
+            order for order in permutations(range(1, net.num_sessions + 1))
+            if is_cumulative(net.reindex_sessions(order), [cuts[i - 1] for i in order])
+        ),
+        None,
+    )
+    assert find_cumulative_order(net, cuts) == expected
 
 
 def test_find_cumulative_order_gadget():
