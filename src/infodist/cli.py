@@ -41,7 +41,6 @@ from .rateregion import (
 from .reductions import (
     DeadlineInstance,
     IndexCodingInstance,
-    acyclic_reindex,
     deadline_to_time_extended,
     decide_index_rawness,
     index_to_network,
@@ -56,17 +55,20 @@ EXIT_UNKNOWN = 20
 EXIT_ERROR = 1
 
 
-def _read_json(path: str):
-    """Load a JSON document; bare corpus names and corpus/<name>.json work
+def _read_json(path: str) -> dict:
+    """Load a JSON object; bare corpus names and corpus/<name>.json work
     from anywhere by falling back to the bundled corpus."""
     p = Path(path)
     if p.exists():
         with open(p, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    name = p.stem
-    if name in corpus.names():
-        return corpus.load(name)
-    raise FileNotFoundError(path)
+            data = json.load(handle)
+    elif p.stem in corpus.names():
+        data = corpus.load(p.stem)
+    else:
+        raise FileNotFoundError(path)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _emit(args, payload: dict) -> None:
@@ -95,7 +97,10 @@ def _envelope(args, command: str, result: dict) -> dict:
 
 
 def _parse_vector(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    try:
+        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def cmd_check(args) -> int:
@@ -159,7 +164,7 @@ def cmd_reduce_index(args) -> int:
     net, skeleton = index_to_network(inst)
     rawness = decide_index_rawness(inst)
     side = side_information_graph(inst)
-    reindex = acyclic_reindex(side)
+    reindex = rawness.reindex
     result = {
         "network": net.to_json_dict(),
         "canonical_witness": skeleton.to_json_dict(),

@@ -40,7 +40,7 @@ class Network:
 
     Construct through :func:`validate_network`; the constructor assumes the
     invariants already hold except for the ones it checks itself (acyclicity,
-    duplicate triples, terminal degrees).
+    duplicate triples, terminal degrees, a sink distinct from its source).
     """
 
     def __init__(self, nodes, edges, sessions):
@@ -78,6 +78,9 @@ class Network:
                 raise NetworkFormatError(f"session {i} source {s!r} not a node", field="sessions")
             if d not in node_set:
                 raise NetworkFormatError(f"session {i} sink {d!r} not a node", field="sessions")
+            if s == d:
+                raise NetworkFormatError(f"session {i} source and sink are both {s!r}",
+                                         field="sessions")
             if self.in_edges[s]:
                 raise SourceHasInEdge(i, s)
             if self.out_edges[d]:
@@ -85,10 +88,16 @@ class Network:
 
         self.topo_order: tuple[str, ...] = self._toposort()
         self.topo_pos: dict[str, int] = {v: p for p, v in enumerate(self.topo_order)}
-        # eager so instances stay strictly immutable (thread-transferable)
-        self._source_reach: tuple[frozenset[str], ...] = tuple(
-            frozenset(reachable_from(self, s)) for s, _ in self.sessions
-        )
+        # Per node, the largest session index whose source reaches it (0 if
+        # none), in one pass in topological order; eager so instances stay
+        # strictly immutable (thread-transferable).
+        self._alpha: dict[str, int] = {v: 0 for v in self.nodes}
+        for i, (s, _) in enumerate(self.sessions, start=1):
+            self._alpha[s] = i
+        for v in self.topo_order:
+            for eid in self.out_edges[v]:
+                w = self.edges[eid].head
+                self._alpha[w] = max(self._alpha[w], self._alpha[v])
 
     def _toposort(self) -> tuple[str, ...]:
         indeg = {v: len(self.in_edges[v]) for v in self.nodes}
@@ -127,10 +136,6 @@ class Network:
             raise ValueError(f"not a session permutation: {order}")
         return Network(self.nodes, self.edges, [self.sessions[i - 1] for i in order])
 
-    def source_reach(self) -> tuple[frozenset[str], ...]:
-        """Per session, the nodes reachable from its source."""
-        return self._source_reach
-
     def edge_str(self, eid: int) -> str:
         e = self.edges[eid]
         return f"#{eid}({e.tail}->{e.head}/{e.index})"
@@ -167,16 +172,20 @@ def validate_network(raw) -> Network:
                 tail, head = str(item["tail"]), str(item["head"])
             except KeyError as exc:
                 raise NetworkFormatError(f"edge {pos} missing {exc}", field="edges")
-            index = int(item.get("index", 0))
+            index = item.get("index", 0)
         else:
             seq = list(item)
             if len(seq) == 2:
                 tail, head, index = str(seq[0]), str(seq[1]), 0
             elif len(seq) == 3:
-                tail, head, index = str(seq[0]), str(seq[1]), int(seq[2])
+                tail, head, index = str(seq[0]), str(seq[1]), seq[2]
             else:
                 raise NetworkFormatError(f"edge {pos} malformed", field="edges")
-        edges.append((tail, head, index))
+        try:
+            edges.append((tail, head, int(index)))
+        except (TypeError, ValueError):
+            raise NetworkFormatError(f"edge {pos} index {index!r} is not an integer",
+                                     field="edges") from None
     sessions = []
     for pos, item in enumerate(raw["sessions"]):
         if isinstance(item, Mapping):
@@ -547,12 +556,7 @@ def alpha(net: Network, eid: int) -> int:
     An edge whose tail no source reaches carries a constant symbol, so 0
     makes every alpha-bounded condition on it vacuous.
     """
-    tail = net.edges[eid].tail
-    best = 0
-    for i, reach in enumerate(net.source_reach(), start=1):
-        if tail in reach:
-            best = i
-    return best
+    return net._alpha[net.edges[eid].tail]
 
 
 def validate_path(net: Network, path: Sequence[int], u: str, v: str) -> bool:

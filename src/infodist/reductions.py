@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional, Sequence
 
 from .errors import DeadlineTooSmall, NotACutset
@@ -126,15 +125,19 @@ class ReindexResult:
 
 
 def acyclic_reindex(graph: dict[int, tuple[int, ...]]) -> ReindexResult:
-    """Kahn's algorithm: a forward-ordering of the nodes, or a witness cycle."""
+    """Kahn's algorithm with a min-heap: the least node listing (in ascending
+    node order) in which every edge goes forward, or a witness cycle.
+
+    This is the library's one ordering search; index rawness and the C[0]
+    orderings of the deadline reduction are both decided by it.
+    """
     indeg = {v: 0 for v in graph}
     for targets in graph.values():
         for w in targets:
             indeg[w] += 1
-    ready = sorted(v for v, d in indeg.items() if d == 0)
-    order = []
-    heap = list(ready)
+    heap = [v for v, d in indeg.items() if d == 0]
     heapq.heapify(heap)
+    order = []
     while heap:
         v = heapq.heappop(heap)
         order.append(v)
@@ -144,15 +147,20 @@ def acyclic_reindex(graph: dict[int, tuple[int, ...]]) -> ReindexResult:
                 heapq.heappush(heap, w)
     if len(order) == len(graph):
         return ReindexResult(tuple(order), None)
-    # Every leftover node keeps an unprocessed predecessor, so walking
-    # backwards must close a cycle.
+    # Every leftover node keeps a leftover predecessor (and every successor
+    # of one is leftover), so walking back along least predecessors from the
+    # least leftover node must close a cycle.
     leftover = {v for v, d in indeg.items() if d > 0}
-    pred = {v: sorted(u for u in leftover if v in graph[u]) for v in leftover}
+    pred: dict[int, int] = {}
+    for u in leftover:
+        for w in graph[u]:
+            if w not in pred or u < pred[w]:
+                pred[w] = u
     v = min(leftover)
     trail = [v]
     seen = {v}
     while True:
-        v = pred[v][0]
+        v = pred[v]
         if v in seen:
             cycle = trail[trail.index(v):]
             return ReindexResult(None, tuple(reversed(cycle)))
@@ -166,6 +174,7 @@ class RawnessReport:
     l_min: Optional[int]  # exact value when raw; None (strictly below m*K) otherwise
     m: int
     K: int
+    reindex: ReindexResult  # the forward ordering or the cycle that decides it
 
     def to_json_dict(self) -> dict:
         data = {"raw": self.raw, "m": self.m, "K": self.K}
@@ -178,40 +187,19 @@ class RawnessReport:
 
 
 def decide_index_rawness(inst: IndexCodingInstance) -> RawnessReport:
-    """Raw (no coding gain) iff the side-information graph is acyclic.
-
-    Deliberately uses a three-color DFS (on an explicit stack, so long
-    chains of side information cannot exhaust the interpreter's recursion
-    limit) so the result is independent of both the Kahn reindexing and the
-    cumulativity order search used in cross-checks.
-    """
-    graph = side_information_graph(inst)
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in graph}
-    acyclic = True
-    for root in sorted(graph):
-        if color[root] != WHITE:
-            continue
-        color[root] = GRAY
-        stack = [(root, iter(graph[root]))]
-        while stack and acyclic:
-            v, succ = stack[-1]
-            w = next(succ, None)
-            if w is None:
-                color[v] = BLACK
-                stack.pop()
-            elif color[w] == GRAY:
-                acyclic = False
-            elif color[w] == WHITE:
-                color[w] = GRAY
-                stack.append((w, iter(graph[w])))
-        if not acyclic:
-            break
-    return RawnessReport(acyclic, inst.m * inst.K if acyclic else None, inst.m, inst.K)
+    """Raw (no coding gain) iff the side-information graph is acyclic, as
+    decided by :func:`acyclic_reindex`; the report keeps its result."""
+    reindex = acyclic_reindex(side_information_graph(inst))
+    raw = reindex.acyclic
+    return RawnessReport(raw, inst.m * inst.K if raw else None, inst.m, inst.K, reindex)
 
 
 # ---------------------------------------------------------------------------
 # Deadline-constrained unicast
+
+# Caps on the session-0 path and cut-set enumerations of the deadline search.
+PATH_LIMIT = 10**4
+CUTSET_LIMIT = 10**4
 
 
 @dataclass(frozen=True)
@@ -396,23 +384,25 @@ def deadline_to_time_extended(inst: DeadlineInstance) -> TimeExtendedNetwork:
     The injection width defaults to the session-0 min-cut (any larger value
     is equivalent); the time-shift identity for the largest connected source
     index is asserted for every base-edge copy inside the valid window.
+    Every #s0 -> #d0 path is an in-copy, a source@0 -> sink@tau path of the
+    base-and-memory grid, then an out-copy, so the session-0 min-cut is the
+    smaller of that grid's min-cut and the injection width, and the grid is
+    built with its copies only once.
     """
     delta = _shortest_delays(inst)
     best = delta[inst.sink]
     if best is None or best > inst.tau:
         raise DeadlineTooSmall(inst.tau, best)
-    if inst.injection is not None:
-        J = int(inst.injection)
-        if J < 1:
-            raise ValueError("injection width must be >= 1")
-        net, labels = _build_grid(inst, J)
-        value = min_cut(net, "#s0", "#d0").value
+    if inst.injection is None:
+        width = max(len(inst.edges) * (inst.tau + 1), 1)
     else:
-        probe = len(inst.edges) * (inst.tau + 1)
-        net, labels = _build_grid(inst, max(probe, 1))
-        value = min_cut(net, "#s0", "#d0").value
-        J = max(value, 1)
-        net, labels = _build_grid(inst, J)
+        width = int(inst.injection)
+        if width < 1:
+            raise ValueError("injection width must be >= 1")
+    inner, _ = _build_grid(inst, 0)
+    value = min(min_cut(inner, f"{inst.source}@0", f"{inst.sink}@{inst.tau}").value, width)
+    J = width if inst.injection is not None else max(value, 1)
+    net, labels = _build_grid(inst, J)
     tnet = TimeExtendedNetwork(
         net=net,
         inst=inst,
@@ -453,11 +443,15 @@ def _session0_domain(tnet: TimeExtendedNetwork):
 
 
 def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
-    """Search orderings of C[0] for the two recurrent-sequence conditions.
+    """The least ordering of C[0] meeting the two recurrent-sequence conditions.
 
     Within a recurrent sequence (time-shifted copies of one base edge,
     ascending in time), an earlier-ordered cut edge whose corresponding shift
     is absent from C[0] must satisfy the printed slack bounds on t - delta.
+    Each bound concerns one pair: cut edge eq may not precede copy cur.  So
+    the passing orderings are the topological orders of the arcs cur -> eq,
+    and :func:`acyclic_reindex` returns the least in ascending edge id, the
+    first passing permutation of the sorted cut.
     """
     c0 = frozenset(c0)
     dom = _session0_domain(tnet)
@@ -466,38 +460,28 @@ def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
     removed = frozenset(c0)
     if has_path(tnet.net, "#s0", "#d0", removed=removed):
         raise NotACutset("C[0] does not disconnect session 0")
-    pairs = []
-    for eid in sorted(c0):
-        pairs.append((eid,) + tnet.base_pair(eid))  # (edge id, base, t)
-    member = {(b, t) for _, b, t in pairs}
-    recurrent: dict[int, list[int]] = {}
-    for _, b, t in pairs:
-        recurrent.setdefault(b, []).append(t)
-    for ts in recurrent.values():
-        ts.sort()
-
-    def passes(order: Sequence[tuple[int, int, int]]) -> bool:
-        pos = {entry[0]: k for k, entry in enumerate(order)}
-        for b, ts in recurrent.items():
-            k = len(ts)
-            for j in range(1, k):  # condition 1: needs a predecessor copy
-                cur = next(e for e, bb, tt in pairs if bb == b and tt == ts[j])
-                for eq, bq, tq in order[: pos[cur]]:
-                    if (bq, tq - ts[j] + ts[j - 1]) not in member:
-                        if tq - tnet.delta(bq) > ts[j] - ts[j - 1] - 1:
-                            return False
-            for j in range(0, k - 1):  # condition 2: needs a successor copy
-                cur = next(e for e, bb, tt in pairs if bb == b and tt == ts[j])
-                for eq, bq, tq in order[: pos[cur]]:
-                    if (bq, tq + ts[j + 1] - ts[j]) not in member:
-                        if tq - tnet.delta(bq) > ts[j] - ts[0]:
-                            return False
-        return True
-
-    for order in permutations(pairs):
-        if passes(order):
-            return C0Result(True, tuple(e for e, _, _ in order))
-    return C0Result(False)
+    pairs = {eid: tnet.base_pair(eid) for eid in c0}  # edge id -> (base, t)
+    member = set(pairs.values())
+    recurrent: dict[int, list[tuple[int, int]]] = {}  # base -> [(t, edge id)]
+    for eid, (b, t) in pairs.items():
+        recurrent.setdefault(b, []).append((t, eid))
+    # cur -> the cut edges that may not precede it.  cur's own neighbouring
+    # copies are in C[0], so no edge is barred from preceding itself.
+    barred: dict[int, set[int]] = {eid: set() for eid in pairs}
+    for seq in recurrent.values():
+        seq.sort()
+        ts = [t for t, _ in seq]
+        for j, (t, cur) in enumerate(seq):
+            for eq, (bq, tq) in pairs.items():
+                slack = tq - tnet.delta(bq)
+                if j > 0:  # condition 1: needs a predecessor copy
+                    if (bq, tq - t + ts[j - 1]) not in member and slack > t - ts[j - 1] - 1:
+                        barred[cur].add(eq)
+                if j + 1 < len(ts):  # condition 2: needs a successor copy
+                    if (bq, tq + ts[j + 1] - t) not in member and slack > t - ts[0]:
+                        barred[cur].add(eq)
+    order = acyclic_reindex({e: tuple(qs) for e, qs in barred.items()}).order
+    return C0Result(order is not None, order)
 
 
 def _family(label: Label):
@@ -560,9 +544,7 @@ def check_p_extendable(tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]) -> 
     return CheckResult(True)
 
 
-def find_extendable_paths(
-    tnet: TimeExtendedNetwork, c0, path_limit: int = 10**4
-) -> Optional[tuple[Path, ...]]:
+def find_extendable_paths(tnet: TimeExtendedNetwork, c0) -> Optional[tuple[Path, ...]]:
     """Forward-checking search for an edge-disjoint, offset-consistent family,
     one path per cut edge (ascending edge id).  A path using two shifts of
     one family never extends.  Paths crossing (b, t) and (b', t') conflict
@@ -571,7 +553,7 @@ def find_extendable_paths(
     c0 = sorted(frozenset(c0))
     dom = _session0_domain(tnet)
     all_paths, truncated = enumerate_paths(
-        tnet.net, "#s0", "#d0", within=dom.edges, limit=path_limit
+        tnet.net, "#s0", "#d0", within=dom.edges, limit=PATH_LIMIT
     )
     if truncated:
         return None
@@ -682,13 +664,11 @@ def deadline_verdict(
     )
 
 
-def search_deadline_certificate(
-    tnet: TimeExtendedNetwork, cutset_limit: int = 10**4
-) -> Optional[DeadlineVerdict]:
+def search_deadline_certificate(tnet: TimeExtendedNetwork) -> Optional[DeadlineVerdict]:
     """Try base-edge minimum cut-sets of the session-0 domain in order."""
     dom = _session0_domain(tnet)
     sets, _trunc = enumerate_min_cutsets(
-        tnet.net, "#s0", "#d0", within=dom.edges, limit=cutset_limit
+        tnet.net, "#s0", "#d0", within=dom.edges, limit=CUTSET_LIMIT
     )
     for cut in sets:
         if any(tnet.labels[e][0] != "base" for e in cut):

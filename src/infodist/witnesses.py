@@ -12,14 +12,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .errors import BijectionViolated, NotExtendable, PermutationMismatch
 from .graph import (
     Network,
     Path,
     alpha,
-    edge_disjoint_paths,
     enumerate_min_cutsets,
     enumerate_paths,
     find_path,
@@ -285,12 +284,16 @@ def verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckRes
     return CheckResult(True)
 
 
+# Caps on each session's cut-set and path enumerations; hitting one makes a
+# "no" verdict "unknown".
+PATH_LIMIT = 10**5
+CUTSET_LIMIT = 10**5
+
+
 @dataclass
 class SearchBudget:
     max_candidates: int = 10**6
     max_seconds: Optional[float] = None
-    path_limit: int = 10**5
-    cutset_limit: int = 10**5
     reindex_sessions: bool = True
     strict_def5: bool = False
 
@@ -414,12 +417,12 @@ class _Searcher:
                 continue
             self._tick()
             sets, trunc = enumerate_min_cutsets(
-                self.net, s, d, within=dom.edges, limit=self.budget.cutset_limit
+                self.net, s, d, within=dom.edges, limit=CUTSET_LIMIT
             )
             self.cutsets.append(sorted(sets, key=sorted))
             self._tick()
             paths, trunc_paths = enumerate_paths(
-                self.net, s, d, within=dom.edges, limit=self.budget.path_limit
+                self.net, s, d, within=dom.edges, limit=PATH_LIMIT
             )
             self.paths.append(paths)
             if trunc or trunc_paths:
@@ -549,38 +552,3 @@ def decide_information_distributive(
     verdict = _Searcher(net, budget or SearchBudget()).run()
     verdict.stats.elapsed = time.monotonic() - start
     return verdict
-
-
-def find_cumulative_order(
-    net: Network, cuts_by_session: Sequence[frozenset[int]]
-) -> Optional[tuple[int, ...]]:
-    """A session order making the given per-session cut-sets cumulative.
-
-    cuts_by_session is indexed by original session (0-based list, session i
-    at position i-1); the returned order is 1-based original session ids.
-    """
-    K = net.num_sessions
-
-    def conflicts(k: int, c: int) -> list[int]:
-        # Session c+1 rules out itself and each s_j reaching d_{c+1} around C_{c+1}.
-        i = c + 1
-        mask = sum(
-            1 << (j - 1) for j in range(1, K + 1)
-            if j == i or has_path(net, net.source(j), net.sink(i), removed=cuts_by_session[c])
-        )
-        return [mask] * (K - k - 1)
-
-    chosen = forward_check([(1 << K) - 1] * K, conflicts)
-    return None if chosen is None else tuple(c + 1 for c in chosen)
-
-
-def menger_witness_for_single_session(net: Network) -> Witness:
-    """The Menger certificate for a single-unicast network (always exists)."""
-    assert net.num_sessions == 1
-    s, d = net.sessions[0]
-    dom = routing_domain(net, 1)
-    if dom.empty:
-        return Witness((1,), (frozenset(),), ((),), ((),))
-    value, cut = min_cut(net, s, d, within=dom.edges)
-    paths = edge_disjoint_paths(net, s, d, cut, within=dom.edges)
-    return Witness((1,), (frozenset(cut),), (tuple(sorted(cut)),), (tuple(paths),))

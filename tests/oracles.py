@@ -5,6 +5,11 @@ from exhaustive subset scans, LP optima from vertex enumeration over exact
 linear solves or a dense Fraction tableau, and the no-witness verdict from
 undimmed full enumeration.  The two extendable-path-family searches are the
 chronological recursive backtrackers the library's forward checking replaced.
+C[0] orderings are checked against a scan of all permutations, acyclicity
+against a three-colour DFS and cycle witnesses against a quadratic
+predecessor scan; the library answers all three with one topological sort.
+`find_cumulative_order` (forward checking over session orders) and the
+Menger witness are test-only helpers built on library primitives.
 """
 
 from __future__ import annotations
@@ -15,17 +20,27 @@ from itertools import combinations, permutations, product
 
 from infodist.graph import (
     Network,
+    edge_disjoint_paths,
     enumerate_paths,
     has_path,
+    min_cut,
     routing_domain,
 )
 from infodist.reductions import (
+    C0Result,
     DeadlineInstance,
+    _build_grid,
     _family,
     _family_time,
     _session0_domain,
 )
-from infodist.witnesses import is_cumulative, is_distributive, is_extendable
+from infodist.witnesses import (
+    Witness,
+    forward_check,
+    is_cumulative,
+    is_distributive,
+    is_extendable,
+)
 
 
 def brute_min_cut(net: Network, u: str, v: str, within=None):
@@ -387,3 +402,147 @@ def random_deadline(rng: random.Random):
         edges=tuple(dict.fromkeys(edges)), source="s", sink="d",
         tau=rng.randint(2, 4), horizon=rng.randint(1, 3), memory=rng.randint(0, 1),
     )
+
+
+def random_lane_deadline(rng: random.Random):
+    """Memory-0 instance s -> x -> y -> d: three to six s -> x lanes and two
+    or three y -> d lanes of distinct delays around one x -> y lane.  Copies
+    of the x -> y lane used later than x is first reached make many C[0]
+    sets with no ordering."""
+    edges = [("s", "x", d) for d in sorted(rng.sample(range(1, 7), rng.randint(3, 6)))]
+    edges.append(("x", "y", rng.randint(1, 2)))
+    edges += [("y", "d", d) for d in sorted(rng.sample(range(1, 4), rng.randint(2, 3)))]
+    return DeadlineInstance(
+        edges=tuple(edges), source="s", sink="d",
+        tau=rng.randint(6, 9), horizon=rng.randint(1, 3), memory=0,
+    )
+
+
+def probe_session0_mincut(inst) -> int:
+    """The session-0 min-cut of a deadline instance, read on the full grid
+    built with the injection width, or with |E|·(tau+1) in and out copies
+    when none is given (more than any min-cut can use)."""
+    J = inst.injection if inst.injection is not None else len(inst.edges) * (inst.tau + 1)
+    net, _ = _build_grid(inst, max(J, 1))
+    return min_cut(net, "#s0", "#d0").value
+
+
+def scan_c0_orderings(tnet, c0) -> C0Result:
+    """`reductions.check_c0_distributive` before the topological sort: the
+    first of all |C0|! orderings (permutations of the cut in ascending edge
+    id) that passes both recurrent-sequence slack conditions."""
+    pairs = [(eid,) + tnet.base_pair(eid) for eid in sorted(c0)]  # (edge id, base, t)
+    member = {(b, t) for _, b, t in pairs}
+    recurrent: dict[int, list[int]] = {}
+    for _, b, t in pairs:
+        recurrent.setdefault(b, []).append(t)
+    for ts in recurrent.values():
+        ts.sort()
+
+    def passes(order) -> bool:
+        pos = {entry[0]: k for k, entry in enumerate(order)}
+        for b, ts in recurrent.items():
+            k = len(ts)
+            for j in range(1, k):  # condition 1: needs a predecessor copy
+                cur = next(e for e, bb, tt in pairs if bb == b and tt == ts[j])
+                for eq, bq, tq in order[: pos[cur]]:
+                    if (bq, tq - ts[j] + ts[j - 1]) not in member:
+                        if tq - tnet.delta(bq) > ts[j] - ts[j - 1] - 1:
+                            return False
+            for j in range(0, k - 1):  # condition 2: needs a successor copy
+                cur = next(e for e, bb, tt in pairs if bb == b and tt == ts[j])
+                for eq, bq, tq in order[: pos[cur]]:
+                    if (bq, tq + ts[j + 1] - ts[j]) not in member:
+                        if tq - tnet.delta(bq) > ts[j] - ts[0]:
+                            return False
+        return True
+
+    for order in permutations(pairs):
+        if passes(order):
+            return C0Result(True, tuple(e for e, _, _ in order))
+    return C0Result(False)
+
+
+def dfs_acyclic(graph: dict[int, tuple[int, ...]]) -> bool:
+    """Three-colour DFS on an explicit stack: False iff some edge reaches a
+    node still on the stack."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {v: WHITE for v in graph}
+    for root in sorted(graph):
+        if color[root] != WHITE:
+            continue
+        color[root] = GRAY
+        stack = [(root, iter(graph[root]))]
+        while stack:
+            v, succ = stack[-1]
+            w = next(succ, None)
+            if w is None:
+                color[v] = BLACK
+                stack.pop()
+            elif color[w] == GRAY:
+                return False
+            elif color[w] == WHITE:
+                color[w] = GRAY
+                stack.append((w, iter(graph[w])))
+    return True
+
+
+def scan_cycle_walk(graph: dict[int, tuple[int, ...]]):
+    """`reductions.acyclic_reindex`'s cycle witness before its one-pass
+    predecessor map: peel the in-degree-0 nodes, then walk back from the
+    least leftover node along least predecessors, each found by scanning
+    every leftover node.  None when the graph is acyclic."""
+    indeg = {v: 0 for v in graph}
+    for targets in graph.values():
+        for w in targets:
+            indeg[w] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    while ready:
+        for w in graph[ready.pop()]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
+    leftover = {v for v, d in indeg.items() if d > 0}
+    if not leftover:
+        return None
+    pred = {v: sorted(u for u in leftover if v in graph[u]) for v in leftover}
+    v = min(leftover)
+    trail = [v]
+    while True:
+        v = pred[v][0]
+        if v in trail:
+            return tuple(reversed(trail[trail.index(v):]))
+        trail.append(v)
+
+
+def find_cumulative_order(net: Network, cuts_by_session):
+    """A session order making the given per-session cut-sets cumulative.
+
+    cuts_by_session is indexed by original session (0-based list, session i
+    at position i-1); the returned order is 1-based original session ids.
+    """
+    K = net.num_sessions
+
+    def conflicts(k: int, c: int) -> list[int]:
+        # Session c+1 rules out itself and each s_j reaching d_{c+1} around C_{c+1}.
+        i = c + 1
+        mask = sum(
+            1 << (j - 1) for j in range(1, K + 1)
+            if j == i or has_path(net, net.source(j), net.sink(i), removed=cuts_by_session[c])
+        )
+        return [mask] * (K - k - 1)
+
+    chosen = forward_check([(1 << K) - 1] * K, conflicts)
+    return None if chosen is None else tuple(c + 1 for c in chosen)
+
+
+def menger_witness_for_single_session(net: Network) -> Witness:
+    """The Menger certificate for a single-unicast network (always exists)."""
+    assert net.num_sessions == 1
+    s, d = net.sessions[0]
+    dom = routing_domain(net, 1)
+    if dom.empty:
+        return Witness((1,), (frozenset(),), ((),), ((),))
+    _value, cut = min_cut(net, s, d, within=dom.edges)
+    paths = edge_disjoint_paths(net, s, d, cut, within=dom.edges)
+    return Witness((1,), (frozenset(cut),), (tuple(sorted(cut)),), (tuple(paths),))

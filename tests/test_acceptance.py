@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from conftest import FIG1B_CUTS, FIG1B_PATHS, FIG1B_PERMS
-from oracles import brute_min_cut, vertex_enum_max
+from oracles import brute_min_cut, dfs_acyclic, find_cumulative_order, vertex_enum_max
 
 from infodist import corpus
 from infodist.cli import main as cli_main
@@ -46,7 +46,6 @@ from infodist.reductions import (
 )
 from infodist.witnesses import (
     decide_information_distributive,
-    find_cumulative_order,
     verify_witness,
     witness_from_json,
 )
@@ -117,9 +116,10 @@ def test_criterion_04_index_rawness_triple_agreement(tmp_path):
         inst = IndexCodingInstance(K, 1, tuple(side))
         net, skeleton = index_to_network(inst)
         via_kahn = acyclic_reindex(side_information_graph(inst)).acyclic
-        via_dfs = decide_index_rawness(inst).raw
+        via_rawness = decide_index_rawness(inst).raw
+        via_dfs = dfs_acyclic(side_information_graph(inst))
         via_cumulative = find_cumulative_order(net, list(skeleton.cuts)) is not None
-        if not (via_kahn == via_dfs == via_cumulative):
+        if not (via_kahn == via_rawness == via_dfs == via_cumulative):
             disagreements += 1
     assert disagreements == 0
     print(PASS.format(4, time.monotonic() - t0))

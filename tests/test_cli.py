@@ -2,7 +2,10 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 from infodist import corpus
 from infodist.cli import main
@@ -92,6 +95,75 @@ def test_reduce_index_1100_message_chain(tmp_path, capsys):
     assert code == 0
     assert data["result"]["rawness"]["raw"] is True
     assert data["result"]["rawness"]["l_min"] == 1100
+
+
+def test_reduce_index_8000_message_cycle(tmp_path, capsys):
+    # H_i = {X_(i+1)} and H_8000 = {X_1}: one side-information cycle.
+    inst = tmp_path / "cycle.json"
+    K = 8000
+    inst.write_text(json.dumps({"K": K, "m": 1, "side": [[i % K + 1] for i in range(1, K + 1)]}))
+    t0 = time.monotonic()
+    code, data = run(capsys, "reduce-index", str(inst))
+    assert time.monotonic() - t0 < 10
+    assert code == 0
+    result = data["result"]
+    assert result["rawness"]["raw"] is False
+    assert result["acyclic_reindex"] is None
+    assert result["cycle"] == [*range(2, K + 1), 1]
+
+
+def test_reduce_deadline_10_lanes_exits_20(tmp_path, capsys):
+    # Ten direct s -> d lanes make |C[0]| = 12, far too many orderings to scan.
+    edges = [("s", "x", 1), ("s", "x", 2), ("s", "x", 3), ("x", "y", 1), ("y", "d", 1),
+             ("y", "d", 2)] + [("s", "d", 5)] * 10
+    inst = tmp_path / "lanes.json"
+    inst.write_text(json.dumps({
+        "edges": [{"tail": t, "head": h, "delay": d} for t, h, d in edges],
+        "source": "s", "sink": "d", "tau": 5, "horizon": 3, "memory": 0,
+    }))
+    t0 = time.monotonic()
+    code, data = run(capsys, "reduce-deadline", str(inst))
+    assert time.monotonic() - t0 < 10
+    assert code == 20
+    assert data["result"]["verdict"]["status"] == "unknown"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce-index", "{}"],
+    ["reduce-deadline", "{}"],
+    ["audit", "fig1a", "--code", "{}", "--witness", "{}"],
+])
+def test_non_object_json_exit_1(tmp_path, capsys, argv):
+    listing = tmp_path / "list.json"
+    listing.write_text("[1, 2]")
+    assert main([str(listing) if a == "{}" else a for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("infodist: ")
+
+
+def test_null_edge_index_exit_1(tmp_path, capsys):
+    net = corpus.load("single-edge")
+    net["edges"][0]["index"] = None
+    path = tmp_path / "null-index.json"
+    path.write_text(json.dumps(net))
+    for argv in (["check"], ["rate", "--rate", "1"], ["gen-code", "--rates", "1"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        assert "index None" in capsys.readouterr().err
+
+
+def test_rate_zero_denominator_exit_1(capsys):
+    assert main(["rate", "fig1a", "--rate", "1/0,1"]) == 1
+    assert capsys.readouterr().err.startswith("infodist: ")
+
+
+def test_session_source_equal_to_sink_exit_1(tmp_path, capsys):
+    path = tmp_path / "loop-session.json"
+    path.write_text(json.dumps({
+        "nodes": ["s", "d", "x"],
+        "edges": [{"tail": "s", "head": "d", "index": 0}],
+        "sessions": [{"source": "s", "sink": "d"}, {"source": "x", "sink": "x"}],
+    }))
+    assert main(["rate", str(path), "--direction", "0,1"]) == 1
+    assert "session 2" in capsys.readouterr().err
 
 
 def test_check_20_parallel_edges(tmp_path, capsys):

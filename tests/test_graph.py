@@ -21,6 +21,7 @@ from infodist.graph import (
     enumerate_min_cutsets,
     enumerate_paths,
     min_cut,
+    reachable_from,
     routing_domain,
     validate_network,
 )
@@ -280,6 +281,16 @@ def test_alpha_monotone_along_edges():
         for eid, e in enumerate(net.edges):
             for nxt in net.out_edges[e.head]:
                 assert alpha(net, nxt) >= alpha(net, eid)
+
+
+def test_alpha_is_largest_session_whose_source_reaches_the_tail():
+    rng = random.Random(8)
+    for _ in range(60):
+        net = random_network(rng, max_sessions=4, edge_prob=0.6)
+        reach = [reachable_from(net, s) for s, _ in net.sessions]
+        for eid, e in enumerate(net.edges):
+            expected = max((i for i, r in enumerate(reach, start=1) if e.tail in r), default=0)
+            assert alpha(net, eid) == expected
 
 
 def test_min_cut_matches_bruteforce_on_random_networks():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -24,11 +25,7 @@ from infodist.reductions import (
     search_deadline_certificate,
     side_information_graph,
 )
-from infodist.witnesses import (
-    find_cumulative_order,
-    is_cumulative,
-    verify_witness,
-)
+from infodist.witnesses import is_cumulative, verify_witness
 
 FIG3 = IndexCodingInstance(4, 1, (frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({2, 3})))
 MUTUAL = IndexCodingInstance(2, 1, (frozenset({2}), frozenset({1})))
@@ -120,8 +117,9 @@ def test_theorem2_three_routes_agree_small_sweep():
         net, wit = index_to_network(inst)
         a = acyclic_reindex(side_information_graph(inst)).acyclic
         b = decide_index_rawness(inst).raw
-        c = find_cumulative_order(net, list(wit.cuts)) is not None
-        assert a == b == c
+        c = oracles.find_cumulative_order(net, list(wit.cuts)) is not None
+        d = oracles.dfs_acyclic(side_information_graph(inst))
+        assert a == b == c == d
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +396,63 @@ def test_find_extendable_paths_skips_paths_with_two_shifts_of_one_family():
     assert [tnet.label_str(e) for e in paths[0]] == [
         "in0#0", "e1[0]", "mem(d)[1]#0", "mem(d)[2]#1", "out0#0"
     ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 5]), st.booleans())
+def test_session0_mincut_matches_the_probe_grid(seed, injection, loop):
+    rng = random.Random(seed)
+    if loop:  # source = sink: reached again through memory slots or the a-loop
+        inst = DeadlineInstance(
+            (("s", "a", 1), ("a", "s", 2)), "s", "s", tau=rng.randint(1, 4),
+            horizon=rng.randint(0, 2), memory=rng.randint(0, 5), injection=injection,
+        )
+    else:
+        inst = dataclasses.replace(oracles.random_deadline(rng), injection=injection)
+    try:
+        tnet = deadline_to_time_extended(inst)
+    except DeadlineTooSmall:
+        return
+    assert tnet.mincut0 == oracles.probe_session0_mincut(inst)
+    assert tnet.J == (injection if injection is not None else max(tnet.mincut0, 1))
+
+
+def test_check_c0_distributive_matches_permutation_scan():
+    no_ordering = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def compare(seed, lanes):
+        make = oracles.random_lane_deadline if lanes else oracles.random_deadline
+        inst = make(random.Random(seed))
+        try:
+            tnet = deadline_to_time_extended(inst)
+        except DeadlineTooSmall:
+            return
+        for cut in _base_cutsets(tnet):
+            res = check_c0_distributive(tnet, cut)
+            assert res == oracles.scan_c0_orderings(tnet, cut)
+            if not res.ok:
+                no_ordering.add((inst, cut))
+
+    compare()
+    assert len(no_ordering) >= 50
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(
+    lambda K: st.lists(st.frozensets(st.integers(1, K), max_size=3), min_size=K, max_size=K)
+))
+def test_rawness_and_cycle_match_dfs_and_quadratic_walk(side):
+    inst = IndexCodingInstance(len(side), 1, tuple(h - {i} for i, h in enumerate(side, 1)))
+    graph = side_information_graph(inst)
+    reindex = acyclic_reindex(graph)
+    assert decide_index_rawness(inst).raw == reindex.acyclic == oracles.dfs_acyclic(graph)
+    cycle = reindex.cycle
+    assert cycle == oracles.scan_cycle_walk(graph)
+    if cycle is not None:
+        assert len(set(cycle)) == len(cycle)
+        assert all(cycle[(k + 1) % len(cycle)] in graph[v] for k, v in enumerate(cycle))
 
 
 def test_search_deadline_certificate_fig4():

@@ -16,7 +16,12 @@ from conftest import (
     FIG5,
 )
 import oracles
-from oracles import brute_decide, random_network
+from oracles import (
+    brute_decide,
+    find_cumulative_order,
+    menger_witness_for_single_session,
+    random_network,
+)
 
 from infodist.errors import BijectionViolated, NotExtendable, PermutationMismatch
 from infodist.graph import Network
@@ -26,12 +31,10 @@ from infodist.witnesses import (
     _permutation_sequences,
     Witness,
     decide_information_distributive,
-    find_cumulative_order,
     find_permutation_sequence,
     is_cumulative,
     is_distributive,
     is_extendable,
-    menger_witness_for_single_session,
     representatives,
     validate_cut_sequence,
     verify_witness,
