@@ -181,16 +181,15 @@ def cmd_reduce_deadline(args) -> int:
     inst = DeadlineInstance.from_json(_read_json(args.instance))
     tnet = deadline_to_time_extended(inst)
     verdict = search_deadline_certificate(tnet)
+    wit = verdict.witness if verdict else None  # slot 0 holds C[0] and its paths
     result = {
         "network": tnet.net.to_json_dict(),
         "injection_width": tnet.J,
         "session0_mincut": tnet.mincut0,
         "edge_labels": [tnet.label_str(e) for e in range(len(tnet.net.edges))],
         "verdict": verdict.to_json_dict() if verdict else {"status": "unknown"},
-        "c0": sorted(tnet.c0) if tnet.c0 else None,
-        "canonical_paths": [list(p) for p in tnet.canonical_paths]
-        if tnet.canonical_paths
-        else None,
+        "c0": sorted(wit.cuts[0]) if wit else None,
+        "canonical_paths": [list(p) for p in wit.paths[0]] if wit else None,
     }
     _emit(args, _envelope(args, "reduce-deadline", result))
     return EXIT_OK if verdict and verdict.status == "yes" else EXIT_UNKNOWN

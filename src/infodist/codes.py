@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import gfmatrix
-from .errors import FieldTooSmall, MissingEncoder, WitnessInvalid
+from .errors import FieldTooSmall, MissingEncoder, WitnessInvalid, json_int, json_list, json_object
 from .graph import Network, Path
 from .rateregion import RoutingScheme
 from .witnesses import Witness, verify_witness
@@ -30,15 +30,6 @@ def edge_var(eid: int) -> VarRef:
 
 def session_var(i: int) -> VarRef:
     return ("session", i)
-
-
-@dataclass(frozen=True)
-class EntropyQuery:
-    """Three variable collections: I(a ; b | given)."""
-
-    a: tuple[VarRef, ...]
-    b: tuple[VarRef, ...] = ()
-    given: tuple[VarRef, ...] = ()
 
 
 # Local encoder terms:
@@ -143,29 +134,32 @@ def locals_to_json(table: LocalTable) -> list[dict]:
     return out
 
 
-def locals_from_json(entries: Iterable[dict]) -> LocalTable:
+def locals_from_json(entries) -> LocalTable:
     table: LocalTable = {}
-    for entry in entries:
-        eid = int(entry["edge"])
+    for entry in json_list(entries, "locals"):
+        entry = json_object(entry, "locals")
+        eid = json_int(entry["edge"], "edge")
         terms: list[LocalTerm] = []
-        for coeff in entry.get("coeffs", ()):
+        for coeff in json_list(entry.get("coeffs", ()), "coeffs"):
+            coeff = json_object(coeff, "coeffs")
             src = coeff["from"]
-            value = int(coeff["value"])
+            value = json_int(coeff["value"], "value")
             if isinstance(src, str) and src.startswith("session"):
                 body = src[len("session"):].strip()
                 if ":" in body:
                     i, sym = body.split(":")
-                    terms.append(("session", int(i), int(sym), value))
+                    terms.append(("session", json_int(i, "from"), json_int(sym, "from"), value))
                 else:
-                    terms.append(("session", int(body), 0, value))
+                    terms.append(("session", json_int(body, "from"), 0, value))
             else:
-                terms.append(("edge", int(src), value))
+                terms.append(("edge", json_int(src, "from"), value))
         table[eid] = terms
     return table
 
 
 def code_from_json(net: Network, data) -> LinearCode:
-    return propagate(net, data["rates"], locals_from_json(data["locals"]), int(data["field"]))
+    rates = [json_int(r, "rates") for r in json_list(data["rates"], "rates")]
+    return propagate(net, rates, locals_from_json(data["locals"]), json_int(data["field"], "field"))
 
 
 def _collect(code: LinearCode, refs: Iterable[VarRef]) -> list[Row]:
@@ -199,12 +193,6 @@ def cond_mutual_info(
         - entropy(code, a + b + given)
         - entropy(code, given)
     )
-
-
-def query(code: LinearCode, q: EntropyQuery) -> int:
-    if q.b:
-        return cond_mutual_info(code, q.a, q.b, q.given)
-    return entropy(code, q.a + q.given) - entropy(code, q.given)
 
 
 def check_decodable(code: LinearCode) -> tuple[bool, ...]:

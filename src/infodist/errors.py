@@ -6,11 +6,36 @@ class InfodistError(Exception):
 
 
 class NetworkFormatError(InfodistError):
-    """Malformed network description; ``field`` names the offending entry."""
+    """Malformed JSON input (network, instance, witness, code or scheme);
+    ``field`` names the offending entry."""
 
     def __init__(self, message, field=None):
         super().__init__(message)
         self.field = field
+
+
+def json_list(value, field: str):
+    """value itself if it is a JSON list (or a tuple), else a format error."""
+    if isinstance(value, (list, tuple)):
+        return value
+    raise NetworkFormatError(f"{field} must be a list, got {type(value).__name__}",
+                             field=field)
+
+
+def json_object(value, field: str) -> dict:
+    """value itself if it is a JSON object, else a format error."""
+    if isinstance(value, dict):
+        return value
+    raise NetworkFormatError(f"{field} must be an object, got {type(value).__name__}",
+                             field=field)
+
+
+def json_int(value, field: str) -> int:
+    """int(value), or a format error naming field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise NetworkFormatError(f"{field} {value!r} is not an integer", field=field) from None
 
 
 class CycleDetected(NetworkFormatError):
@@ -41,10 +66,6 @@ class SinkHasOutEdge(NetworkFormatError):
             f"sink {node!r} of session {session} has outgoing edges", field="sessions"
         )
         self.session = session
-
-
-class CutNotSaturable(InfodistError):
-    """The supplied edge set is not a minimum cut-set between the endpoints."""
 
 
 class PermutationMismatch(InfodistError):

@@ -11,16 +11,17 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
-    CutNotSaturable,
     CycleDetected,
     DuplicateEdge,
     NetworkFormatError,
     PathEnumerationTruncated,
     SinkHasOutEdge,
     SourceHasInEdge,
+    json_int,
+    json_list,
 )
 
 # A path is the ordered tuple of edge ids it traverses.
@@ -164,9 +165,9 @@ def validate_network(raw) -> Network:
     for key in ("nodes", "edges", "sessions"):
         if key not in raw:
             raise NetworkFormatError(f"missing key {key!r}", field=key)
-    nodes = [str(v) for v in raw["nodes"]]
+    nodes = [str(v) for v in json_list(raw["nodes"], "nodes")]
     edges = []
-    for pos, item in enumerate(raw["edges"]):
+    for pos, item in enumerate(json_list(raw["edges"], "edges")):
         if isinstance(item, Mapping):
             try:
                 tail, head = str(item["tail"]), str(item["head"])
@@ -174,27 +175,23 @@ def validate_network(raw) -> Network:
                 raise NetworkFormatError(f"edge {pos} missing {exc}", field="edges")
             index = item.get("index", 0)
         else:
-            seq = list(item)
+            seq = json_list(item, f"edge {pos}")
             if len(seq) == 2:
                 tail, head, index = str(seq[0]), str(seq[1]), 0
             elif len(seq) == 3:
                 tail, head, index = str(seq[0]), str(seq[1]), seq[2]
             else:
                 raise NetworkFormatError(f"edge {pos} malformed", field="edges")
-        try:
-            edges.append((tail, head, int(index)))
-        except (TypeError, ValueError):
-            raise NetworkFormatError(f"edge {pos} index {index!r} is not an integer",
-                                     field="edges") from None
+        edges.append((tail, head, json_int(index, f"edge {pos} index")))
     sessions = []
-    for pos, item in enumerate(raw["sessions"]):
+    for pos, item in enumerate(json_list(raw["sessions"], "sessions")):
         if isinstance(item, Mapping):
             try:
                 sessions.append((str(item["source"]), str(item["sink"])))
             except KeyError as exc:
                 raise NetworkFormatError(f"session {pos} missing {exc}", field="sessions")
         else:
-            seq = list(item)
+            seq = json_list(item, f"session {pos}")
             if len(seq) != 2:
                 raise NetworkFormatError(f"session {pos} malformed", field="sessions")
             sessions.append((str(seq[0]), str(seq[1])))
@@ -364,10 +361,6 @@ def min_cut(net: Network, u: str, v: str, within=None) -> MinCut:
     return MinCut(value, cut)
 
 
-def is_cutset(net: Network, u: str, v: str, cut: Iterable[int], within=None) -> bool:
-    return not has_path(net, u, v, within=within, removed=frozenset(cut))
-
-
 def enumerate_min_cutsets(
     net: Network, u: str, v: str, within=None, limit: Optional[int] = None
 ) -> tuple[list[frozenset[int]], bool]:
@@ -467,39 +460,6 @@ def enumerate_min_cutsets(
             # tail is in S, and then head is in S already.
             arcs[tail].append(head)
             decided.append((False, set()))
-
-
-def edge_disjoint_paths(net: Network, u: str, v: str, cut: Iterable[int], within=None) -> list[Path]:
-    """Menger paths through a minimum cut-set.
-
-    Returns pairwise edge-disjoint u->v paths aligned with sorted(cut): the
-    j-th path crosses the j-th cut edge (and no other cut edge).
-    """
-    cut = frozenset(cut)
-    value, flow, _ = _max_flow(net, u, v, within)
-    if len(cut) != value or not is_cutset(net, u, v, cut, within=within):
-        raise CutNotSaturable(f"{sorted(cut)} is not a minimum {u!r}->{v!r} cut-set")
-    # Decompose the flow: walk from u along flow edges, consuming them.
-    succ: dict[str, list[int]] = {}
-    for eid in flow:
-        succ.setdefault(net.edges[eid].tail, []).append(eid)
-    for lst in succ.values():
-        lst.sort(reverse=True)
-    paths = []
-    for _ in range(value):
-        path = []
-        x = u
-        while x != v:
-            eid = succ[x].pop()
-            path.append(eid)
-            x = net.edges[eid].head
-        paths.append(tuple(path))
-    by_cut_edge = {}
-    for path in paths:
-        crossings = [eid for eid in path if eid in cut]
-        assert len(crossings) == 1, "max flow crosses a minimum cut more than once"
-        by_cut_edge[crossings[0]] = path
-    return [by_cut_edge[eid] for eid in sorted(cut)]
 
 
 def enumerate_paths(

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DeadlineTooSmall, NotACutset
+from .errors import DeadlineTooSmall, NotACutset, json_int, json_list, json_object
 from .graph import (
     Network,
     Path,
@@ -28,9 +28,10 @@ from .graph import (
 )
 from .witnesses import (
     CheckResult,
+    FamilySlot,
     Witness,
-    candidate_masks,
-    forward_check,
+    family_violation,
+    find_family,
     is_cumulative,
     is_distributive,
     is_extendable,
@@ -63,9 +64,12 @@ class IndexCodingInstance:
     @classmethod
     def from_json(cls, data) -> "IndexCodingInstance":
         return cls(
-            int(data["K"]),
-            int(data.get("m", 1)),
-            tuple(frozenset(int(x) for x in hs) for hs in data["side"]),
+            json_int(data["K"], "K"),
+            json_int(data.get("m", 1), "m"),
+            tuple(
+                frozenset(json_int(x, "side") for x in json_list(hs, "side"))
+                for hs in json_list(data["side"], "side")
+            ),
         )
 
     def to_json_dict(self) -> dict:
@@ -238,16 +242,20 @@ class DeadlineInstance:
 
     @classmethod
     def from_json(cls, data) -> "DeadlineInstance":
+        edges = []
+        for e in json_list(data["edges"], "edges"):
+            e = json_object(e, "edges")
+            edges.append((str(e["tail"]), str(e["head"]), json_int(e["delay"], "delay")))
+        tau = json_int(data["tau"], "tau")
+        injection = data.get("injection")
         return cls(
-            edges=tuple(
-                (str(e["tail"]), str(e["head"]), int(e["delay"])) for e in data["edges"]
-            ),
+            edges=tuple(edges),
             source=str(data["source"]),
             sink=str(data["sink"]),
-            tau=int(data["tau"]),
-            horizon=int(data.get("horizon", 2 * int(data["tau"]))),
-            memory=int(data.get("memory", 0)),
-            injection=data.get("injection"),
+            tau=tau,
+            horizon=json_int(data.get("horizon", 2 * tau), "horizon"),
+            memory=json_int(data.get("memory", 0), "memory"),
+            injection=None if injection is None else json_int(injection, "injection"),
         )
 
     def to_json_dict(self) -> dict:
@@ -261,11 +269,12 @@ class DeadlineInstance:
         }
 
 
-# Edge labels in the time-extended graph:
+# Edge labels in the time-extended graph, time last: a label without its
+# time names the edge's shift family.
 #   ("base", base edge id, t)       (u[t], v[t + delay])
 #   ("mem", node, slot, t)          (u[t], u[t+1])
-#   ("in", session t, copy)         (s_t, s[t])
-#   ("out", session t, copy)        (d[t+tau], d_t)
+#   ("in", copy, session t)         (s_t, s[t])
+#   ("out", copy, session t)        (d[t+tau], d_t)
 Label = tuple
 
 
@@ -275,9 +284,7 @@ def format_label(inst: DeadlineInstance, label: Label) -> str:
         return f"e{label[1] + 1}[{label[2]}]"
     if kind == "mem":
         return f"mem({label[1]})[{label[3]}]#{label[2]}"
-    if kind == "in":
-        return f"in{label[1]}#{label[2]}"
-    return f"out{label[1]}#{label[2]}"
+    return f"{kind}{label[2]}#{label[1]}"
 
 
 @dataclass
@@ -289,8 +296,6 @@ class TimeExtendedNetwork:
     label_to_id: dict[Label, int]
     delta_node: dict[str, Optional[int]]
     mincut0: int
-    c0: Optional[frozenset[int]] = None
-    canonical_paths: Optional[tuple[Path, ...]] = None
 
     def delta(self, base_eid: int) -> Optional[int]:
         return self.delta_node[self.inst.edges[base_eid][0]]
@@ -304,13 +309,13 @@ class TimeExtendedNetwork:
             raise ValueError(f"{self.label_str(eid)} is not a base-edge copy")
         return label[1], label[2]
 
+    def family_time(self, eid: int) -> tuple[Label, int]:
+        """The (shift family, time) of an edge: its label split at the time."""
+        label = self.labels[eid]
+        return label[:-1], label[-1]
+
     def shift_label(self, label: Label, dt: int) -> Label:
-        kind = label[0]
-        if kind == "base":
-            return ("base", label[1], label[2] + dt)
-        if kind == "mem":
-            return ("mem", label[1], label[2], label[3] + dt)
-        return (kind, label[1] + dt, label[2])
+        return (*label[:-1], label[-1] + dt)
 
     def shift_edges(self, eids, dt: int) -> frozenset[int]:
         out = set()
@@ -370,10 +375,10 @@ def _build_grid(inst: DeadlineInstance, J: int) -> tuple[Network, tuple[Label, .
     for t in range(K + 1):
         for copy in range(J):
             edges.append((f"#s{t}", f"{inst.source}@{t}", copy))
-            labels.append(("in", t, copy))
+            labels.append(("in", copy, t))
         for copy in range(J):
             edges.append((f"{inst.sink}@{t + tau}", f"#d{t}", copy))
-            labels.append(("out", t, copy))
+            labels.append(("out", copy, t))
     sessions = [(f"#s{t}", f"#d{t}") for t in range(K + 1)]
     return Network(nodes, edges, sessions), tuple(labels)
 
@@ -484,29 +489,10 @@ def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
     return C0Result(order is not None, order)
 
 
-def _family(label: Label):
-    """Shift-family key: time-shifted copies of one edge share a family."""
-    kind = label[0]
-    if kind == "base":
-        return ("base", label[1])
-    if kind == "mem":
-        return ("mem", label[1], label[2])
-    return (kind, label[2])  # inject copies shift with the session index
-
-
-def _family_time(label: Label) -> int:
-    kind = label[0]
-    if kind == "base":
-        return label[2]
-    if kind == "mem":
-        return label[3]
-    return label[1]
-
-
 def check_p_extendable(tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]) -> CheckResult:
-    """Paths sharing a base edge must cross time-consistent copies of one
+    """Paths sharing a shift family must cross time-consistent copies of one
     base cut edge: cut bases equal and cut-time difference = shared-offset
-    difference."""
+    difference (:func:`~infodist.witnesses.family_violation`)."""
     c0 = frozenset(c0)
     if len(paths) != len(c0):
         raise ValueError("one path per cut edge required")
@@ -521,35 +507,16 @@ def check_p_extendable(tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]) -> 
         hits = [e for e in path if e in c0]
         if len(hits) != 1:
             raise ValueError(f"path must cross C[0] exactly once: {path}")
-        crossing.append(tnet.base_pair(hits[0]))
-    if len({c for c in crossing}) != len(c0):
+        crossing.append(hits[0])
+    if len({tnet.base_pair(x) for x in crossing}) != len(c0):
         raise ValueError("paths must cross distinct cut edges")
-    for i in range(len(paths)):
-        fam_i = {
-            _family(tnet.labels[e]): _family_time(tnet.labels[e]) for e in paths[i]
-        }
-        if len(fam_i) != len(paths[i]):
-            # one path using two shifts of the same edge can never extend
-            return CheckResult(False, (paths[i], paths[i], None))
-        for j in range(i + 1, len(paths)):
-            for e in paths[j]:
-                fam = _family(tnet.labels[e])
-                if fam not in fam_i:
-                    continue
-                a = fam_i[fam]
-                b = _family_time(tnet.labels[e])
-                (base_i, t_i), (base_j, t_j) = crossing[i], crossing[j]
-                if base_i != base_j or t_i - t_j != a - b:
-                    return CheckResult(False, (paths[i], paths[j], e))
-    return CheckResult(True)
+    violation = family_violation(paths, crossing, tnet.family_time)
+    return CheckResult(violation is None, violation)
 
 
 def find_extendable_paths(tnet: TimeExtendedNetwork, c0) -> Optional[tuple[Path, ...]]:
-    """Forward-checking search for an edge-disjoint, offset-consistent family,
-    one path per cut edge (ascending edge id).  A path using two shifts of
-    one family never extends.  Paths crossing (b, t) and (b', t') conflict
-    when they share a family at times a, a' with b != b' or a - a' != t - t'
-    (a shared edge is offset 0)."""
+    """The first shift-consistent family, one path per cut edge (ascending
+    edge id), by :func:`~infodist.witnesses.find_family`."""
     c0 = sorted(frozenset(c0))
     dom = _session0_domain(tnet)
     all_paths, truncated = enumerate_paths(
@@ -557,37 +524,13 @@ def find_extendable_paths(tnet: TimeExtendedNetwork, c0) -> Optional[tuple[Path,
     )
     if truncated:
         return None
-    slot_of = {e: k for k, e in enumerate(c0)}
-    cands: list[list[tuple[Path, dict]]] = [[] for _ in c0]  # (path, family -> time)
+    per_edge: dict[int, list[Path]] = {e: [] for e in c0}
     for path in all_paths:
-        hits = [e for e in path if e in slot_of]
+        hits = [e for e in path if e in per_edge]
         if len(hits) == 1:
-            times = {_family(tnet.labels[e]): _family_time(tnet.labels[e]) for e in path}
-            if len(times) == len(path):
-                cands[slot_of[hits[0]]].append((path, times))
-    crossing = [tnet.base_pair(e) for e in c0]
-    # per slot: family -> candidates using it, (family, time) -> likewise
-    uses = [
-        (candidate_masks(t for _, t in slot), candidate_masks(t.items() for _, t in slot))
-        for slot in cands
-    ]
-
-    def conflicts(k: int, c: int) -> list[int]:
-        times = cands[k][c][1]
-        base_k, t_k = crossing[k]
-        out = []
-        for (base_j, t_j), (by_family, by_time) in zip(crossing[k + 1:], uses[k + 1:]):
-            mask = 0
-            for fam, t in times.items():
-                clash = by_family.get(fam, 0)
-                if clash and base_j == base_k:
-                    clash &= ~by_time.get((fam, t - t_k + t_j), 0)
-                mask |= clash
-            out.append(mask)
-        return out
-
-    chosen = forward_check([(1 << len(s)) - 1 for s in cands], conflicts)
-    return None if chosen is None else tuple(cands[k][c][0] for k, c in enumerate(chosen))
+            per_edge[hits[0]].append(path)
+    chosen = find_family([FamilySlot(e, per_edge[e], tnet.family_time) for e in c0])
+    return None if chosen is None else tuple(chosen)
 
 
 @dataclass
@@ -681,7 +624,5 @@ def search_deadline_certificate(tnet: TimeExtendedNetwork) -> Optional[DeadlineV
             continue
         verdict = deadline_verdict(tnet, cut, paths)
         if verdict.status == "yes":
-            tnet.c0 = frozenset(cut)
-            tnet.canonical_paths = paths
             return verdict
     return None

@@ -12,9 +12,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import permutations, product
-from typing import Callable, Iterator, Optional
+from typing import Callable, Hashable, Iterator, Optional, Sequence
 
-from .errors import BijectionViolated, NotExtendable, PermutationMismatch
+from .errors import BijectionViolated, NotExtendable, PermutationMismatch, json_int, json_list
 from .graph import (
     Network,
     Path,
@@ -56,14 +56,24 @@ class Witness:
         }
 
 
+def _int_list(value, field: str) -> tuple[int, ...]:
+    return tuple(json_int(x, field) for x in json_list(value, field))
+
+
 def witness_from_json(data) -> Witness:
-    cuts = tuple(frozenset(c) for c in data["cuts"])
-    order = tuple(data.get("session_order", range(1, len(cuts) + 1)))
+    cuts = tuple(frozenset(_int_list(c, "cuts")) for c in json_list(data["cuts"], "cuts"))
+    if "session_order" in data:
+        order = _int_list(data["session_order"], "session_order")
+    else:
+        order = tuple(range(1, len(cuts) + 1))
     return Witness(
         session_order=order,
         cuts=cuts,
-        perms=tuple(tuple(p) for p in data["perms"]),
-        paths=tuple(tuple(tuple(p) for p in ps) for ps in data["paths"]),
+        perms=tuple(_int_list(p, "perms") for p in json_list(data["perms"], "perms")),
+        paths=tuple(
+            tuple(_int_list(p, "paths") for p in json_list(ps, "paths"))
+            for ps in json_list(data["paths"], "paths")
+        ),
     )
 
 
@@ -98,18 +108,20 @@ def validate_cut_sequence(net: Network, cuts: CutSetSequence) -> None:
             raise ValueError(f"cut-set of session {i} does not disconnect {s!r}->{d!r}")
 
 
+def cumulativity_breach(net: Network, i: int, cut: frozenset[int], j: int) -> Optional[Path]:
+    """An s_j -> d_i path that avoids C_i = cut, or None when C_i blocks them all."""
+    return find_path(net, net.source(j), net.sink(i), removed=cut)
+
+
 def is_cumulative(net: Network, cuts: CutSetSequence) -> CheckResult:
     """Every path from a later source s_j to an earlier sink d_i meets C_i.
 
-    Checked by reachability after removing C_i; the violation, if any, is one
-    offending (j, i, path).
+    The violation, if any, is one offending (j, i, path).
     """
     K = net.num_sessions
     for i in range(1, K):
-        removed = cuts[i - 1]
-        d_i = net.sink(i)
         for j in range(i + 1, K + 1):
-            path = find_path(net, net.source(j), d_i, removed=removed)
+            path = cumulativity_breach(net, i, cuts[i - 1], j)
             if path is not None:
                 return CheckResult(False, (j, i, path))
     return CheckResult(True)
@@ -202,6 +214,36 @@ def _crossing(path: Path, cut: frozenset[int]) -> list[int]:
     return [eid for eid in path if eid in cut]
 
 
+# The shift-consistency rule.  label(e) gives an edge's (family, time): on a
+# plain network every edge is its own family at time 0, on a time grid the
+# time-shifted copies of one edge form a family.  A path crossing cut edge x
+# claims each family f it uses with (family of x, time of x - time of its use
+# of f); paths are consistent iff they make the same claim on every family
+# they share, so a path using one family at two times disagrees with itself.
+Label = Callable[[int], tuple[Hashable, int]]
+
+
+def plain_label(eid: int) -> tuple[int, int]:
+    return eid, 0
+
+
+def family_violation(
+    paths: Sequence[Path], crossing: Sequence[int], label: Label
+) -> Optional[tuple[Path, Path, int]]:
+    """The first (earlier path, path, edge) whose claims on the edge's family
+    differ, where paths[k] crosses cut edge crossing[k]; None if consistent."""
+    owner: dict[Hashable, tuple[Path, tuple]] = {}
+    for path, x in zip(paths, crossing):
+        fx, tx = label(x)
+        for eid in path:
+            f, t = label(eid)
+            claim = (fx, tx - t)
+            prev = owner.setdefault(f, (path, claim))
+            if prev[1] != claim:
+                return prev[0], path, eid
+    return None
+
+
 def is_extendable(
     net: Network, cuts: CutSetSequence, paths: PathSetSequence
 ) -> CheckResult:
@@ -214,7 +256,6 @@ def is_extendable(
     """
     if len(paths) != len(cuts):
         raise ValueError("one path set per session required")
-    owner: dict[int, tuple[int, Path, int]] = {}
     for i, (cut, pset) in enumerate(zip(cuts, paths), start=1):
         if len(pset) != len(cut):
             raise BijectionViolated(i, None, set())
@@ -224,16 +265,9 @@ def is_extendable(
             if len(crossed) != 1 or crossed[0] in seen_cut_edges:
                 raise BijectionViolated(i, path, set(crossed))
             seen_cut_edges.add(crossed[0])
-    for i, (cut, pset) in enumerate(zip(cuts, paths), start=1):
-        for path in pset:
-            rep = _crossing(path, cut)[0]
-            for eid in path:
-                prev = owner.get(eid)
-                if prev is not None and prev[2] != rep:
-                    return CheckResult(False, (prev[1], path, eid))
-                if prev is None:
-                    owner[eid] = (i, path, rep)
-    return CheckResult(True)
+    crossing = [_crossing(path, cut)[0] for cut, pset in zip(cuts, paths) for path in pset]
+    violation = family_violation([p for pset in paths for p in pset], crossing, plain_label)
+    return CheckResult(violation is None, violation)
 
 
 def representatives(
@@ -373,20 +407,71 @@ def forward_check(
     return [c for c, _ in stack[1:]]
 
 
-def candidate_masks(candidates) -> dict:
-    """key -> bitmask of the candidates (by index) among whose keys it is."""
-    masks: dict = {}
-    for c, keys in enumerate(candidates):
-        for key in keys:
-            masks[key] = masks.get(key, 0) | (1 << c)
-    return masks
+class FamilySlot:
+    """One cut edge's candidate paths, tabled for :func:`find_family`: the
+    cut edge's (family, time), the paths, the labelling, and bitmasks of the
+    paths using each family and each (family, time).  A path using one
+    family at two times disagrees with itself, so it is left out of `live`."""
+
+    def __init__(self, cut_edge: int, paths, label: Label):
+        self.cut, self.paths, self.label = label(cut_edge), tuple(paths), label
+        by_edge: dict[int, int] = {}
+        for c, path in enumerate(self.paths):
+            for eid in path:
+                by_edge[eid] = by_edge.get(eid, 0) | 1 << c
+        self.by_family, self.by_time = by_family, by_time = {}, {}
+        twice = 0
+        for eid, mask in by_edge.items():
+            lab = label(eid)
+            by_time[lab] = mask
+            seen = by_family.get(lab[0], 0)
+            twice |= seen & mask
+            by_family[lab[0]] = seen | mask
+        self.live = (1 << len(self.paths)) - 1 & ~twice
 
 
-def _union(masks: dict, keys) -> int:
-    out = 0
-    for key in keys:
-        out |= masks.get(key, 0)
-    return out
+def find_family(
+    slots: Sequence[FamilySlot], on_try: Callable[[], None] = lambda: None
+) -> Optional[list[Path]]:
+    """First consistent choice of one path per slot, by :func:`forward_check`.
+
+    Each slot's path claims its own cut edge's family f with (f, 0), so a
+    path that uses f while crossing a cut edge of another family is struck
+    up front.  Two paths conflict on a shared family unless their cut edges
+    share a family and their uses of it differ in time as the cut edges do.
+    """
+    cut_families = {slot.cut[0] for slot in slots}
+    domains = []
+    for slot in slots:
+        struck = 0
+        for f in cut_families:
+            if f != slot.cut[0]:
+                struck |= slot.by_family.get(f, 0)
+        domains.append(slot.live & ~struck)
+
+    def conflicts(k: int, c: int) -> list[int]:
+        fam_x, t_x = slots[k].cut
+        uses = list(map(slots[k].label, slots[k].paths[c]))
+        fams = [f for f, _ in uses]
+        out = []
+        for slot in slots[k + 1:]:
+            fam_y, t_y = slot.cut
+            by_family = slot.by_family
+            mask = 0
+            if fam_y != fam_x:
+                for f in fams:
+                    mask |= by_family.get(f, 0)
+            else:
+                by_time, shift = slot.by_time, t_y - t_x
+                for f, t in uses:
+                    clash = by_family.get(f, 0)
+                    if clash:
+                        mask |= clash & ~by_time.get((f, t + shift), 0)
+            out.append(mask)
+        return out
+
+    chosen = forward_check(domains, conflicts, on_try)
+    return None if chosen is None else [slot.paths[c] for slot, c in zip(slots, chosen)]
 
 
 class _Searcher:
@@ -400,7 +485,7 @@ class _Searcher:
         # Per original session: min-cut sets and session paths (see _enumerate).
         self.cutsets: list[list[frozenset[int]]] = []
         self.paths: list[list[Path]] = []
-        self._tables: dict[tuple[int, frozenset[int]], dict[int, tuple]] = {}
+        self._tables: dict[tuple[int, frozenset[int]], dict[int, FamilySlot]] = {}
         self._bad_cache: dict[tuple[int, frozenset[int], int], bool] = {}
 
     def _tick(self):
@@ -428,9 +513,9 @@ class _Searcher:
             if trunc or trunc_paths:
                 self.stats.truncated = True
 
-    def _cut_table(self, sess: int, cut: frozenset[int]) -> dict[int, tuple]:
-        """Per cut edge: the session's paths crossing `cut` only there, and a
-        map edge -> bitmask of those paths using it.  Built on first use."""
+    def _cut_table(self, sess: int, cut: frozenset[int]) -> dict[int, FamilySlot]:
+        """Per cut edge: the slot of the session's paths crossing `cut` only
+        there.  Built on first use."""
         table = self._tables.get((sess, cut))
         if table is None:
             per_edge: dict[int, list[Path]] = {eid: [] for eid in cut}
@@ -439,7 +524,7 @@ class _Searcher:
                 crossed = _crossing(path, cut)
                 if len(crossed) == 1:
                     per_edge[crossed[0]].append(path)
-            table = {eid: (ps, candidate_masks(ps)) for eid, ps in per_edge.items()}
+            table = {eid: FamilySlot(eid, ps, plain_label) for eid, ps in per_edge.items()}
             self._tables[sess, cut] = table
         return table
 
@@ -452,39 +537,25 @@ class _Searcher:
         key = (sess_i, cut, sess_j)
         hit = self._bad_cache.get(key)
         if hit is None:
-            hit = not has_path(
-                self.net, self.net.source(sess_j), self.net.sink(sess_i), removed=cut
-            )
+            hit = cumulativity_breach(self.net, sess_i, cut, sess_j) is None
             self._bad_cache[key] = hit
         return hit
 
     def _find_paths(self, order, cuts) -> Optional[PathSetSequence]:
         """One path per cut edge, paths sharing an edge crossing the same cut
-        edge, by forward checking (exhaustive).  A path through another
-        slot's cut edge is dead up front: that slot's path crosses it too."""
-        slots = []  # (position, cut edge, candidate paths, edge -> mask)
+        edge (exhaustive, see :func:`find_family`)."""
+        slots, owners = [], []
         for pos, sess in enumerate(order):
             table = self._cut_table(sess, cuts[pos])
-            slots += [(pos, eid, *table[eid]) for eid in sorted(cuts[pos])]
-        cut_edges = {eid for _, eid, _, _ in slots}
-        domains = [
-            (1 << len(paths)) - 1 & ~_union(uses, (e for e in uses if e in cut_edges and e != eid))
-            for _, eid, paths, uses in slots
-        ]
-
-        def conflicts(k: int, c: int) -> list[int]:
-            _, eid, paths, _ = slots[k]
-            return [
-                0 if other == eid else _union(uses, paths[c])
-                for _, other, _, uses in slots[k + 1:]
-            ]
-
-        chosen = forward_check(domains, conflicts, self._try)
+            for eid in sorted(cuts[pos]):
+                slots.append(table[eid])
+                owners.append(pos)
+        chosen = find_family(slots, self._try)
         if chosen is None:
             return None
         result: list[list[Path]] = [[] for _ in order]
-        for (pos, _eid, paths, _), c in zip(slots, chosen):
-            result[pos].append(paths[c])
+        for pos, path in zip(owners, chosen):
+            result[pos].append(path)
         return tuple(tuple(ps) for ps in result)
 
     def run(self) -> Verdict:

@@ -9,7 +9,8 @@ C[0] orderings are checked against a scan of all permutations, acyclicity
 against a three-colour DFS and cycle witnesses against a quadratic
 predecessor scan; the library answers all three with one topological sort.
 `find_cumulative_order` (forward checking over session orders) and the
-Menger witness are test-only helpers built on library primitives.
+Menger witness (`edge_disjoint_paths`, a flow decomposition) are test-only
+helpers built on library primitives.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from typing import Iterable
 
+from infodist.errors import InfodistError
 from infodist.graph import (
     Network,
-    edge_disjoint_paths,
+    Path,
+    _max_flow,
     enumerate_paths,
     has_path,
     min_cut,
@@ -30,8 +34,6 @@ from infodist.reductions import (
     C0Result,
     DeadlineInstance,
     _build_grid,
-    _family,
-    _family_time,
     _session0_domain,
 )
 from infodist.witnesses import (
@@ -364,6 +366,25 @@ def backtrack_extendable_paths(tnet, c0, path_limit: int = 10**4):
     return None
 
 
+def _family(label):
+    """Shift-family key: time-shifted copies of one edge share a family."""
+    kind = label[0]
+    if kind == "base":
+        return ("base", label[1])
+    if kind == "mem":
+        return ("mem", label[1], label[2])
+    return (kind, label[1])  # inject copies shift with the session index
+
+
+def _family_time(label) -> int:
+    kind = label[0]
+    if kind == "base":
+        return label[2]
+    if kind == "mem":
+        return label[3]
+    return label[2]
+
+
 def _partial_consistent(tnet, c0set, chosen) -> bool:
     crossing = []
     for path in chosen:
@@ -513,6 +534,47 @@ def scan_cycle_walk(graph: dict[int, tuple[int, ...]]):
         if v in trail:
             return tuple(reversed(trail[trail.index(v):]))
         trail.append(v)
+
+
+class CutNotSaturable(InfodistError):
+    """The supplied edge set is not a minimum cut-set between the endpoints."""
+
+
+def is_cutset(net: Network, u: str, v: str, cut: Iterable[int], within=None) -> bool:
+    return not has_path(net, u, v, within=within, removed=frozenset(cut))
+
+
+def edge_disjoint_paths(net: Network, u: str, v: str, cut: Iterable[int], within=None) -> list[Path]:
+    """Menger paths through a minimum cut-set.
+
+    Returns pairwise edge-disjoint u->v paths aligned with sorted(cut): the
+    j-th path crosses the j-th cut edge (and no other cut edge).
+    """
+    cut = frozenset(cut)
+    value, flow, _ = _max_flow(net, u, v, within)
+    if len(cut) != value or not is_cutset(net, u, v, cut, within=within):
+        raise CutNotSaturable(f"{sorted(cut)} is not a minimum {u!r}->{v!r} cut-set")
+    # Decompose the flow: walk from u along flow edges, consuming them.
+    succ: dict[str, list[int]] = {}
+    for eid in flow:
+        succ.setdefault(net.edges[eid].tail, []).append(eid)
+    for lst in succ.values():
+        lst.sort(reverse=True)
+    paths = []
+    for _ in range(value):
+        path = []
+        x = u
+        while x != v:
+            eid = succ[x].pop()
+            path.append(eid)
+            x = net.edges[eid].head
+        paths.append(tuple(path))
+    by_cut_edge = {}
+    for path in paths:
+        crossings = [eid for eid in path if eid in cut]
+        assert len(crossings) == 1, "max flow crosses a minimum cut more than once"
+        by_cut_edge[crossings[0]] = path
+    return [by_cut_edge[eid] for eid in sorted(cut)]
 
 
 def find_cumulative_order(net: Network, cuts_by_session):

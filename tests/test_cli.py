@@ -340,3 +340,73 @@ def test_no_reindex_flag(capsys):
 def test_nonpositive_budget_rejected(capsys):
     assert main(["check", "fig1a", "--budget", "0"]) == 1
     assert main(["check", "fig1a", "--max-seconds", "0"]) == 1
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name, exit_code", [
+    *((["check", net], f"check-{net}", 10 if net in ("fig5", "butterfly") else 0)
+      for net in ("fig1a", "fig1b", "fig5", "butterfly", "single-edge", "parallel-m")),
+    (["reduce-index", "fig3-index"], "reduce-index-fig3-index", 0),
+    (["reduce-deadline", "fig4-deadline"], "reduce-deadline-fig4-deadline", 0),
+    (["rate", "--direction", "1,1", "fig1a"], "rate-fig1a", 0),
+])
+def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
+    assert main(argv) == exit_code
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def _valid_inputs(capsys) -> dict:
+    """One valid file per input kind, as JSON objects (fig1a for the audit)."""
+    _, code = run(capsys, "gen-code", "fig1a", "--rates", "1,1", "--field", "5",
+                  "--seed", "11", "--decodable")
+    _, checked = run(capsys, "check", "fig1a")
+    return {
+        "network": corpus.load("fig1a"),
+        "instance": corpus.load("fig4-deadline"),
+        "code": code["result"],
+        "witness": checked["result"]["witness"],
+        "scheme": {"flows": [{"session": 1, "path": [0, 1, 2], "value": "1"}]},
+    }
+
+
+# case: (command, input it corrupts, the corruption)
+WRONG_TYPES = {
+    "check-nodes-null": ("check", "network", lambda net: {**net, "nodes": None}),
+    "check-edges-int": ("check", "network", lambda net: {**net, "edges": 5}),
+    "rate-nodes-null": ("rate", "network", lambda net: {**net, "nodes": None}),
+    "rate-edges-int": ("rate", "network", lambda net: {**net, "edges": 5}),
+    "deadline-delay-null": ("reduce-deadline", "instance", lambda dl: {
+        **dl, "edges": [{**dl["edges"][0], "delay": None}, *dl["edges"][1:]]}),
+    "deadline-injection-list": ("reduce-deadline", "instance", lambda dl: {**dl, "injection": [1]}),
+    "deadline-edges-object": ("reduce-deadline", "instance", lambda dl: {
+        **dl, "edges": {"0": dl["edges"][0]}}),
+    "index-side-null": ("reduce-index", "instance", lambda _: {"K": 2, "m": 1, "side": [None, [1]]}),
+    "audit-witness-cuts-int": ("audit", "witness", lambda wit: {**wit, "cuts": 5}),
+    "audit-witness-order-null": ("audit", "witness", lambda wit: {**wit, "session_order": None}),
+    "audit-code-locals-int": ("audit", "code", lambda code: {**code, "locals": 7}),
+    "audit-scheme-path-null": ("audit", "scheme", lambda _: {
+        "flows": [{"session": 1, "path": None, "value": "1"}]}),
+}
+ARGV = {
+    "check": ["{network}"],
+    "rate": ["{network}", "--direction", "1,1"],
+    "reduce-deadline": ["{instance}"],
+    "reduce-index": ["{instance}"],
+    "audit": ["{network}", "--code", "{code}", "--witness", "{witness}", "--scheme", "{scheme}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_wrong_type_json_field_exit_1(tmp_path, capsys, case):
+    command, key, corrupt = WRONG_TYPES[case]
+    files = _valid_inputs(capsys)
+    files[key] = corrupt(files[key])
+    paths = {}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(data))
+    assert main([command] + [a.format(**paths) for a in ARGV[command]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("infodist: ") and "Traceback" not in err

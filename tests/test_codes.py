@@ -308,16 +308,6 @@ def test_random_local_table_field_too_small(nets):
         propagate(nets["single-edge"], (1,), {0: []}, 6)
 
 
-def test_entropy_query_wrapper(nets):
-    from infodist.codes import EntropyQuery, query
-
-    code = butterfly_code(nets)
-    q1 = EntropyQuery(a=(session_var(1),), b=(edge_var(4),), given=(session_var(2),))
-    assert query(code, q1) == 1
-    q2 = EntropyQuery(a=(edge_var(4),))
-    assert query(code, q2) == 1  # plain entropy when b is empty
-
-
 def test_decodable_session_rate_recovered_at_sink(nets):
     # with zero decoding error the sink information equals the source rate
     net = nets["fig1a"]

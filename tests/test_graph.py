@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG1A, FIG5
-from oracles import brute_min_cut, random_network
+from oracles import CutNotSaturable, brute_min_cut, edge_disjoint_paths, random_network
 
 from infodist.errors import (
-    CutNotSaturable,
     CycleDetected,
     DuplicateEdge,
     SinkHasOutEdge,
@@ -17,7 +16,6 @@ from infodist.errors import (
 from infodist.graph import (
     Network,
     alpha,
-    edge_disjoint_paths,
     enumerate_min_cutsets,
     enumerate_paths,
     min_cut,

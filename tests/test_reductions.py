@@ -10,7 +10,7 @@ import oracles
 from infodist import corpus
 from infodist.codes import check_decodable, propagate
 from infodist.errors import DeadlineTooSmall, NotACutset
-from infodist.graph import enumerate_min_cutsets, routing_domain
+from infodist.graph import enumerate_min_cutsets, enumerate_paths, routing_domain
 from infodist.reductions import (
     DeadlineInstance,
     IndexCodingInstance,
@@ -25,7 +25,7 @@ from infodist.reductions import (
     search_deadline_certificate,
     side_information_graph,
 )
-from infodist.witnesses import is_cumulative, verify_witness
+from infodist.witnesses import family_violation, is_cumulative, verify_witness
 
 FIG3 = IndexCodingInstance(4, 1, (frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({2, 3})))
 MUTUAL = IndexCodingInstance(2, 1, (frozenset({2}), frozenset({1})))
@@ -268,11 +268,11 @@ def test_p_extendable_violation_on_mismatched_offsets():
     # path at offset difference 0 while the cut copies differ by 1.
     lab = tnet.label_to_id
     bad_path = (
-        lab[("in", 0, 2)],
+        lab[("in", 2, 0)],
         lab[("base", 1, 0)],   # e2[0]
         lab[("base", 3, 2)],   # e4[2] -> v4[6]
         lab[("base", 7, 6)],   # e8[6]
-        lab[("out", 0, 2)],
+        lab[("out", 2, 0)],
     )
     paths = [p for p in good if lab[("base", 7, 6)] not in p] + [bad_path]
     # keep them edge-disjoint: the e8[5] path uses e2[0] already, so drop the
@@ -459,4 +459,26 @@ def test_search_deadline_certificate_fig4():
     tnet = deadline_to_time_extended(fig4())
     verdict = search_deadline_certificate(tnet)
     assert verdict is not None and verdict.status == "yes"
-    assert tnet.c0 is not None and tnet.canonical_paths is not None
+    c0, paths = verdict.witness.cuts[0], verdict.witness.paths[0]
+    assert check_c0_distributive(tnet, c0).ok and check_p_extendable(tnet, c0, paths).ok
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_family_violation_matches_pairwise_check(seed):
+    # One path per cut edge, drawn at random (shared edges allowed): the
+    # owner-map rule and the oracle's pairwise offset check must agree.
+    rng = random.Random(seed)
+    try:
+        tnet = deadline_to_time_extended(oracles.random_deadline(rng))
+    except DeadlineTooSmall:
+        return
+    paths, _ = enumerate_paths(tnet.net, "#s0", "#d0", within=routing_domain(tnet.net, 1).edges)
+    for cut in _base_cutsets(tnet)[:5]:
+        per_edge = {e: [p for p in paths if [x for x in p if x in cut] == [e]] for e in sorted(cut)}
+        if not all(per_edge.values()):
+            continue
+        for _ in range(10):
+            chosen = [rng.choice(ps) for ps in per_edge.values()]
+            violation = family_violation(chosen, sorted(cut), tnet.family_time)
+            assert (violation is None) == oracles._partial_consistent(tnet, cut, chosen)
