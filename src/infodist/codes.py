@@ -10,7 +10,7 @@ information inequality here checkable exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -46,6 +46,9 @@ class LinearCode:
     q: int
     rates: tuple[int, ...]
     rows: tuple[Row, ...]  # row e is G_e, one entry per source symbol
+    # entropy's memo: (frozenset of refs, extra rows) -> rank.  Rank ignores
+    # row order and repeats, and rows never change, so entries never go stale.
+    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -61,16 +64,18 @@ class LinearCode:
             for k in range(self.rates[i - 1])
         ]
 
-    def to_json_dict(self, locals_table: Optional[LocalTable] = None) -> dict:
-        data = {"field": self.q, "rates": list(self.rates)}
-        if locals_table is not None:
-            data["locals"] = locals_to_json(locals_table)
-        data["global"] = [list(row) for row in self.rows]
-        return data
 
-
-def sources_at(net: Network, node: str) -> list[int]:
-    return [i for i, (s, _) in enumerate(net.sessions, start=1) if s == node]
+def _checked_sources(net: Network, rates: Sequence[int], q: int) -> tuple[tuple, dict]:
+    """The rates, checked with the field, and the sessions sourced at each node."""
+    if not gfmatrix.is_prime(q):
+        raise ValueError(f"field size {q} is not prime")
+    rates = tuple(int(r) for r in rates)
+    if len(rates) != net.num_sessions or any(r < 0 for r in rates):
+        raise ValueError("one nonnegative rate per session required")
+    sourced: dict[str, list[int]] = {}
+    for i, (s, _) in enumerate(net.sessions, start=1):
+        sourced.setdefault(s, []).append(i)
+    return rates, sourced
 
 
 def propagate(net: Network, rates: Sequence[int], locals_table: LocalTable, q: int) -> LinearCode:
@@ -79,11 +84,10 @@ def propagate(net: Network, rates: Sequence[int], locals_table: LocalTable, q: i
     Edges out of a source may reference only sessions sourced at their tail;
     interior edges only in-edges of their tail.
     """
-    if not gfmatrix.is_prime(q):
-        raise ValueError(f"field size {q} is not prime")
-    rates = tuple(int(r) for r in rates)
-    if len(rates) != net.num_sessions or any(r < 0 for r in rates):
-        raise ValueError("one nonnegative rate per session required")
+    rates, sourced = _checked_sources(net, rates, q)
+    stray = [e for e in locals_table if not 0 <= e < len(net.edges)]
+    if stray:
+        raise ValueError(f"locals given for edge {stray[0]}, which is not in the network")
     dim = sum(rates)
     offsets = [sum(rates[:i]) for i in range(len(rates))]
     rows: list[Row] = [(0,) * dim] * len(net.edges)
@@ -92,7 +96,7 @@ def propagate(net: Network, rates: Sequence[int], locals_table: LocalTable, q: i
         if eid not in locals_table:
             raise MissingEncoder(net.edge_str(eid))
         tail = net.edges[eid].tail
-        tail_sessions = sources_at(net, tail)
+        tail_sessions = sourced.get(tail, ())
         row = [0] * dim
         for term in locals_table[eid]:
             kind = term[0]
@@ -107,6 +111,8 @@ def propagate(net: Network, rates: Sequence[int], locals_table: LocalTable, q: i
                 row[offsets[i - 1] + sym] = (row[offsets[i - 1] + sym] + coeff) % q
             elif kind == "edge":
                 _, ref, coeff = term
+                if not 0 <= ref < len(net.edges):
+                    raise ValueError(f"edge {ref} is not in the network")
                 if net.edges[ref].head != tail:
                     raise ValueError(
                         f"edge {net.edge_str(ref)} is not an in-edge of {tail!r}"
@@ -175,8 +181,13 @@ def _collect(code: LinearCode, refs: Iterable[VarRef]) -> list[Row]:
 
 
 def entropy(code: LinearCode, refs: Iterable[VarRef], extra: Sequence[Row] = ()) -> int:
-    """H(refs, extra rows) in field symbols = rank of the stacked rows."""
-    return gfmatrix.rank(_collect(code, refs) + list(extra), code.q)
+    """H(refs, extra rows) in field symbols = rank of the stacked rows, memoized per code."""
+    refs = frozenset(refs)
+    key = (refs, tuple(map(tuple, extra)))
+    h = code._ranks.get(key)
+    if h is None:
+        h = code._ranks[key] = gfmatrix.rank(_collect(code, refs) + list(extra), code.q)
+    return h
 
 
 def cond_mutual_info(
@@ -196,11 +207,11 @@ def cond_mutual_info(
 
 
 def check_decodable(code: LinearCode) -> tuple[bool, ...]:
-    """Session i decodes iff its selector rows lie in the row space of In(d_i)."""
+    """Session i decodes iff H(In(d_i)) == H(In(d_i), Y_i)."""
     out = []
     for i in range(1, code.net.num_sessions + 1):
-        incoming = _collect(code, [edge_var(e) for e in code.net.in_edges[code.net.sink(i)]])
-        out.append(gfmatrix.in_rowspace(incoming, code.session_rows(i), code.q))
+        incoming = [edge_var(e) for e in code.net.in_edges[code.net.sink(i)]]
+        out.append(entropy(code, incoming) == entropy(code, incoming + [session_var(i)]))
     return tuple(out)
 
 
@@ -362,7 +373,7 @@ def audit(
         entries.append(AuditEntry(f"prop1.2/{n}", lhs, rhs, "=="))
         # H(X|f(Y)) >= H(X|Y)  (flip into lhs <= rhs form)
         lhs = entropy(code, x + yv) - entropy(code, yv)
-        rhs = entropy(code, x, extra=f_y) - gfmatrix.rank(f_y, code.q)
+        rhs = entropy(code, x, extra=f_y) - entropy(code, (), extra=f_y)
         entries.append(AuditEntry(f"prop1.3/{n}", lhs, rhs, "<="))
         # I(X;Y|Z,W) >= I(X;f(Y,Z)|Z,W)
         lhs = cond_mutual_info(code, x, yv, z + w)
@@ -398,12 +409,11 @@ def random_local_table(
     """Uniform local coefficients; source edges draw over their session symbols."""
     if q < 2:
         raise FieldTooSmall(f"field size {q} < 2")
-    if not gfmatrix.is_prime(q):
-        raise ValueError(f"field size {q} is not prime")
+    rates, sourced = _checked_sources(net, rates, q)
     table: LocalTable = {}
     for eid, e in enumerate(net.edges):
         terms: list[LocalTerm] = []
-        tail_sessions = sources_at(net, e.tail)
+        tail_sessions = sourced.get(e.tail, ())
         if tail_sessions:
             for i in tail_sessions:
                 for sym in range(rates[i - 1]):

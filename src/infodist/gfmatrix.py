@@ -51,13 +51,11 @@ def rank(M: Matrix, p: int) -> int:
             f = row[c]
             if f:
                 row = [(a - f * b) % p for a, b in zip(row, prow)]
-        c = next((j for j, v in enumerate(row) if v), None)
-        if c is not None:
-            inv = pow(row[c], p - 2, p)
-            pivots.append((c, [v * inv % p for v in row]))
+        for c, v in enumerate(row):
+            if v:
+                inv = pow(v, p - 2, p)
+                pivots.append((c, [x * inv % p for x in row]))
+                break
+        if len(pivots) == len(row):  # a pivot in every column: no row can add one
+            break
     return len(pivots)
-
-
-def in_rowspace(rows: Matrix, targets: Matrix, p: int) -> bool:
-    """True iff every target row lies in the row space of `rows`."""
-    return rank([*rows, *targets], p) == rank(rows, p)

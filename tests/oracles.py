@@ -10,7 +10,8 @@ against a three-colour DFS and cycle witnesses against a quadratic
 predecessor scan; the library answers all three with one topological sort.
 `find_cumulative_order` (forward checking over session orders) and the
 Menger witness (`edge_disjoint_paths`, a flow decomposition) are test-only
-helpers built on library primitives.
+helpers built on library primitives.  `gf_rank` eliminates every row with no
+early stop and no memo, the reference for `gfmatrix.rank` and `codes.entropy`.
 """
 
 from __future__ import annotations
@@ -608,3 +609,19 @@ def menger_witness_for_single_session(net: Network) -> Witness:
     _value, cut = min_cut(net, s, d, within=dom.edges)
     paths = edge_disjoint_paths(net, s, d, cut, within=dom.edges)
     return Witness((1,), (frozenset(cut),), (tuple(sorted(cut)),), (tuple(paths),))
+
+
+def gf_rank(M, p: int) -> int:
+    """Rank mod p, reducing every row against the pivot rows kept so far."""
+    pivots: list[tuple[int, list[int]]] = []  # (column, row with 1 there)
+    for row in M:
+        row = [v % p for v in row]
+        for c, prow in pivots:
+            f = row[c]
+            if f:
+                row = [(a - f * b) % p for a, b in zip(row, prow)]
+        c = next((j for j, v in enumerate(row) if v), None)
+        if c is not None:
+            inv = pow(row[c], p - 2, p)
+            pivots.append((c, [v * inv % p for v in row]))
+    return len(pivots)

@@ -150,6 +150,43 @@ def test_null_edge_index_exit_1(tmp_path, capsys):
         assert "index None" in capsys.readouterr().err
 
 
+# s -> x -> d with its edges listed head first: edge 0 is (x, d), edge 1 is (s, x)
+TWO_HOP = {
+    "nodes": ["s", "x", "d"],
+    "edges": [{"tail": "x", "head": "d", "index": 0}, {"tail": "s", "head": "x", "index": 0}],
+    "sessions": [{"source": "s", "sink": "d"}],
+}
+SOURCE_EDGE = {"edge": 1, "coeffs": [{"from": "session 1", "value": 1}]}
+# case: the locals of a one-symbol code on TWO_HOP
+BAD_EDGE_REFS = {
+    "from-99": [SOURCE_EDGE, {"edge": 0, "coeffs": [{"from": 99, "value": 1}]}],
+    "from-minus-1": [SOURCE_EDGE, {"edge": 0, "coeffs": [{"from": -1, "value": 1}]}],
+    "locals-edge-999": [SOURCE_EDGE, {"edge": 0, "coeffs": [{"from": 1, "value": 1}]},
+                        {"edge": 999, "coeffs": []}],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EDGE_REFS))
+def test_code_edge_reference_outside_network_exit_1(tmp_path, capsys, case):
+    paths = {name: tmp_path / f"{name}.json" for name in ("network", "code", "witness")}
+    paths["network"].write_text(json.dumps(TWO_HOP))
+    _, checked = run(capsys, "check", str(paths["network"]))
+    paths["witness"].write_text(json.dumps(checked["result"]["witness"]))
+    paths["code"].write_text(json.dumps({"field": 2, "rates": [1], "locals": BAD_EDGE_REFS[case]}))
+    argv = ["audit", str(paths["network"]), "--code", str(paths["code"]),
+            "--witness", str(paths["witness"])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("infodist: ") and "not in the network" in err
+
+
+@pytest.mark.parametrize("rates", ["1,1", "1", "1,1,1,1"])
+@pytest.mark.parametrize("decodable", [[], ["--decodable"]])
+def test_gen_code_one_rate_per_session_exit_1(capsys, rates, decodable):
+    assert main(["gen-code", "fig1b", "--rates", rates, "--field", "5", *decodable]) == 1
+    assert capsys.readouterr().err == "infodist: one nonnegative rate per session required\n"
+
+
 def test_rate_zero_denominator_exit_1(capsys):
     assert main(["rate", "fig1a", "--rate", "1/0,1"]) == 1
     assert capsys.readouterr().err.startswith("infodist: ")
@@ -343,6 +380,7 @@ def test_nonpositive_budget_rejected(capsys):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_INPUTS = GOLDEN / "inputs"
 
 
 @pytest.mark.parametrize("argv, name, exit_code", [
@@ -351,6 +389,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     (["reduce-index", "fig3-index"], "reduce-index-fig3-index", 0),
     (["reduce-deadline", "fig4-deadline"], "reduce-deadline-fig4-deadline", 0),
     (["rate", "--direction", "1,1", "fig1a"], "rate-fig1a", 0),
+    (["gen-code", "fig1a", "--rates", "1,1", "--field", "5", "--seed", "0", "--decodable"],
+     "gen-code-fig1a", 0),
+    (["audit", "fig1a", "--code", str(GOLDEN_INPUTS / "fig1a-code.json"),
+      "--witness", str(GOLDEN_INPUTS / "fig1a-witness.json"),
+      "--seed", "0", "--prop-samples", "200"], "audit-fig1a", 0),
 ])
 def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
     assert main(argv) == exit_code

@@ -27,6 +27,7 @@ from infodist.graph import Network
 from infodist.rateregion import verify_routing_scheme
 from infodist.witnesses import Witness, decide_information_distributive
 from infodist import gfmatrix
+from oracles import gf_rank, random_network
 
 
 def chain_network():
@@ -231,7 +232,8 @@ def test_gfmatrix_rank_basics():
     assert gfmatrix.rank(m, 5) == 2
     assert gfmatrix.rank(m, 2) == 2  # mod 2: rows (1,0),(0,0),(0,1)
     assert gfmatrix.rank([], 3) == 0
-    assert gfmatrix.in_rowspace([[1, 1], [0, 1]], [[1, 0]], 2)
+    # (1, 0) lies in the GF(2) row space of (1, 1), (0, 1): stacking it keeps the rank
+    assert gfmatrix.rank([[1, 1], [0, 1], [1, 0]], 2) == gfmatrix.rank([[1, 1], [0, 1]], 2)
 
 
 RANK_PRIMES = [2, 3, 1000003, 2**31 - 1, 4294967311, 2**61 - 1]
@@ -330,3 +332,54 @@ def test_decodable_session_rate_recovered_at_sink(nets):
         )
         == 1
     )
+
+
+def _reference_entropy(code, refs, extra=()):
+    mat = []
+    for kind, idx in refs:
+        mat += [code.rows[idx]] if kind == "edge" else code.session_rows(idx)
+    return gf_rank(mat + list(extra), code.q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 1000003, 2**61 - 1])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_memoized_entropy_matches_reference_rank(q, seed):
+    rng = random.Random(seed)
+    net = random_network(rng)
+    rates = [rng.randint(0, 2) for _ in net.sessions]
+    code = propagate(net, rates, random_local_table(net, rates, q, rng), q)
+    pool = [edge_var(e) for e in range(len(net.edges))] + [
+        session_var(i) for i in range(1, net.num_sessions + 1)
+    ]
+
+    def refs():
+        return [rng.choice(pool) for _ in range(rng.randint(0, 4))]  # repeats allowed
+
+    queries = [
+        (refs(), [tuple(rng.randrange(q) for _ in range(code.dim))
+                  for _ in range(rng.randint(0, 2))])
+        for _ in range(10)
+    ]
+    for a, extra in queries + queries[::-1]:  # every query is asked again
+        want = _reference_entropy(code, a, extra)
+        assert entropy(code, a, extra) == want
+        assert entropy(code, (r for r in a), extra) == want
+        assert entropy(code, a + a, extra) == want
+    for _ in range(10):
+        a, b, c = refs(), refs(), refs()
+        want = (_reference_entropy(code, a + c) + _reference_entropy(code, b + c)
+                - _reference_entropy(code, a + b + c) - _reference_entropy(code, c))
+        assert cond_mutual_info(code, a, b, c) == want
+        assert cond_mutual_info(code, iter(a), iter(b), iter(c)) == want
+    sink_inputs = [[edge_var(e) for e in net.in_edges[d]] for _, d in net.sessions]
+    assert check_decodable(code) == tuple(
+        _reference_entropy(code, ins) == _reference_entropy(code, ins + [session_var(i)])
+        for i, ins in enumerate(sink_inputs, start=1)
+    )
+    # the zero code on the same network starts with no answers and gets its own
+    other = propagate(net, rates, {e: [] for e in range(len(net.edges))}, q)
+    assert not other._ranks
+    for a, extra in queries:
+        assert entropy(other, a, extra) == _reference_entropy(other, a, extra)
+    assert code._ranks is not other._ranks
