@@ -9,10 +9,3 @@ deadline reductions (:mod:`infodist.reductions`).
 """
 
 __version__ = "0.1.0"
-
-from .graph import Network, validate_network  # noqa: F401
-from .witnesses import (  # noqa: F401
-    SearchBudget,
-    Witness,
-    decide_information_distributive,
-)

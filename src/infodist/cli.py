@@ -8,46 +8,21 @@ Exit codes: 0 success (for `check`: verdict yes), 10 mathematical negative
 (verdict no / failed audit inequality), 20 indeterminate (budget or
 enumeration cap hit, or no certificate found by a sufficient-only route),
 1 input or usage error.
+
+Each subcommand imports the library layers it runs inside its own body, so
+a call pays start-up only for those layers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, corpus
-from .codes import (
-    audit,
-    check_decodable,
-    code_from_json,
-    extract_routing,
-    locals_to_json,
-    propagate,
-    random_decodable_code,
-    random_local_table,
-)
 from .errors import InfodistError, NetworkFormatError, PathEnumerationTruncated
 from .graph import validate_network
-from .rateregion import (
-    check_rate_feasible,
-    max_scaled_rate,
-    scheme_from_json,
-    verify_routing_scheme,
-)
-from .reductions import (
-    DeadlineInstance,
-    IndexCodingInstance,
-    deadline_to_time_extended,
-    decide_index_rawness,
-    index_to_network,
-    search_deadline_certificate,
-    side_information_graph,
-)
-from .witnesses import SearchBudget, decide_information_distributive, witness_from_json
 
 EXIT_OK = 0
 EXIT_NO = 10
@@ -97,6 +72,8 @@ def _envelope(args, command: str, result: dict) -> dict:
 
 
 def _parse_vector(text: str) -> list[Fraction]:
+    from fractions import Fraction
+
     try:
         return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
     except ZeroDivisionError:
@@ -104,6 +81,8 @@ def _parse_vector(text: str) -> list[Fraction]:
 
 
 def cmd_check(args) -> int:
+    from .witnesses import SearchBudget, decide_information_distributive
+
     net = validate_network(_read_json(args.network))
     if args.budget < 1:
         raise ValueError("--budget must be positive")
@@ -130,6 +109,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_rate(args) -> int:
+    from .rateregion import check_rate_feasible, max_scaled_rate
+
     net = validate_network(_read_json(args.network))
     if (args.rate is None) == (args.direction is None):
         raise NetworkFormatError("exactly one of --rate/--direction required")
@@ -160,6 +141,13 @@ def cmd_rate(args) -> int:
 
 
 def cmd_reduce_index(args) -> int:
+    from .reductions import (
+        IndexCodingInstance,
+        decide_index_rawness,
+        index_to_network,
+        side_information_graph,
+    )
+
     inst = IndexCodingInstance.from_json(_read_json(args.instance))
     net, skeleton = index_to_network(inst)
     rawness = decide_index_rawness(inst)
@@ -178,6 +166,8 @@ def cmd_reduce_index(args) -> int:
 
 
 def cmd_reduce_deadline(args) -> int:
+    from .reductions import DeadlineInstance, deadline_to_time_extended, search_deadline_certificate
+
     inst = DeadlineInstance.from_json(_read_json(args.instance))
     tnet = deadline_to_time_extended(inst)
     verdict = search_deadline_certificate(tnet)
@@ -196,6 +186,10 @@ def cmd_reduce_deadline(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from .codes import audit, check_decodable, code_from_json, extract_routing
+    from .rateregion import scheme_from_json, verify_routing_scheme
+    from .witnesses import witness_from_json
+
     net = validate_network(_read_json(args.network))
     code = code_from_json(net, _read_json(args.code))
     wit = witness_from_json(_read_json(args.witness))
@@ -222,6 +216,16 @@ def cmd_audit(args) -> int:
 
 
 def cmd_gen_code(args) -> int:
+    import random
+
+    from .codes import (
+        check_decodable,
+        locals_to_json,
+        propagate,
+        random_decodable_code,
+        random_local_table,
+    )
+
     net = validate_network(_read_json(args.network))
     rates = [int(r) for r in args.rates.split(",")]
     rng = random.Random(args.seed)

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import gfmatrix
-from .errors import FieldTooSmall, MissingEncoder, WitnessInvalid, json_int, json_list, json_object
+from .errors import (FieldTooSmall, MissingEncoder, NetworkFormatError, WitnessInvalid,
+                     json_int, json_list, json_object)
 from .graph import Network, Path
 from .rateregion import RoutingScheme
 from .witnesses import Witness, verify_witness
@@ -60,8 +61,8 @@ class LinearCode:
     def session_rows(self, i: int) -> list[Row]:
         start = self.offset(i)
         return [
-            tuple(int(j == start + k) for j in range(self.dim))
-            for k in range(self.rates[i - 1])
+            (0,) * p + (1,) + (0,) * (self.dim - p - 1)
+            for p in range(start, start + self.rates[i - 1])
         ]
 
 
@@ -145,6 +146,8 @@ def locals_from_json(entries) -> LocalTable:
     for entry in json_list(entries, "locals"):
         entry = json_object(entry, "locals")
         eid = json_int(entry["edge"], "edge")
+        if eid in table:
+            raise NetworkFormatError(f"locals list edge {eid} twice", field="locals")
         terms: list[LocalTerm] = []
         for coeff in json_list(entry.get("coeffs", ()), "coeffs"):
             coeff = json_object(coeff, "coeffs")

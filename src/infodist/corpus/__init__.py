@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
+from pathlib import Path
 
 NETWORKS = ("fig1a", "fig1b", "fig5", "butterfly", "single-edge", "parallel-m")
 INSTANCES = ("fig3-index", "fig4-deadline")
@@ -15,12 +15,5 @@ def names() -> tuple[str, ...]:
 
 def load(name: str) -> dict:
     name = name.removesuffix(".json")
-    res = resources.files(__package__).joinpath(f"{name}.json")
-    with res.open("r", encoding="utf-8") as handle:
+    with open(Path(__file__).with_name(f"{name}.json"), "r", encoding="utf-8") as handle:
         return json.load(handle)
-
-
-def text(name: str) -> str:
-    name = name.removesuffix(".json")
-    res = resources.files(__package__).joinpath(f"{name}.json")
-    return res.read_text(encoding="utf-8")

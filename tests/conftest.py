@@ -1,6 +1,7 @@
 import pytest
 
-from infodist import corpus, validate_network
+from infodist import corpus
+from infodist.graph import validate_network
 
 
 @pytest.fixture(scope="session")

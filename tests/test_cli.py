@@ -340,14 +340,52 @@ def test_field_of_2_64_or_more_rejected(capsys):
     assert main(argv + [str(2**61 - 1)]) == 0
 
 
-def test_cli_import_does_not_load_numpy():
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_INPUTS = GOLDEN / "inputs"
+
+
+def _fresh_python(program: str, *args: str) -> str:
+    """Stdout of `program` run by a new interpreter that imports infodist from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import infodist.cli, sys; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
+    return subprocess.run([sys.executable, "-c", program, *args],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_import_does_not_load_numpy():
+    assert _fresh_python("import infodist.cli, sys; print('numpy' in sys.modules)").strip() == "False"
+
+
+BASE_LAYERS = {"infodist", "infodist.cli", "infodist.corpus", "infodist.errors", "infodist.graph"}
+CODE_LAYERS = {"infodist.codes", "infodist.gfmatrix", "infodist.rateregion", "infodist.simplex",
+               "infodist.witnesses"}
+# case: (argv, the infodist modules the call loads beyond BASE_LAYERS)
+SUBCOMMAND_LAYERS = {
+    "check": (["check", "fig1a"], {"infodist.witnesses"}),
+    "rate": (["rate", "fig1a", "--rate", "1,1"], {"infodist.rateregion", "infodist.simplex"}),
+    "reduce-index": (["reduce-index", "fig3-index"], {"infodist.reductions", "infodist.witnesses"}),
+    "reduce-deadline": (["reduce-deadline", "fig4-deadline"],
+                        {"infodist.reductions", "infodist.witnesses"}),
+    "audit": (["audit", "fig1a", "--code", str(GOLDEN_INPUTS / "fig1a-code.json"),
+               "--witness", str(GOLDEN_INPUTS / "fig1a-witness.json")], CODE_LAYERS),
+    "gen-code": (["gen-code", "fig1a", "--rates", "1,1", "--field", "5", "--decodable"],
+                 CODE_LAYERS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBCOMMAND_LAYERS))
+def test_subcommand_imports_only_its_layers(case):
+    argv, layers = SUBCOMMAND_LAYERS[case]
+    out = _fresh_python(
+        "import json, sys\n"
+        "from infodist.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, json.dumps(sorted(m for m in sys.modules if m.startswith('infodist'))))",
+        *argv,
     )
-    assert out.stdout.strip() == "False"
+    code, loaded = out.splitlines()[-1].split(" ", 1)
+    assert code == "0"
+    assert set(json.loads(loaded)) == BASE_LAYERS | layers
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -379,10 +417,6 @@ def test_nonpositive_budget_rejected(capsys):
     assert main(["check", "fig1a", "--max-seconds", "0"]) == 1
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-GOLDEN_INPUTS = GOLDEN / "inputs"
-
-
 @pytest.mark.parametrize("argv, name, exit_code", [
     *((["check", net], f"check-{net}", 10 if net in ("fig5", "butterfly") else 0)
       for net in ("fig1a", "fig1b", "fig5", "butterfly", "single-edge", "parallel-m")),
@@ -398,6 +432,18 @@ GOLDEN_INPUTS = GOLDEN / "inputs"
 def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
     assert main(argv) == exit_code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+def test_code_repeated_locals_edge_exit_1(tmp_path, capsys):
+    code = json.loads((GOLDEN_INPUTS / "fig1a-code.json").read_text(encoding="utf-8"))
+    code["locals"].append({"edge": 0, "coeffs": []})
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(code))
+    assert main(["audit", "fig1a", "--code", str(path),
+                 "--witness", str(GOLDEN_INPUTS / "fig1a-witness.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "infodist: locals list edge 0 twice\n"
 
 
 def _valid_inputs(capsys) -> dict:
