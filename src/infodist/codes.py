@@ -12,14 +12,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import gfmatrix
 from .errors import (FieldTooSmall, MissingEncoder, NetworkFormatError, WitnessInvalid,
                      json_int, json_list, json_object)
 from .graph import Network, Path
-from .rateregion import RoutingScheme
-from .witnesses import Witness, verify_witness
+
+if TYPE_CHECKING:
+    from .rateregion import RoutingScheme
+    from .witnesses import Witness
 
 # Variable references: ("edge", edge id) or ("session", session index 1..K).
 VarRef = tuple[str, int]
@@ -225,6 +227,9 @@ def extract_routing(code: LinearCode, wit: Witness, strict: bool = False) -> Rou
     f = I(Y_i ; U_e | Y_(earlier sessions), U_(cut edges before e)), evaluated
     in the witness's session order.  Flows are keyed by original session.
     """
+    from .rateregion import RoutingScheme
+    from .witnesses import verify_witness
+
     check = verify_witness(code.net, wit, strict=strict)
     if not check:
         raise WitnessInvalid(f"witness fails {check.violation}")
@@ -312,6 +317,8 @@ def audit(
     aggregation bound.  Plus randomized identities/inequalities for
     conditioning on functions and for data-processing under Markov chains.
     """
+    from .witnesses import verify_witness
+
     check = verify_witness(code.net, wit, strict=strict)
     if not check:
         raise WitnessInvalid(f"witness fails {check.violation}")

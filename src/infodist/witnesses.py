@@ -19,6 +19,7 @@ from .graph import (
     Network,
     Path,
     alpha,
+    co_reachable,
     enumerate_min_cutsets,
     enumerate_paths,
     find_path,
@@ -87,25 +88,32 @@ class CheckResult:
 
 
 def validate_cut_sequence(net: Network, cuts: CutSetSequence) -> None:
-    """Enforce the cut-set sequence invariants; raises ValueError on failure."""
+    """Enforce the cut-set sequence invariants; raises ValueError on failure.
+
+    Each cut-set must be a minimum s_i -> d_i cut-set of its session's
+    routing domain.  A cut-set of min-cut size v that disconnects s_i from d_i
+    is one: a max flow has v edge-disjoint s_i -> d_i paths, each crosses
+    the cut-set, and it has only v edges, so every cut edge lies on one of
+    them and hence in the domain.  Only a cut-set failing that test pays for
+    the domain, to name the first invariant it breaks.
+    """
     if len(cuts) != net.num_sessions:
         raise ValueError("one cut-set per session required")
     for i, cut in enumerate(cuts, start=1):
         s, d = net.sessions[i - 1]
-        dom = routing_domain(net, i)
-        if dom.empty:
-            if cut:
-                raise ValueError(f"session {i} has no path; its cut-set must be empty")
+        value = min_cut(net, s, d).value
+        disconnects = not has_path(net, s, d, removed=cut)
+        if len(cut) == value and disconnects:
             continue
-        if not cut <= dom.edges:
+        if value == 0:
+            raise ValueError(f"session {i} has no path; its cut-set must be empty")
+        if not cut <= routing_domain(net, i).edges:
             raise ValueError(f"cut-set of session {i} leaves its routing domain")
-        value, _ = min_cut(net, s, d, within=dom.edges)
         if len(cut) != value:
             raise ValueError(
                 f"cut-set of session {i} has size {len(cut)}, min-cut is {value}"
             )
-        if has_path(net, s, d, removed=cut):
-            raise ValueError(f"cut-set of session {i} does not disconnect {s!r}->{d!r}")
+        raise ValueError(f"cut-set of session {i} does not disconnect {s!r}->{d!r}")
 
 
 def cumulativity_breach(net: Network, i: int, cut: frozenset[int], j: int) -> Optional[Path]:
@@ -113,17 +121,27 @@ def cumulativity_breach(net: Network, i: int, cut: frozenset[int], j: int) -> Op
     return find_path(net, net.source(j), net.sink(i), removed=cut)
 
 
+def _sources_reaching(net: Network, i: int, cut: frozenset[int]) -> frozenset[int]:
+    """The sessions j whose source still reaches d_i once C_i = cut is removed,
+    from one backward search out of d_i."""
+    reach = co_reachable(net, net.sink(i), removed=cut)
+    return frozenset(j for j, (s, _) in enumerate(net.sessions, start=1) if s in reach)
+
+
 def is_cumulative(net: Network, cuts: CutSetSequence) -> CheckResult:
     """Every path from a later source s_j to an earlier sink d_i meets C_i.
 
-    The violation, if any, is one offending (j, i, path).
+    One backward search from each d_i (i < K) finds every later source that
+    reaches d_i around C_i.  The violation, if any, is (j, i, path) for the
+    least such i, then the least j, with path the breadth-first s_j -> d_i
+    path of :func:`cumulativity_breach`.
     """
     K = net.num_sessions
     for i in range(1, K):
-        for j in range(i + 1, K + 1):
-            path = cumulativity_breach(net, i, cuts[i - 1], j)
-            if path is not None:
-                return CheckResult(False, (j, i, path))
+        later = [j for j in _sources_reaching(net, i, cuts[i - 1]) if j > i]
+        if later:
+            j = min(later)
+            return CheckResult(False, (j, i, cumulativity_breach(net, i, cuts[i - 1], j)))
     return CheckResult(True)
 
 
@@ -486,7 +504,10 @@ class _Searcher:
         self.cutsets: list[list[frozenset[int]]] = []
         self.paths: list[list[Path]] = []
         self._tables: dict[tuple[int, frozenset[int]], dict[int, FamilySlot]] = {}
-        self._bad_cache: dict[tuple[int, frozenset[int], int], bool] = {}
+        self._reaching: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
+        # (session, cut) slot sets known to hold no path family, whatever
+        # the session order: find_family's conflicts are symmetric.
+        self._no_family: set[frozenset[tuple[int, frozenset[int]]]] = set()
 
     def _tick(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -532,18 +553,22 @@ class _Searcher:
         self.stats.path_assignments += 1
         self._tick()
 
-    def _cumulative_ok(self, sess_i: int, cut: frozenset[int], sess_j: int) -> bool:
-        """No s_j -> d_i path survives the removal of session i's cut."""
-        key = (sess_i, cut, sess_j)
-        hit = self._bad_cache.get(key)
-        if hit is None:
-            hit = cumulativity_breach(self.net, sess_i, cut, sess_j) is None
-            self._bad_cache[key] = hit
-        return hit
+    def _cumulative_ok(self, sess: int, cut: frozenset[int], later: Sequence[int]) -> bool:
+        """No source of a `later` session reaches d_sess around `cut`."""
+        if not later:
+            return True
+        key = (sess, cut)
+        reaching = self._reaching.get(key)
+        if reaching is None:
+            reaching = self._reaching[key] = _sources_reaching(self.net, sess, cut)
+        return reaching.isdisjoint(later)
 
     def _find_paths(self, order, cuts) -> Optional[PathSetSequence]:
         """One path per cut edge, paths sharing an edge crossing the same cut
         edge (exhaustive, see :func:`find_family`)."""
+        key = frozenset(zip(order, cuts))
+        if key in self._no_family:
+            return None
         slots, owners = [], []
         for pos, sess in enumerate(order):
             table = self._cut_table(sess, cuts[pos])
@@ -552,6 +577,7 @@ class _Searcher:
                 owners.append(pos)
         chosen = find_family(slots, self._try)
         if chosen is None:
+            self._no_family.add(key)
             return None
         result: list[list[Path]] = [[] for _ in order]
         for pos, path in zip(owners, chosen):
@@ -561,7 +587,7 @@ class _Searcher:
     def run(self) -> Verdict:
         K = self.net.num_sessions
         orders = (
-            list(permutations(range(1, K + 1)))
+            permutations(range(1, K + 1))
             if self.budget.reindex_sessions
             else [tuple(range(1, K + 1))]
         )
@@ -576,7 +602,7 @@ class _Searcher:
                     pool = [
                         cut
                         for cut in self.cutsets[sess - 1]
-                        if all(self._cumulative_ok(sess, cut, j) for j in later)
+                        if self._cumulative_ok(sess, cut, later)
                     ]
                     pools.append(pool)
                 if any(not pool for pool in pools):

@@ -8,6 +8,9 @@ chronological recursive backtrackers the library's forward checking replaced.
 C[0] orderings are checked against a scan of all permutations, acyclicity
 against a three-colour DFS and cycle witnesses against a quadratic
 predecessor scan; the library answers all three with one topological sort.
+`scan_cumulative` tests every session pair with its own path search, and
+`domain_validate_cuts` checks each cut-set against its routing domain; the
+library answers both from one search per cut-set.
 `find_cumulative_order` (forward checking over session orders) and the
 Menger witness (`edge_disjoint_paths`, a flow decomposition) are test-only
 helpers built on library primitives.  `gf_rank` eliminates every row with no
@@ -38,9 +41,10 @@ from infodist.reductions import (
     _session0_domain,
 )
 from infodist.witnesses import (
+    CheckResult,
     Witness,
+    cumulativity_breach,
     forward_check,
-    is_cumulative,
     is_distributive,
     is_extendable,
 )
@@ -199,6 +203,42 @@ def fraction_simplex(c, A, b):
     return "optimal", x, obj[-1], dual, pivots
 
 
+def scan_cumulative(net: Network, cuts) -> CheckResult:
+    """`witnesses.is_cumulative` as one s_j -> d_i path search per session
+    pair i < j, pairs in (i, j) order."""
+    K = net.num_sessions
+    for i in range(1, K):
+        for j in range(i + 1, K + 1):
+            path = cumulativity_breach(net, i, cuts[i - 1], j)
+            if path is not None:
+                return CheckResult(False, (j, i, path))
+    return CheckResult(True)
+
+
+def domain_validate_cuts(net: Network, cuts) -> None:
+    """`witnesses.validate_cut_sequence` checking each cut-set against its
+    session's routing domain: containment, then the min-cut size within the
+    domain, then disconnection.  Raises ValueError with the same messages."""
+    if len(cuts) != net.num_sessions:
+        raise ValueError("one cut-set per session required")
+    for i, cut in enumerate(cuts, start=1):
+        s, d = net.sessions[i - 1]
+        dom = routing_domain(net, i)
+        if dom.empty:
+            if cut:
+                raise ValueError(f"session {i} has no path; its cut-set must be empty")
+            continue
+        if not cut <= dom.edges:
+            raise ValueError(f"cut-set of session {i} leaves its routing domain")
+        value, _ = min_cut(net, s, d, within=dom.edges)
+        if len(cut) != value:
+            raise ValueError(
+                f"cut-set of session {i} has size {len(cut)}, min-cut is {value}"
+            )
+        if has_path(net, s, d, removed=cut):
+            raise ValueError(f"cut-set of session {i} does not disconnect {s!r}->{d!r}")
+
+
 def brute_decide(net: Network) -> bool:
     """Full enumeration over session orders, min cut-set tuples, permutation
     tuples and bijective path tuples, with no pruning at all."""
@@ -218,7 +258,7 @@ def brute_decide(net: Network) -> bool:
         ordered = net.reindex_sessions(order)
         pools = [per_session[i - 1][0] for i in order]
         for cuts in product(*pools):
-            if not is_cumulative(ordered, cuts):
+            if not scan_cumulative(ordered, cuts):
                 continue
             perm_pools = [list(permutations(sorted(c))) for c in cuts]
             if not any(

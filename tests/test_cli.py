@@ -369,7 +369,7 @@ SUBCOMMAND_LAYERS = {
     "audit": (["audit", "fig1a", "--code", str(GOLDEN_INPUTS / "fig1a-code.json"),
                "--witness", str(GOLDEN_INPUTS / "fig1a-witness.json")], CODE_LAYERS),
     "gen-code": (["gen-code", "fig1a", "--rates", "1,1", "--field", "5", "--decodable"],
-                 CODE_LAYERS),
+                 {"infodist.codes", "infodist.gfmatrix"}),
 }
 
 

@@ -1,8 +1,9 @@
 import random
+import time
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -24,7 +25,7 @@ from oracles import (
 )
 
 from infodist.errors import BijectionViolated, NotExtendable, PermutationMismatch
-from infodist.graph import Network
+from infodist.graph import Network, routing_domain
 from infodist import witnesses
 from infodist.witnesses import (
     SearchBudget,
@@ -287,6 +288,19 @@ def test_decide_matches_bruteforce_on_small_networks():
         assert (verdict.status == "yes") == brute_decide(net)
 
 
+def test_decide_twelve_disjoint_sessions_builds_no_order_list():
+    # 12! session orders would take gigabytes as a list; the first one
+    # already carries a witness.
+    nodes = [v for k in range(12) for v in (f"s{k}", f"d{k}")]
+    net = Network(nodes, [(f"s{k}", f"d{k}", 0) for k in range(12)],
+                  [(f"s{k}", f"d{k}") for k in range(12)])
+    start = time.monotonic()
+    verdict = decide_information_distributive(net)
+    assert time.monotonic() - start < 1.0
+    assert verdict.status == "yes"
+    assert verdict.witness.session_order == tuple(range(1, 13))
+
+
 def test_decide_on_1200_edge_chain():
     nodes = [f"c{i}" for i in range(1201)]
     chain = Network(nodes, list(zip(nodes, nodes[1:], [0] * 1200)), [("c0", "c1200")])
@@ -352,6 +366,128 @@ def _decide_outcome(net):
     del stats["path_assignments"]
     wit = verdict.witness.to_json_dict() if verdict.witness else None
     return verdict.status, wit, verdict.representative_map, stats
+
+
+def no_family_pair():
+    """K = 2 "no" network: the slot set {(1, {0, 3}), (2, {7})} passes the
+    cumulativity and ordering checks under both session orders and holds no
+    path family."""
+    return Network(
+        ["v0", "v1", "v2", "s1", "d1", "s2", "d2"],
+        [("v0", "v1", 0), ("v1", "v2", 0), ("s1", "v0", 0), ("s1", "v1", 0),
+         ("v1", "d1", 0), ("v2", "d1", 0), ("s2", "v2", 0), ("s2", "v0", 0),
+         ("v1", "d2", 0)],
+        [("s1", "d1"), ("s2", "d2")],
+    )
+
+
+def test_no_family_memo_searches_each_slot_set_once(monkeypatch):
+    net = no_family_pair()
+    asked, searched = [], []
+    find_paths, find_family = witnesses._Searcher._find_paths, witnesses.find_family
+
+    def spy_paths(self, order, cuts):
+        asked.append(frozenset(zip(order, cuts)))
+        return find_paths(self, order, cuts)
+
+    def spy_family(slots, on_try):
+        searched.append(asked[-1])
+        return find_family(slots, on_try)
+
+    monkeypatch.setattr(witnesses._Searcher, "_find_paths", spy_paths)
+    monkeypatch.setattr(witnesses, "find_family", spy_family)
+    memo = decide_information_distributive(net)
+    assert memo.status == "no"
+    assert len(asked) > len(set(asked))  # some slot set comes up twice
+    assert len(searched) == len(set(searched)) and set(searched) == set(asked)
+    monkeypatch.setattr(witnesses._Searcher, "_find_paths", oracles.backtrack_paths)
+    plain = decide_information_distributive(net)
+    assert (memo.status, memo.witness) == (plain.status, plain.witness)
+    memo_stats, plain_stats = memo.stats.to_json_dict(), plain.stats.to_json_dict()
+    del memo_stats["path_assignments"], plain_stats["path_assignments"]
+    assert memo_stats == plain_stats
+
+
+BREAKS = ("valid", "size", "no-disconnect", "outside-domain", "bad-id", "no-path")
+
+
+def _cut_sequence(net, rng, kind):
+    """One minimum cut-set per session, then one session's cut-set broken as
+    `kind` names: a wrong size, an edge swapped for another domain edge, for
+    an edge outside the domain or for an edge id that does not exist, or a
+    cut-set for a session with no path.  None if no session admits `kind`."""
+    searcher = witnesses._Searcher(net, SearchBudget())
+    searcher._enumerate()
+    cuts = [rng.choice(sets) for sets in searcher.cutsets]
+    doms = [routing_domain(net, i).edges for i in range(1, net.num_sessions + 1)]
+    edges = range(len(net.edges))
+    if kind == "valid":
+        return tuple(cuts)
+    if kind == "no-path":
+        bare = [i for i, dom in enumerate(doms) if not dom]
+        if not bare:
+            return None
+        cuts[rng.choice(bare)] = frozenset({rng.choice(edges)})
+        return tuple(cuts)
+    routed = [i for i, dom in enumerate(doms) if dom]
+    if not routed:
+        return None
+    i = rng.choice(routed)
+    cut, dom = cuts[i], doms[i]
+    swaps = {
+        "size": [cut - {e} for e in sorted(cut)] + [cut | {f} for f in sorted(dom - cut)],
+        "no-disconnect": [cut - {e} | {f} for e in sorted(cut) for f in sorted(dom - cut)],
+        "outside-domain": [cut - {e} | {f} for e in sorted(cut) for f in edges if f not in dom],
+        "bad-id": [cut - {e} | {f} for e in sorted(cut) for f in (-1, len(edges), len(edges) + 3)],
+    }[kind]
+    if not swaps:
+        return None
+    cuts[i] = rng.choice(swaps)
+    return tuple(cuts)
+
+
+def _raised(check, net, cuts):
+    try:
+        check(net, cuts)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+MESSAGES = ("has size", "leaves its routing domain", "has no path", "does not disconnect")
+# The domain oracle's first complaint about each break (None: it passes).
+EXPECTED_BREAK = {
+    "valid": {None},
+    "size": {"has size"},
+    "no-disconnect": {None, "does not disconnect"},
+    "outside-domain": {"leaves its routing domain"},
+    "bad-id": {"leaves its routing domain"},
+    "no-path": {"has no path"},
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BREAKS))
+def test_validate_cut_sequence_matches_domain_oracle(seed, kind):
+    rng = random.Random(seed)
+    net = random_network(rng, max_internal=5, max_sessions=3, edge_prob=0.5)
+    cuts = _cut_sequence(net, rng, kind)
+    assume(cuts is not None)
+    expected = _raised(oracles.domain_validate_cuts, net, cuts)
+    assert (expected and next(m for m in MESSAGES if m in expected)) in EXPECTED_BREAK[kind]
+    assert _raised(validate_cut_sequence, net, cuts) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BREAKS))
+def test_is_cumulative_matches_pairwise_scan(seed, kind):
+    rng = random.Random(seed)
+    net = random_network(rng, max_internal=5, max_sessions=4, edge_prob=0.6)
+    cuts = _cut_sequence(net, rng, kind)
+    assume(cuts is not None)
+    for order in permutations(range(1, net.num_sessions + 1)):
+        ordered, seq = net.reindex_sessions(order), tuple(cuts[i - 1] for i in order)
+        assert is_cumulative(ordered, seq) == oracles.scan_cumulative(ordered, seq)
 
 
 def test_decide_with_backtracking_oracle_on_corpus(nets, monkeypatch):
