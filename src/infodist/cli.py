@@ -86,8 +86,9 @@ def cmd_check(args) -> int:
     net = validate_network(_read_json(args.network))
     if args.budget < 1:
         raise ValueError("--budget must be positive")
-    if args.max_seconds is not None and args.max_seconds <= 0:
-        raise ValueError("--max-seconds must be positive")
+    # NaN fails both comparisons, so it is rejected with infinity.
+    if args.max_seconds is not None and not 0 < args.max_seconds < float("inf"):
+        raise ValueError("--max-seconds must be positive and finite")
     budget = SearchBudget(
         max_candidates=args.budget,
         max_seconds=args.max_seconds,
@@ -114,6 +115,8 @@ def cmd_rate(args) -> int:
     net = validate_network(_read_json(args.network))
     if (args.rate is None) == (args.direction is None):
         raise NetworkFormatError("exactly one of --rate/--direction required")
+    if args.path_limit < 1:
+        raise ValueError("--path-limit must be positive")
     try:
         if args.rate is not None:
             rates = _parse_vector(args.rate)

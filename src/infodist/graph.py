@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -200,19 +199,7 @@ def validate_network(raw) -> Network:
     return Network(nodes, edges, sessions)
 
 
-@dataclass(frozen=True)
-class Subgraph:
-    """An edge-induced subgraph of a parent network (e.g. a routing domain)."""
-
-    net: Network
-    edges: frozenset[int]
-
-    @property
-    def empty(self) -> bool:
-        return not self.edges
-
-
-def _bfs(net: Network, start: str, within: Optional[frozenset[int]], removed, forward: bool):
+def _bfs(net: Network, start: str, removed, forward: bool):
     """Nodes reachable from start (forward) or co-reaching start (backward)."""
     adj = net.out_edges if forward else net.in_edges
     seen = {start}
@@ -220,8 +207,6 @@ def _bfs(net: Network, start: str, within: Optional[frozenset[int]], removed, fo
     while queue:
         v = queue.popleft()
         for eid in adj[v]:
-            if within is not None and eid not in within:
-                continue
             if eid in removed:
                 continue
             e = net.edges[eid]
@@ -232,66 +217,81 @@ def _bfs(net: Network, start: str, within: Optional[frozenset[int]], removed, fo
     return seen
 
 
-def reachable_from(net: Network, node: str, within=None, removed=frozenset()) -> set[str]:
-    return _bfs(net, node, within, removed, forward=True)
+def reachable_from(net: Network, node: str, removed=frozenset()) -> set[str]:
+    return _bfs(net, node, removed, forward=True)
 
 
-def co_reachable(net: Network, node: str, within=None, removed=frozenset()) -> set[str]:
-    return _bfs(net, node, within, removed, forward=False)
+def co_reachable(net: Network, node: str, removed=frozenset()) -> set[str]:
+    return _bfs(net, node, removed, forward=False)
 
 
-def has_path(net, u, v, within=None, removed=frozenset()) -> bool:
-    return v in reachable_from(net, u, within, removed)
+def has_path(net, u, v, removed=frozenset()) -> bool:
+    return v in reachable_from(net, u, removed)
 
 
-def find_path(net: Network, u: str, v: str, within=None, removed=frozenset()) -> Optional[Path]:
-    """One u->v path (BFS order) as an edge-id tuple, or None."""
-    if u == v:
-        return ()
-    pred: dict[str, int] = {}
+def _augmenting(net: Network, u: str, v: str, flow, removed):
+    """Breadth-first search of the residual graph from u.
+
+    Each visited node tries its out-edges outside flow and removed, then
+    its in-edges in flow, backwards.  Returns (steps, seen): steps is the
+    first u->v path found, as (edge id, forward) pairs, or None; seen is
+    every node visited.
+    """
+    pred: dict[str, tuple[int, bool]] = {}
     seen = {u}
     queue = deque([u])
     while queue:
         x = queue.popleft()
         for eid in net.out_edges[x]:
-            if within is not None and eid not in within:
-                continue
-            if eid in removed:
+            if eid in flow or eid in removed:
                 continue
             w = net.edges[eid].head
-            if w in seen:
+            if w not in seen:
+                seen.add(w)
+                pred[w] = (eid, True)
+                if w == v:
+                    steps = []
+                    while w != u:
+                        step = pred[w]
+                        steps.append(step)
+                        e = net.edges[step[0]]
+                        w = e.tail if step[1] else e.head
+                    return steps[::-1], seen
+                queue.append(w)
+        for eid in net.in_edges[x]:
+            if eid not in flow:
                 continue
-            seen.add(w)
-            pred[w] = eid
-            if w == v:
-                path = []
-                while w != u:
-                    path.append(pred[w])
-                    w = net.edges[pred[w]].tail
-                return tuple(reversed(path))
-            queue.append(w)
-    return None
+            w = net.edges[eid].tail
+            if w not in seen:
+                seen.add(w)
+                pred[w] = (eid, False)
+                queue.append(w)
+    return None, seen
 
 
-def routing_domain(net: Network, i: int) -> Subgraph:
-    """Edges lying on some source->sink path of session i (1-based)."""
+def find_path(net: Network, u: str, v: str, removed=frozenset()) -> Optional[Path]:
+    """One u->v path (BFS order) as an edge-id tuple, or None."""
+    if u == v:
+        return ()
+    steps, _ = _augmenting(net, u, v, (), removed)
+    return None if steps is None else tuple(eid for eid, _ in steps)
+
+
+def routing_domain(net: Network, i: int) -> frozenset[int]:
+    """Edges lying on some source->sink path of session i (1-based).
+
+    Every session path and every minimum cut-set lies in it, so the search
+    routines never need it; it names the containment a cut-set breaks.
+    """
     s, d = net.sessions[i - 1]
     fwd = reachable_from(net, s)
     bwd = co_reachable(net, d)
-    eids = frozenset(
-        eid
-        for eid, e in enumerate(net.edges)
-        if e.tail in fwd and e.head in bwd
+    return frozenset(
+        eid for eid, e in enumerate(net.edges) if e.tail in fwd and e.head in bwd
     )
-    return Subgraph(net, eids)
 
 
-class MinCut(NamedTuple):
-    value: int
-    cut: tuple[int, ...]
-
-
-def _max_flow(net: Network, u: str, v: str, within):
+def _max_flow(net: Network, u: str, v: str):
     """Unit-capacity max flow via BFS augmentation.
 
     Returns (value, flow edge set, nodes the residual graph reaches from u).
@@ -301,68 +301,24 @@ def _max_flow(net: Network, u: str, v: str, within):
     flow: set[int] = set()
     value = 0
     while True:
-        pred: dict[str, tuple[int, bool]] = {}
-        seen = {u}
-        queue = deque([u])
-        found = False
-        while queue and not found:
-            x = queue.popleft()
-            for eid in net.out_edges[x]:
-                if within is not None and eid not in within:
-                    continue
-                if eid in flow:
-                    continue
-                w = net.edges[eid].head
-                if w not in seen:
-                    seen.add(w)
-                    pred[w] = (eid, True)
-                    if w == v:
-                        found = True
-                        break
-                    queue.append(w)
-            if found:
-                break
-            for eid in net.in_edges[x]:
-                if within is not None and eid not in within:
-                    continue
-                if eid not in flow:
-                    continue
-                w = net.edges[eid].tail
-                if w not in seen:
-                    seen.add(w)
-                    pred[w] = (eid, False)
-                    queue.append(w)
-        if not found:
+        steps, seen = _augmenting(net, u, v, flow, ())
+        if steps is None:
             return value, flow, seen
-        x = v
-        while x != u:
-            eid, forward = pred[x]
+        for eid, forward in steps:
             if forward:
                 flow.add(eid)
-                x = net.edges[eid].tail
             else:
                 flow.remove(eid)
-                x = net.edges[eid].head
         value += 1
 
 
-def min_cut(net: Network, u: str, v: str, within=None) -> MinCut:
-    """Max number of edge-disjoint u->v paths and one minimum edge cut-set."""
-    value, _flow, residual_reach = _max_flow(net, u, v, within)
-    cut = tuple(
-        sorted(
-            eid
-            for eid, e in enumerate(net.edges)
-            if (within is None or eid in within)
-            and e.tail in residual_reach
-            and e.head not in residual_reach
-        )
-    )
-    return MinCut(value, cut)
+def min_cut(net: Network, u: str, v: str) -> int:
+    """Max number of edge-disjoint u->v paths (the minimum cut size)."""
+    return _max_flow(net, u, v)[0]
 
 
 def enumerate_min_cutsets(
-    net: Network, u: str, v: str, within=None, limit: Optional[int] = None
+    net: Network, u: str, v: str, limit: Optional[int] = None
 ) -> tuple[list[frozenset[int]], bool]:
     """All minimum-cardinality u->v edge cut-sets in lexicographic order.
 
@@ -378,20 +334,25 @@ def enumerate_min_cutsets(
     S is grown and shrunk in place along the branch, so each cut-set costs
     O(F) closure searches of O(|E|) each, with F the number of flow edges.
     The branching keeps its own stack, so deep networks do not recurse.
+    Every minimum cut-set lies on u->v paths, so S is grown only over edges
+    whose head reaches v: a dead-end branch costs one backward search.
 
     Returns (cutsets, truncated); truncated means more than ``limit`` exist.
     """
-    value, flow, _ = _max_flow(net, u, v, within)
+    value, flow, _ = _max_flow(net, u, v)
     if value == 0:
         return [frozenset()], False
-    # arcs[x]: nodes that every closed S holding x must hold too.
+    # arcs[x]: nodes that every closed S holding x must hold too.  A node
+    # that cannot reach v never forces one that can into S.
+    alive = co_reachable(net, v)
     arcs: dict[str, list[str]] = {x: [] for x in net.nodes}
     for eid, e in enumerate(net.edges):
-        if within is None or eid in within:
-            if eid in flow:
-                arcs[e.head].append(e.tail)
-            else:
-                arcs[e.tail].append(e.head)
+        if e.head not in alive:
+            continue
+        if eid in flow:
+            arcs[e.head].append(e.tail)
+        else:
+            arcs[e.tail].append(e.head)
     saturated = sorted(flow)
     chosen: list[int] = []
     # Per decided flow edge, in order: is it in the cut, and which nodes the
@@ -463,18 +424,19 @@ def enumerate_min_cutsets(
 
 
 def enumerate_paths(
-    net: Network, u: str, v: str, within=None, limit: int = DEFAULT_PATH_LIMIT
+    net: Network, u: str, v: str, limit: int = DEFAULT_PATH_LIMIT
 ) -> tuple[list[Path], bool]:
     """All simple directed u->v paths in lexicographic edge-id order.
 
-    Returns (paths, truncated); truncated means the cap was hit and the list
-    is incomplete.
+    The depth-first search never enters a node that cannot reach v, so a
+    dead-end branch costs one backward search.  Returns (paths, truncated);
+    truncated means the cap was hit and the list is incomplete.
     """
     if u == v:
         return [()], False
-    # Prune branches that cannot reach v; enumerate one past the cap so an
-    # exactly-full result is not misreported as truncated.
-    alive = co_reachable(net, v, within=within)
+    # Enumerate one past the cap so an exactly-full result is not
+    # misreported as truncated.
+    alive = co_reachable(net, v)
     if u not in alive:
         return [], False
     paths: list[Path] = []
@@ -483,8 +445,6 @@ def enumerate_paths(
     frames = [iter(net.out_edges[u])]
     while frames:
         for eid in frames[-1]:
-            if within is not None and eid not in within:
-                continue
             head = net.edges[eid].head
             if head not in alive:
                 continue
@@ -503,8 +463,8 @@ def enumerate_paths(
     return paths, False
 
 
-def require_paths(net, u, v, within=None, limit=DEFAULT_PATH_LIMIT) -> list[Path]:
-    paths, truncated = enumerate_paths(net, u, v, within=within, limit=limit)
+def require_paths(net, u, v, limit=DEFAULT_PATH_LIMIT) -> list[Path]:
+    paths, truncated = enumerate_paths(net, u, v, limit=limit)
     if truncated:
         raise PathEnumerationTruncated(u, v, limit)
     return paths

@@ -405,7 +405,7 @@ def deadline_to_time_extended(inst: DeadlineInstance) -> TimeExtendedNetwork:
         if width < 1:
             raise ValueError("injection width must be >= 1")
     inner, _ = _build_grid(inst, 0)
-    value = min(min_cut(inner, f"{inst.source}@0", f"{inst.sink}@{inst.tau}").value, width)
+    value = min(min_cut(inner, f"{inst.source}@0", f"{inst.sink}@{inst.tau}"), width)
     J = width if inst.injection is not None else max(value, 1)
     net, labels = _build_grid(inst, J)
     tnet = TimeExtendedNetwork(
@@ -443,10 +443,6 @@ class C0Result:
         return self.ok
 
 
-def _session0_domain(tnet: TimeExtendedNetwork):
-    return routing_domain(tnet.net, 1)
-
-
 def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
     """The least ordering of C[0] meeting the two recurrent-sequence conditions.
 
@@ -459,8 +455,7 @@ def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
     first passing permutation of the sorted cut.
     """
     c0 = frozenset(c0)
-    dom = _session0_domain(tnet)
-    if len(c0) != tnet.mincut0 or not c0 <= dom.edges:
+    if len(c0) != tnet.mincut0 or not c0 <= routing_domain(tnet.net, 1):
         raise NotACutset("C[0] must be a minimum cut-set of the session-0 domain")
     removed = frozenset(c0)
     if has_path(tnet.net, "#s0", "#d0", removed=removed):
@@ -518,10 +513,7 @@ def find_extendable_paths(tnet: TimeExtendedNetwork, c0) -> Optional[tuple[Path,
     """The first shift-consistent family, one path per cut edge (ascending
     edge id), by :func:`~infodist.witnesses.find_family`."""
     c0 = sorted(frozenset(c0))
-    dom = _session0_domain(tnet)
-    all_paths, truncated = enumerate_paths(
-        tnet.net, "#s0", "#d0", within=dom.edges, limit=PATH_LIMIT
-    )
+    all_paths, truncated = enumerate_paths(tnet.net, "#s0", "#d0", limit=PATH_LIMIT)
     if truncated:
         return None
     per_edge: dict[int, list[Path]] = {e: [] for e in c0}
@@ -609,10 +601,7 @@ def deadline_verdict(
 
 def search_deadline_certificate(tnet: TimeExtendedNetwork) -> Optional[DeadlineVerdict]:
     """Try base-edge minimum cut-sets of the session-0 domain in order."""
-    dom = _session0_domain(tnet)
-    sets, _trunc = enumerate_min_cutsets(
-        tnet.net, "#s0", "#d0", within=dom.edges, limit=CUTSET_LIMIT
-    )
+    sets, _trunc = enumerate_min_cutsets(tnet.net, "#s0", "#d0", limit=CUTSET_LIMIT)
     for cut in sets:
         if any(tnet.labels[e][0] != "base" for e in cut):
             continue

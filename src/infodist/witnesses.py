@@ -101,13 +101,13 @@ def validate_cut_sequence(net: Network, cuts: CutSetSequence) -> None:
         raise ValueError("one cut-set per session required")
     for i, cut in enumerate(cuts, start=1):
         s, d = net.sessions[i - 1]
-        value = min_cut(net, s, d).value
+        value = min_cut(net, s, d)
         disconnects = not has_path(net, s, d, removed=cut)
         if len(cut) == value and disconnects:
             continue
         if value == 0:
             raise ValueError(f"session {i} has no path; its cut-set must be empty")
-        if not cut <= routing_domain(net, i).edges:
+        if not cut <= routing_domain(net, i):
             raise ValueError(f"cut-set of session {i} leaves its routing domain")
         if len(cut) != value:
             raise ValueError(
@@ -516,20 +516,11 @@ class _Searcher:
     def _enumerate(self) -> None:
         for i in range(1, self.net.num_sessions + 1):
             s, d = self.net.sessions[i - 1]
-            dom = routing_domain(self.net, i)
-            if dom.empty:
-                self.cutsets.append([frozenset()])
-                self.paths.append([])
-                continue
             self._tick()
-            sets, trunc = enumerate_min_cutsets(
-                self.net, s, d, within=dom.edges, limit=CUTSET_LIMIT
-            )
+            sets, trunc = enumerate_min_cutsets(self.net, s, d, limit=CUTSET_LIMIT)
             self.cutsets.append(sorted(sets, key=sorted))
             self._tick()
-            paths, trunc_paths = enumerate_paths(
-                self.net, s, d, within=dom.edges, limit=PATH_LIMIT
-            )
+            paths, trunc_paths = enumerate_paths(self.net, s, d, limit=PATH_LIMIT)
             self.paths.append(paths)
             if trunc or trunc_paths:
                 self.stats.truncated = True

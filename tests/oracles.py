@@ -13,13 +13,16 @@ predecessor scan; the library answers all three with one topological sort.
 library answers both from one search per cut-set.
 `find_cumulative_order` (forward checking over session orders) and the
 Menger witness (`edge_disjoint_paths`, a flow decomposition) are test-only
-helpers built on library primitives.  `gf_rank` eliminates every row with no
-early stop and no memo, the reference for `gfmatrix.rank` and `codes.entropy`.
+helpers built on library primitives.  `bfs_find_path` is the breadth-first
+search `graph.find_path` ran before it shared the max flow's residual
+search.  `gf_rank` eliminates every row with no early stop and no memo, the
+reference for `gfmatrix.rank` and `codes.entropy`.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable
@@ -29,16 +32,17 @@ from infodist.graph import (
     Network,
     Path,
     _max_flow,
+    co_reachable,
     enumerate_paths,
     has_path,
     min_cut,
+    reachable_from,
     routing_domain,
 )
 from infodist.reductions import (
     C0Result,
     DeadlineInstance,
     _build_grid,
-    _session0_domain,
 )
 from infodist.witnesses import (
     CheckResult,
@@ -50,16 +54,21 @@ from infodist.witnesses import (
 )
 
 
-def brute_min_cut(net: Network, u: str, v: str, within=None):
-    """Smallest k with a disconnecting k-subset, plus all such subsets."""
-    pool = sorted(within) if within is not None else list(range(len(net.edges)))
-    if not has_path(net, u, v, within=within):
+def brute_min_cut(net: Network, u: str, v: str):
+    """Smallest k with a disconnecting k-subset, plus all such subsets.
+
+    The subsets are drawn from the u->v routing domain (edges on some u->v
+    path): a minimal disconnecting set holds no other edge.
+    """
+    fwd, bwd = reachable_from(net, u), co_reachable(net, v)
+    pool = [eid for eid, e in enumerate(net.edges) if e.tail in fwd and e.head in bwd]
+    if not has_path(net, u, v):
         return 0, [frozenset()]
     for k in range(0, len(pool) + 1):
         hits = [
             frozenset(combo)
             for combo in combinations(pool, k)
-            if not has_path(net, u, v, within=within, removed=frozenset(combo))
+            if not has_path(net, u, v, removed=frozenset(combo))
         ]
         if hits:
             return k, hits
@@ -224,13 +233,13 @@ def domain_validate_cuts(net: Network, cuts) -> None:
     for i, cut in enumerate(cuts, start=1):
         s, d = net.sessions[i - 1]
         dom = routing_domain(net, i)
-        if dom.empty:
+        if not dom:
             if cut:
                 raise ValueError(f"session {i} has no path; its cut-set must be empty")
             continue
-        if not cut <= dom.edges:
+        if not cut <= dom:
             raise ValueError(f"cut-set of session {i} leaves its routing domain")
-        value, _ = min_cut(net, s, d, within=dom.edges)
+        value = min_cut(net, s, d)
         if len(cut) != value:
             raise ValueError(
                 f"cut-set of session {i} has size {len(cut)}, min-cut is {value}"
@@ -246,12 +255,8 @@ def brute_decide(net: Network) -> bool:
     per_session = []
     for i in range(1, K + 1):
         s, d = net.sessions[i - 1]
-        dom = routing_domain(net, i)
-        if dom.empty:
-            per_session.append(([frozenset()], []))
-            continue
-        _, cutsets = brute_min_cut(net, s, d, within=dom.edges)
-        paths, truncated = enumerate_paths(net, s, d, within=dom.edges)
+        _, cutsets = brute_min_cut(net, s, d)
+        paths, truncated = enumerate_paths(net, s, d)
         assert not truncated
         per_session.append((cutsets, paths))
     for order in permutations(range(1, K + 1)):
@@ -376,10 +381,7 @@ def backtrack_extendable_paths(tnet, c0, path_limit: int = 10**4):
     """`reductions.find_extendable_paths` before forward checking: recursive
     backtracking that re-checks every chosen pair at each step."""
     c0 = sorted(frozenset(c0))
-    dom = _session0_domain(tnet)
-    all_paths, truncated = enumerate_paths(
-        tnet.net, "#s0", "#d0", within=dom.edges, limit=path_limit
-    )
+    all_paths, truncated = enumerate_paths(tnet.net, "#s0", "#d0", limit=path_limit)
     if truncated:
         return None
     per_edge = {e: [] for e in c0}
@@ -486,7 +488,7 @@ def probe_session0_mincut(inst) -> int:
     when none is given (more than any min-cut can use)."""
     J = inst.injection if inst.injection is not None else len(inst.edges) * (inst.tau + 1)
     net, _ = _build_grid(inst, max(J, 1))
-    return min_cut(net, "#s0", "#d0").value
+    return min_cut(net, "#s0", "#d0")
 
 
 def scan_c0_orderings(tnet, c0) -> C0Result:
@@ -581,19 +583,47 @@ class CutNotSaturable(InfodistError):
     """The supplied edge set is not a minimum cut-set between the endpoints."""
 
 
-def is_cutset(net: Network, u: str, v: str, cut: Iterable[int], within=None) -> bool:
-    return not has_path(net, u, v, within=within, removed=frozenset(cut))
+def is_cutset(net: Network, u: str, v: str, cut: Iterable[int]) -> bool:
+    return not has_path(net, u, v, removed=frozenset(cut))
 
 
-def edge_disjoint_paths(net: Network, u: str, v: str, cut: Iterable[int], within=None) -> list[Path]:
+def bfs_find_path(net: Network, u: str, v: str, removed=frozenset()):
+    """`graph.find_path` as its own breadth-first search over out-edges,
+    before it became the max flow's residual search on an empty flow."""
+    if u == v:
+        return ()
+    pred: dict[str, int] = {}
+    seen = {u}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        for eid in net.out_edges[x]:
+            if eid in removed:
+                continue
+            w = net.edges[eid].head
+            if w in seen:
+                continue
+            seen.add(w)
+            pred[w] = eid
+            if w == v:
+                path = []
+                while w != u:
+                    path.append(pred[w])
+                    w = net.edges[pred[w]].tail
+                return tuple(reversed(path))
+            queue.append(w)
+    return None
+
+
+def edge_disjoint_paths(net: Network, u: str, v: str, cut: Iterable[int]) -> list[Path]:
     """Menger paths through a minimum cut-set.
 
     Returns pairwise edge-disjoint u->v paths aligned with sorted(cut): the
     j-th path crosses the j-th cut edge (and no other cut edge).
     """
     cut = frozenset(cut)
-    value, flow, _ = _max_flow(net, u, v, within)
-    if len(cut) != value or not is_cutset(net, u, v, cut, within=within):
+    value, flow, _ = _max_flow(net, u, v)
+    if len(cut) != value or not is_cutset(net, u, v, cut):
         raise CutNotSaturable(f"{sorted(cut)} is not a minimum {u!r}->{v!r} cut-set")
     # Decompose the flow: walk from u along flow edges, consuming them.
     succ: dict[str, list[int]] = {}
@@ -643,12 +673,13 @@ def menger_witness_for_single_session(net: Network) -> Witness:
     """The Menger certificate for a single-unicast network (always exists)."""
     assert net.num_sessions == 1
     s, d = net.sessions[0]
-    dom = routing_domain(net, 1)
-    if dom.empty:
-        return Witness((1,), (frozenset(),), ((),), ((),))
-    _value, cut = min_cut(net, s, d, within=dom.edges)
-    paths = edge_disjoint_paths(net, s, d, cut, within=dom.edges)
-    return Witness((1,), (frozenset(cut),), (tuple(sorted(cut)),), (tuple(paths),))
+    # The flow edges leaving the residual reach of s form a minimum cut-set.
+    _value, _flow, reach = _max_flow(net, s, d)
+    cut = sorted(
+        eid for eid, e in enumerate(net.edges) if e.tail in reach and e.head not in reach
+    )
+    paths = edge_disjoint_paths(net, s, d, cut)
+    return Witness((1,), (frozenset(cut),), (tuple(cut),), (tuple(paths),))
 
 
 def gf_rank(M, p: int) -> int:

@@ -417,6 +417,19 @@ def test_nonpositive_budget_rejected(capsys):
     assert main(["check", "fig1a", "--max-seconds", "0"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "fig1a", "--max-seconds", "nan"],
+    ["check", "fig1a", "--max-seconds", "inf"],
+    ["rate", "fig1a", "--direction", "1,1", "--path-limit", "0"],
+    ["rate", "fig1a", "--direction", "1,1", "--path-limit", "-5"],
+])
+def test_out_of_range_limit_rejected(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"infodist: {argv[-2]} must be positive")
+
+
 @pytest.mark.parametrize("argv, name, exit_code", [
     *((["check", net], f"check-{net}", 10 if net in ("fig5", "butterfly") else 0)
       for net in ("fig1a", "fig1b", "fig5", "butterfly", "single-edge", "parallel-m")),

@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIG1A, FIG5
-from oracles import CutNotSaturable, brute_min_cut, edge_disjoint_paths, random_network
+from oracles import (
+    CutNotSaturable,
+    bfs_find_path,
+    brute_min_cut,
+    edge_disjoint_paths,
+    random_network,
+)
 
 from infodist.errors import (
     CycleDetected,
@@ -18,6 +24,7 @@ from infodist.graph import (
     alpha,
     enumerate_min_cutsets,
     enumerate_paths,
+    find_path,
     min_cut,
     reachable_from,
     routing_domain,
@@ -68,33 +75,30 @@ def test_validate_rejects_terminal_degree_violations():
 
 def test_routing_domain_fig1a_session2(nets):
     dom = routing_domain(nets["fig1a"], 2)
-    assert FIG1A["e1"] not in dom.edges
-    assert FIG1A["e2"] in dom.edges and FIG1A["e3"] in dom.edges
+    assert FIG1A["e1"] not in dom
+    assert FIG1A["e2"] in dom and FIG1A["e3"] in dom
     # edges reaching only d1 are excluded: (w4,d1)=7, (v3,d1)=12
-    assert 7 not in dom.edges and 12 not in dom.edges
+    assert 7 not in dom and 12 not in dom
 
 
 def test_routing_domain_single_edge(nets):
-    assert routing_domain(nets["single-edge"], 1).edges == frozenset({0})
+    assert routing_domain(nets["single-edge"], 1) == frozenset({0})
 
 
 def test_routing_domain_disconnected_is_empty_flag():
     net = Network(["s", "d", "x"], [("s", "x", 0)], [("s", "d")])
-    dom = routing_domain(net, 1)
-    assert dom.empty
+    assert routing_domain(net, 1) == frozenset()
 
 
 def test_min_cut_examples(nets):
-    fig1a = nets["fig1a"]
-    dom = routing_domain(fig1a, 1)
-    assert min_cut(fig1a, "s1", "d1", within=dom.edges).value == 3
-    assert min_cut(nets["single-edge"], "s", "d").value == 1
-    assert min_cut(nets["parallel-m"], "s", "d").value == 3
+    assert min_cut(nets["fig1a"], "s1", "d1") == 3
+    assert min_cut(nets["single-edge"], "s", "d") == 1
+    assert min_cut(nets["parallel-m"], "s", "d") == 3
 
 
 def test_min_cut_unreachable_is_zero():
     net = Network(["s", "d", "x"], [("s", "x", 0)], [("s", "d")])
-    assert min_cut(net, "s", "d").value == 0
+    assert min_cut(net, "s", "d") == 0
 
 
 def test_enumerate_min_cutsets_trivial_cases(nets):
@@ -120,30 +124,27 @@ def test_enumerate_min_cutsets_truncation_flag():
 @settings(max_examples=120, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    use_domain=st.booleans(),
     limit=st.sampled_from([None, 1, 2, 3]),
 )
-def test_enumerate_min_cutsets_matches_bruteforce_oracle(seed, use_domain, limit):
+def test_enumerate_min_cutsets_matches_bruteforce_oracle(seed, limit):
     net = random_network(random.Random(seed), max_internal=6, max_sessions=3)
     for i in range(1, net.num_sessions + 1):
         s, d = net.sessions[i - 1]
-        within = routing_domain(net, i).edges if use_domain else None
-        value, expected = brute_min_cut(net, s, d, within=within)
+        value, expected = brute_min_cut(net, s, d)
         expected = sorted(expected, key=sorted)
         truncated = False
         if value and limit is not None:
             expected, truncated = expected[:limit], len(expected) > limit
-        got = enumerate_min_cutsets(net, s, d, within=within, limit=limit)
+        got = enumerate_min_cutsets(net, s, d, limit=limit)
         assert got == (expected, truncated)
 
 
 def test_enumerate_min_cutsets_fig1a_matches_bruteforce(nets):
     net = nets["fig1a"]
-    dom = routing_domain(net, 1)
-    sets, trunc = enumerate_min_cutsets(net, "s1", "d1", within=dom.edges)
+    sets, trunc = enumerate_min_cutsets(net, "s1", "d1")
     assert not trunc
     assert frozenset({FIG1A["e1"], FIG1A["e2"], FIG1A["e3"]}) in sets
-    value, expected = brute_min_cut(net, "s1", "d1", within=dom.edges)
+    value, expected = brute_min_cut(net, "s1", "d1")
     assert value == 3
     assert sorted(map(sorted, sets)) == sorted(map(sorted, expected))
 
@@ -152,12 +153,42 @@ def test_min_cutsets_are_minimal_and_disconnect(nets):
     from infodist.graph import has_path
 
     net = nets["fig1a"]
-    dom = routing_domain(net, 2)
-    sets, _ = enumerate_min_cutsets(net, "s2", "d2", within=dom.edges)
+    sets, _ = enumerate_min_cutsets(net, "s2", "d2")
     for cut in sets:
         assert not has_path(net, "s2", "d2", removed=cut)
         for eid in cut:
             assert has_path(net, "s2", "d2", removed=cut - {eid})
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_find_path_matches_bfs_oracle(seed, data):
+    net = random_network(random.Random(seed), max_internal=6, max_sessions=3, edge_prob=0.6)
+    removed = frozenset(data.draw(st.sets(st.integers(0, max(len(net.edges) - 1, 0)))))
+    for u in net.nodes:
+        for v in net.nodes:
+            assert find_path(net, u, v, removed=removed) == bfs_find_path(net, u, v, removed)
+
+
+def test_dead_branch_changes_no_cutset_or_path():
+    # s and a reach a 40-edge chain x0 -> ... -> x40 that never reaches d.
+    core_nodes = ["s", "a", "b", "d"]
+    core = [("s", "a", 0), ("s", "b", 0), ("a", "b", 0), ("a", "d", 0), ("b", "d", 0)]
+    chain = [f"x{k}" for k in range(41)]
+    branch = [("s", "x0", 0), ("a", "x0", 0)] + list(zip(chain, chain[1:], [0] * 40))
+    # The branch edges come first, so each core edge id shifts by len(branch).
+    full = Network(core_nodes + chain, branch + core, [("s", "d")])
+    bare = Network(core_nodes, core, [("s", "d")])
+    shift = len(branch)
+    bare_sets, _ = enumerate_min_cutsets(bare, "s", "d")
+    bare_paths, _ = enumerate_paths(bare, "s", "d")
+    assert len(bare_sets) == 3 and len(bare_paths) == 3
+    assert enumerate_min_cutsets(full, "s", "d") == (
+        [frozenset(e + shift for e in c) for c in bare_sets], False
+    )
+    assert enumerate_paths(full, "s", "d") == (
+        [tuple(e + shift for e in p) for p in bare_paths], False
+    )
 
 
 def test_edge_disjoint_paths_parallel(nets):
@@ -194,13 +225,10 @@ def test_menger_consistency_over_all_min_cutsets(nets):
         net = nets[name]
         for i in range(1, net.num_sessions + 1):
             s, d = net.sessions[i - 1]
-            dom = routing_domain(net, i)
-            if dom.empty:
-                continue
-            value = min_cut(net, s, d, within=dom.edges).value
-            sets, _ = enumerate_min_cutsets(net, s, d, within=dom.edges)
+            value = min_cut(net, s, d)
+            sets, _ = enumerate_min_cutsets(net, s, d)
             for cut in sets:
-                assert len(edge_disjoint_paths(net, s, d, cut, within=dom.edges)) == value
+                assert len(edge_disjoint_paths(net, s, d, cut)) == value
 
 
 def test_enumerate_paths_examples(nets):
@@ -245,9 +273,8 @@ def test_paths_cross_every_min_cutset(nets):
     net = nets["fig1b"]
     for i in range(1, 4):
         s, d = net.sessions[i - 1]
-        dom = routing_domain(net, i)
-        paths, _ = enumerate_paths(net, s, d, within=dom.edges)
-        sets, _ = enumerate_min_cutsets(net, s, d, within=dom.edges)
+        paths, _ = enumerate_paths(net, s, d)
+        sets, _ = enumerate_min_cutsets(net, s, d)
         for cut in sets:
             for path in paths:
                 assert cut & set(path)
@@ -300,4 +327,4 @@ def test_min_cut_matches_bruteforce_on_random_networks():
         for i in range(1, net.num_sessions + 1):
             s, d = net.sessions[i - 1]
             value, _ = brute_min_cut(net, s, d)
-            assert min_cut(net, s, d).value == value
+            assert min_cut(net, s, d) == value

@@ -164,8 +164,8 @@ def test_fig4_c0_is_minimum_cutset():
     dom = routing_domain(tnet.net, 1)
     c0 = fig4_c0(tnet)
     assert tnet.mincut0 == 3
-    assert c0 <= dom.edges
-    sets, _ = enumerate_min_cutsets(tnet.net, "#s0", "#d0", within=dom.edges)
+    assert c0 <= dom
+    sets, _ = enumerate_min_cutsets(tnet.net, "#s0", "#d0")
     assert c0 in sets
 
 
@@ -197,13 +197,13 @@ def test_fig4_paths_extendable_and_verdict_yes():
 
 def test_fig4_shift_invariance():
     tnet = deadline_to_time_extended(fig4())
-    dom0 = routing_domain(tnet.net, 1).edges
+    dom0 = routing_domain(tnet.net, 1)
     for t in (1, 5, tnet.inst.horizon):
         expected = set()
         for eid in dom0:
             label = tnet.labels[eid]
             expected.add(tnet.label_to_id[tnet.shift_label(label, t)])
-        assert routing_domain(tnet.net, t + 1).edges == frozenset(expected)
+        assert routing_domain(tnet.net, t + 1) == frozenset(expected)
 
 
 def test_fig4_alpha_shift_identity_spot_checks():
@@ -342,8 +342,7 @@ def test_lemma_implications_on_random_instances_with_memory():
             tnet = deadline_to_time_extended(inst)
         except DeadlineTooSmall:
             continue
-        dom = routing_domain(tnet.net, 1)
-        sets, _ = enumerate_min_cutsets(tnet.net, "#s0", "#d0", within=dom.edges, limit=40)
+        sets, _ = enumerate_min_cutsets(tnet.net, "#s0", "#d0", limit=40)
         for cut in sets:
             if any(tnet.labels[e][0] != "base" for e in cut):
                 continue
@@ -360,8 +359,7 @@ def test_lemma_implications_on_random_instances_with_memory():
 
 
 def _base_cutsets(tnet):
-    dom = routing_domain(tnet.net, 1)
-    sets, _ = enumerate_min_cutsets(tnet.net, "#s0", "#d0", within=dom.edges, limit=10**4)
+    sets, _ = enumerate_min_cutsets(tnet.net, "#s0", "#d0", limit=10**4)
     return [cut for cut in sets if all(tnet.labels[e][0] == "base" for e in cut)]
 
 
@@ -473,7 +471,7 @@ def test_family_violation_matches_pairwise_check(seed):
         tnet = deadline_to_time_extended(oracles.random_deadline(rng))
     except DeadlineTooSmall:
         return
-    paths, _ = enumerate_paths(tnet.net, "#s0", "#d0", within=routing_domain(tnet.net, 1).edges)
+    paths, _ = enumerate_paths(tnet.net, "#s0", "#d0")
     for cut in _base_cutsets(tnet)[:5]:
         per_edge = {e: [p for p in paths if [x for x in p if x in cut] == [e]] for e in sorted(cut)}
         if not all(per_edge.values()):

@@ -419,7 +419,7 @@ def _cut_sequence(net, rng, kind):
     searcher = witnesses._Searcher(net, SearchBudget())
     searcher._enumerate()
     cuts = [rng.choice(sets) for sets in searcher.cutsets]
-    doms = [routing_domain(net, i).edges for i in range(1, net.num_sessions + 1)]
+    doms = [routing_domain(net, i) for i in range(1, net.num_sessions + 1)]
     edges = range(len(net.edges))
     if kind == "valid":
         return tuple(cuts)
