@@ -3,12 +3,14 @@
 Edges are (tail, head, index) triples with implicit unit capacity and are
 referred to everywhere by their 0-based position in the input edge list.
 Sessions are (source, sink) pairs numbered 1..K in input order.  Everything
-here is exact integer/set arithmetic; no floating point.
+here is exact integer/set arithmetic; the one float is ``math.inf``, the
+value of a flow whose sources and sinks share a node.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -229,17 +231,19 @@ def has_path(net, u, v, removed=frozenset()) -> bool:
     return v in reachable_from(net, u, removed)
 
 
-def _augmenting(net: Network, u: str, v: str, flow, removed):
-    """Breadth-first search of the residual graph from u.
+def _augmenting(net: Network, sources, sinks, flow, removed):
+    """Breadth-first search of the residual graph from every node of sources.
 
     Each visited node tries its out-edges outside flow and removed, then
-    its in-edges in flow, backwards.  Returns (steps, seen): steps is the
-    first u->v path found, as (edge id, forward) pairs, or None; seen is
-    every node visited.
+    its in-edges in flow, backwards.  The search stops at the first node of
+    sinks it reaches, as a search from a super-source over the sources to a
+    super-sink under the sinks would.  Returns (steps, seen): steps is that
+    source->sink path, as (edge id, forward) pairs, or None; seen is every
+    node visited.
     """
     pred: dict[str, tuple[int, bool]] = {}
-    seen = {u}
-    queue = deque([u])
+    seen = set(sources)
+    queue = deque(sources)
     while queue:
         x = queue.popleft()
         for eid in net.out_edges[x]:
@@ -249,9 +253,9 @@ def _augmenting(net: Network, u: str, v: str, flow, removed):
             if w not in seen:
                 seen.add(w)
                 pred[w] = (eid, True)
-                if w == v:
+                if w in sinks:
                     steps = []
-                    while w != u:
+                    while w in pred:
                         step = pred[w]
                         steps.append(step)
                         e = net.edges[step[0]]
@@ -273,7 +277,7 @@ def find_path(net: Network, u: str, v: str, removed=frozenset()) -> Optional[Pat
     """One u->v path (BFS order) as an edge-id tuple, or None."""
     if u == v:
         return ()
-    steps, _ = _augmenting(net, u, v, (), removed)
+    steps, _ = _augmenting(net, (u,), {v}, (), removed)
     return None if steps is None else tuple(eid for eid, _ in steps)
 
 
@@ -291,17 +295,20 @@ def routing_domain(net: Network, i: int) -> frozenset[int]:
     )
 
 
-def _max_flow(net: Network, u: str, v: str):
-    """Unit-capacity max flow via BFS augmentation.
+def _max_flow(net: Network, sources, sinks):
+    """Unit-capacity max flow from the sources to the sinks via BFS augmentation.
 
-    Returns (value, flow edge set, nodes the residual graph reaches from u).
+    Sources and sinks are node collections, joined to an implicit
+    super-source and super-sink of unbounded capacity.  Returns (value,
+    flow edge set, nodes the residual graph reaches from the sources);
+    value is ``math.inf`` when a node is both a source and a sink.
     """
-    if u == v:
-        raise ValueError("min_cut endpoints must differ")
+    if not set(sinks).isdisjoint(sources):
+        return math.inf, set(), set(sources)
     flow: set[int] = set()
     value = 0
     while True:
-        steps, seen = _augmenting(net, u, v, flow, ())
+        steps, seen = _augmenting(net, sources, sinks, flow, ())
         if steps is None:
             return value, flow, seen
         for eid, forward in steps:
@@ -314,7 +321,9 @@ def _max_flow(net: Network, u: str, v: str):
 
 def min_cut(net: Network, u: str, v: str) -> int:
     """Max number of edge-disjoint u->v paths (the minimum cut size)."""
-    return _max_flow(net, u, v)[0]
+    if u == v:
+        raise ValueError("min_cut endpoints must differ")
+    return _max_flow(net, (u,), {v})[0]
 
 
 def enumerate_min_cutsets(
@@ -339,7 +348,9 @@ def enumerate_min_cutsets(
 
     Returns (cutsets, truncated); truncated means more than ``limit`` exist.
     """
-    value, flow, _ = _max_flow(net, u, v)
+    if u == v:
+        raise ValueError("min_cut endpoints must differ")
+    value, flow, _ = _max_flow(net, (u,), {v})
     if value == 0:
         return [frozenset()], False
     # arcs[x]: nodes that every closed S holding x must hold too.  A node

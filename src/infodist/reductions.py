@@ -443,8 +443,14 @@ class C0Result:
         return self.ok
 
 
-def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
+def check_c0_distributive(
+    tnet: TimeExtendedNetwork, c0, *, known_mincut: bool = False
+) -> C0Result:
     """The least ordering of C[0] meeting the two recurrent-sequence conditions.
+
+    C[0] must be a minimum cut-set of the session-0 domain (else
+    :class:`NotACutset`); ``known_mincut`` skips that check for a cut-set
+    that :func:`enumerate_min_cutsets` gave for session 0.
 
     Within a recurrent sequence (time-shifted copies of one base edge,
     ascending in time), an earlier-ordered cut edge whose corresponding shift
@@ -455,11 +461,11 @@ def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
     first passing permutation of the sorted cut.
     """
     c0 = frozenset(c0)
-    if len(c0) != tnet.mincut0 or not c0 <= routing_domain(tnet.net, 1):
-        raise NotACutset("C[0] must be a minimum cut-set of the session-0 domain")
-    removed = frozenset(c0)
-    if has_path(tnet.net, "#s0", "#d0", removed=removed):
-        raise NotACutset("C[0] does not disconnect session 0")
+    if not known_mincut:
+        if len(c0) != tnet.mincut0 or not c0 <= routing_domain(tnet.net, 1):
+            raise NotACutset("C[0] must be a minimum cut-set of the session-0 domain")
+        if has_path(tnet.net, "#s0", "#d0", removed=c0):
+            raise NotACutset("C[0] does not disconnect session 0")
     pairs = {eid: tnet.base_pair(eid) for eid in c0}  # edge id -> (base, t)
     member = set(pairs.values())
     recurrent: dict[int, list[tuple[int, int]]] = {}  # base -> [(t, edge id)]
@@ -509,15 +515,23 @@ def check_p_extendable(tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]) -> 
     return CheckResult(violation is None, violation)
 
 
-def find_extendable_paths(tnet: TimeExtendedNetwork, c0) -> Optional[tuple[Path, ...]]:
+def find_extendable_paths(
+    tnet: TimeExtendedNetwork, c0, *, session_paths: Optional[Sequence[Path]] = None
+) -> Optional[tuple[Path, ...]]:
     """The first shift-consistent family, one path per cut edge (ascending
-    edge id), by :func:`~infodist.witnesses.find_family`."""
+    edge id), by :func:`~infodist.witnesses.find_family`.
+
+    ``session_paths`` are all #s0 -> #d0 paths in :func:`enumerate_paths`
+    order, for a caller trying many C[0]; they are enumerated when omitted,
+    and None is returned when they exceed ``PATH_LIMIT``.
+    """
     c0 = sorted(frozenset(c0))
-    all_paths, truncated = enumerate_paths(tnet.net, "#s0", "#d0", limit=PATH_LIMIT)
-    if truncated:
-        return None
+    if session_paths is None:
+        session_paths, truncated = _session0_paths(tnet)
+        if truncated:
+            return None
     per_edge: dict[int, list[Path]] = {e: [] for e in c0}
-    for path in all_paths:
+    for path in session_paths:
         hits = [e for e in path if e in per_edge]
         if len(hits) == 1:
             per_edge[hits[0]].append(path)
@@ -599,16 +613,29 @@ def deadline_verdict(
     )
 
 
+def _session0_paths(tnet: TimeExtendedNetwork) -> tuple[list[Path], bool]:
+    return enumerate_paths(tnet.net, "#s0", "#d0", limit=PATH_LIMIT)
+
+
 def search_deadline_certificate(tnet: TimeExtendedNetwork) -> Optional[DeadlineVerdict]:
-    """Try base-edge minimum cut-sets of the session-0 domain in order."""
+    """Try base-edge minimum cut-sets of the session-0 domain in order.
+
+    The session-0 paths are enumerated once, when the first cut-set passes
+    the ordering check; if they exceed ``PATH_LIMIT`` no family is sought.
+    """
     sets, _trunc = enumerate_min_cutsets(tnet.net, "#s0", "#d0", limit=CUTSET_LIMIT)
+    session_paths = None
     for cut in sets:
         if any(tnet.labels[e][0] != "base" for e in cut):
             continue
-        res = check_c0_distributive(tnet, cut)
+        res = check_c0_distributive(tnet, cut, known_mincut=True)
         if not res:
             continue
-        paths = find_extendable_paths(tnet, cut)
+        if session_paths is None:
+            session_paths, truncated = _session0_paths(tnet)
+            if truncated:
+                return None
+        paths = find_extendable_paths(tnet, cut, session_paths=session_paths)
         if paths is None:
             continue
         verdict = deadline_verdict(tnet, cut, paths)

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations, product
+from itertools import permutations
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import BijectionViolated, NotExtendable, PermutationMismatch, json_int, json_list
 from .graph import (
     Network,
     Path,
+    _max_flow,
     alpha,
     co_reachable,
     enumerate_min_cutsets,
@@ -508,6 +509,9 @@ class _Searcher:
         # (session, cut) slot sets known to hold no path family, whatever
         # the session order: find_family's conflicts are symmetric.
         self._no_family: set[frozenset[tuple[int, frozenset[int]]]] = set()
+        # Per session bitmask: the max flow from those sessions' sources to
+        # their sinks, computed on first need (see _tuples).
+        self._flows: dict[int, float] = {}
 
     def _tick(self):
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -575,6 +579,54 @@ class _Searcher:
             result[pos].append(path)
         return tuple(tuple(ps) for ps in result)
 
+    def _flow(self, sessions: int) -> float:
+        flow = self._flows.get(sessions)
+        if flow is None:
+            members = [pair for i, pair in enumerate(self.net.sessions) if sessions >> i & 1]
+            flow = _max_flow(self.net, [s for s, _ in members], {d for _, d in members})[0]
+            self._flows[sessions] = flow
+        return flow
+
+    def _tuples(self, order, pools) -> Iterator[CutSetSequence]:
+        """The tuples of product(*pools), in its order, that pass the subset
+        bound.  A family has one path per cut edge, and paths through
+        different cut edges share no edge, so every set S of the tuple's
+        sessions needs a max flow from S's sources to S's sinks of at least
+        the number of distinct cut edges in S (Menger).  The tuple is built
+        one position at a time, and each placement checks every set of
+        placed positions that holds it; one failure drops every tuple with
+        that prefix.  A single session never fails: its cut is a min cut."""
+        K = len(order)
+        # Per bitmask m of positions: the sessions at m (a bitmask of
+        # session ids) and the union of the cuts placed at m.
+        sessions = [0] * (1 << K)
+        for m in range(1, 1 << K):
+            low = m & -m
+            sessions[m] = sessions[m ^ low] | 1 << (order[low.bit_length() - 1] - 1)
+        unions: list[frozenset[int]] = [frozenset()] * (1 << K)
+        placed: list[frozenset[int]] = []
+        iters = [iter(pools[0])]
+        while iters:
+            self._tick()
+            cut = next(iters[-1], None)
+            if cut is None:
+                iters.pop()
+                if placed:
+                    placed.pop()
+                continue
+            bit = 1 << len(placed)
+            for m in range(1, bit):
+                union = unions[m | bit] = unions[m] | cut
+                if len(union) > self._flow(sessions[m | bit]):
+                    break
+            else:
+                unions[bit] = cut
+                if len(placed) + 1 == K:
+                    yield (*placed, cut)
+                else:
+                    placed.append(cut)
+                    iters.append(iter(pools[len(placed)]))
+
     def run(self) -> Verdict:
         K = self.net.num_sessions
         orders = (
@@ -586,7 +638,6 @@ class _Searcher:
             self._enumerate()
             for order in orders:
                 self.stats.orders_tried += 1
-                ordered_net = self.net.reindex_sessions(order)
                 pools: list[list[frozenset[int]]] = []
                 for pos, sess in enumerate(order):
                     later = order[pos + 1:]
@@ -598,11 +649,13 @@ class _Searcher:
                     pools.append(pool)
                 if any(not pool for pool in pools):
                     continue
-                for cuts in product(*pools):
-                    self._tick()
+                ordered_net = None  # built once a tuple reaches the ordering check
+                for cuts in self._tuples(order, pools):
                     self.stats.candidates += 1
                     if self.stats.candidates > self.budget.max_candidates:
                         raise _BudgetExceeded
+                    if ordered_net is None:
+                        ordered_net = self.net.reindex_sessions(order)
                     self.stats.permutation_checks += 1
                     perms = find_permutation_sequence(
                         ordered_net, cuts, strict=self.budget.strict_def5

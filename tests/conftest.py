@@ -9,6 +9,15 @@ def nets():
     return {name: validate_network(corpus.load(name)) for name in corpus.NETWORKS}
 
 
+# Two sessions through one shared chain: four cut tuples reach the ordering
+# check, and only the fourth holds a witness ("yes").
+SHARED_CHAIN = {
+    "nodes": ["v0", "v1", "v2", "s1", "d1", "s2", "d2"],
+    "edges": [["v0", "v1"], ["v1", "v2"], ["s1", "v0"], ["v2", "d1"],
+              ["s2", "v2"], ["s2", "v0"], ["v1", "d2"]],
+    "sessions": [["s1", "d1"], ["s2", "d2"]],
+}
+
 # fig1a edge ids for the named edges of the two-unicast example.
 FIG1A = {"e1": 1, "e2": 5, "e3": 11, "e4": 6}
 

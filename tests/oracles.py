@@ -11,6 +11,8 @@ predecessor scan; the library answers all three with one topological sort.
 `scan_cumulative` tests every session pair with its own path search, and
 `domain_validate_cuts` checks each cut-set against its routing domain; the
 library answers both from one search per cut-set.
+`product_tuples` walks every cut tuple, the reference for the search's
+subset flow bound.
 `find_cumulative_order` (forward checking over session orders) and the
 Menger witness (`edge_disjoint_paths`, a flow decomposition) are test-only
 helpers built on library primitives.  `bfs_find_path` is the breadth-first
@@ -324,6 +326,15 @@ def random_network(rng: random.Random, max_internal=5, max_sessions=3, edge_prob
     return Network(nodes, edges, sessions)
 
 
+def product_tuples(searcher, order, pools):
+    """`witnesses._Searcher._tuples` before the subset flow bound: every
+    tuple of product(*pools), the deadline checked once per tuple; usable
+    as a drop-in `_tuples` method."""
+    for cuts in product(*pools):
+        searcher._tick()
+        yield cuts
+
+
 def backtrack_paths(searcher, order, cuts):
     """`witnesses._Searcher._find_paths` before forward checking: recursive
     backtracking over per-cut-edge path choices with a shared-edge
@@ -622,7 +633,7 @@ def edge_disjoint_paths(net: Network, u: str, v: str, cut: Iterable[int]) -> lis
     j-th path crosses the j-th cut edge (and no other cut edge).
     """
     cut = frozenset(cut)
-    value, flow, _ = _max_flow(net, u, v)
+    value, flow, _ = _max_flow(net, (u,), {v})
     if len(cut) != value or not is_cutset(net, u, v, cut):
         raise CutNotSaturable(f"{sorted(cut)} is not a minimum {u!r}->{v!r} cut-set")
     # Decompose the flow: walk from u along flow edges, consuming them.
@@ -674,7 +685,7 @@ def menger_witness_for_single_session(net: Network) -> Witness:
     assert net.num_sessions == 1
     s, d = net.sessions[0]
     # The flow edges leaving the residual reach of s form a minimum cut-set.
-    _value, _flow, reach = _max_flow(net, s, d)
+    _value, _flow, reach = _max_flow(net, (s,), {d})
     cut = sorted(
         eid for eid, e in enumerate(net.edges) if e.tail in reach and e.head not in reach
     )

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SHARED_CHAIN
 from infodist import corpus
 from infodist.cli import main
 
@@ -23,8 +24,11 @@ def test_check_exit_codes(capsys):
     assert run(capsys, "check", "butterfly")[0] == 10
 
 
-def test_check_unknown_on_tiny_budget(capsys):
-    code, data = run(capsys, "check", "fig5", "--budget", "1")
+def test_check_unknown_on_tiny_budget(tmp_path, capsys):
+    net = tmp_path / "chain.json"
+    net.write_text(json.dumps(SHARED_CHAIN))
+    assert run(capsys, "check", str(net))[0] == 0
+    code, data = run(capsys, "check", str(net), "--budget", "1")
     assert code == 20
     assert data["result"]["status"] == "unknown"
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from infodist.errors import (
 )
 from infodist.graph import (
     Network,
+    _max_flow,
     alpha,
     enumerate_min_cutsets,
     enumerate_paths,
@@ -168,6 +170,29 @@ def test_find_path_matches_bfs_oracle(seed, data):
     for u in net.nodes:
         for v in net.nodes:
             assert find_path(net, u, v, removed=removed) == bfs_find_path(net, u, v, removed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_multi_terminal_max_flow_matches_super_terminal_min_cut(seed, data):
+    net = random_network(random.Random(seed), max_internal=6, max_sessions=3, edge_prob=0.6)
+    nodes = st.lists(st.sampled_from(net.nodes), min_size=1, max_size=4, unique=True)
+    sources, sinks = data.draw(nodes), data.draw(nodes)
+    value, flow, reach = _max_flow(net, sources, sinks)
+    if set(sources) & set(sinks):
+        assert value == math.inf
+        return
+    assert not reach & set(sinks)
+    # A copy with a super-source and super-sink: each source x gets as many
+    # parallel #S->x edges as x has out-edges, which no flow can exceed, and
+    # each sink as many in-edge copies to #T.
+    extra = [("#S", x, k) for x in sources for k in range(len(net.out_edges[x]))]
+    extra += [(y, "#T", k) for y in sinks for k in range(len(net.in_edges[y]))]
+    copy = Network([*net.nodes, "#S", "#T"], [*net.edges, *extra], [("#S", "#T")])
+    assert value == min_cut(copy, "#S", "#T")
+    # The flow is conserved at every node but a terminal.
+    for v in set(net.nodes) - set(sources) - set(sinks):
+        assert len(flow & set(net.in_edges[v])) == len(flow & set(net.out_edges[v]))
 
 
 def test_dead_branch_changes_no_cutset_or_path():

@@ -15,6 +15,7 @@ from conftest import (
     FIG1B_PATHS,
     FIG1B_PERMS,
     FIG5,
+    SHARED_CHAIN,
 )
 import oracles
 from oracles import (
@@ -25,7 +26,7 @@ from oracles import (
 )
 
 from infodist.errors import BijectionViolated, NotExtendable, PermutationMismatch
-from infodist.graph import Network, routing_domain
+from infodist.graph import Network, routing_domain, validate_network
 from infodist import witnesses
 from infodist.witnesses import (
     SearchBudget,
@@ -236,10 +237,10 @@ def test_decide_butterfly_no(nets):
     assert verdict.stats.exhausted
 
 
-def test_decide_budget_exhaustion_reports_unknown(nets):
-    verdict = decide_information_distributive(
-        nets["fig5"], SearchBudget(max_candidates=2)
-    )
+def test_decide_budget_exhaustion_reports_unknown():
+    net = validate_network(SHARED_CHAIN)
+    assert decide_information_distributive(net).stats.candidates == 4
+    verdict = decide_information_distributive(net, SearchBudget(max_candidates=2))
     assert verdict.status == "unknown"
     assert not verdict.stats.exhausted
 
@@ -495,6 +496,49 @@ def test_decide_with_backtracking_oracle_on_corpus(nets, monkeypatch):
     monkeypatch.setattr(witnesses._Searcher, "_find_paths", oracles.backtrack_paths)
     for name, net in nets.items():
         assert _decide_outcome(net) == searched[name], name
+
+
+class _ProductSearcher(witnesses._Searcher):
+    _tuples = oracles.product_tuples
+
+
+def _bound_matches_product_walk(net, budget):
+    """The search with and without the subset flow bound: the same verdict,
+    witness and representatives, and no counter higher with the bound."""
+    bounded = decide_information_distributive(net, budget)
+    walked = _ProductSearcher(net, budget).run()
+    assert (bounded.status, bounded.witness, bounded.representative_map) == (
+        walked.status, walked.witness, walked.representative_map
+    )
+    for key, value in walked.stats.to_json_dict().items():
+        if isinstance(value, bool):
+            assert getattr(bounded.stats, key) == value, key
+        else:
+            assert getattr(bounded.stats, key) <= value, key
+    return bounded.stats, walked.stats
+
+
+def test_subset_bound_matches_product_walk_on_corpus(nets):
+    for name, net in nets.items():
+        for strict in (False, True):
+            bounded, walked = _bound_matches_product_walk(net, SearchBudget(strict_def5=strict))
+            if name == "fig5":
+                # Every fig5 tuple needs more disjoint paths than its sessions' flow.
+                assert (walked.candidates, bounded.candidates) == (155, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_subset_bound_matches_product_walk(seed, strict, shared_terminal):
+    rng = random.Random(seed)
+    net = random_network(rng, max_internal=6, max_sessions=2 if shared_terminal else 4)
+    if shared_terminal:
+        # A new isolated node z is the sink of (s_1, z) and the source of
+        # (z, d_1), so the flow of those two sessions is unbounded.
+        z = "z"
+        sessions = [*net.sessions, (net.source(1), z), (z, net.sink(1))]
+        net = Network([*net.nodes, z], net.edges, sessions)
+    _bound_matches_product_walk(net, SearchBudget(strict_def5=strict))
 
 
 class _Clock:
