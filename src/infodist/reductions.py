@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import DeadlineTooSmall, NotACutset, json_int, json_list, json_object
@@ -333,6 +334,12 @@ class TimeExtendedNetwork:
             self.label_to_id[self.shift_label(self.labels[eid], dt)] for eid in path
         )
 
+    @cached_property
+    def _session0_paths(self) -> tuple[list[Path], bool]:
+        """All #s0 -> #d0 paths in :func:`enumerate_paths` order, and whether
+        they exceed ``PATH_LIMIT``; enumerated once, on first use."""
+        return enumerate_paths(self.net, "#s0", "#d0", limit=PATH_LIMIT)
+
 
 def _shortest_delays(inst: DeadlineInstance) -> dict[str, Optional[int]]:
     dist: dict[str, Optional[int]] = {v: None for v in inst.base_nodes}
@@ -443,14 +450,21 @@ class C0Result:
         return self.ok
 
 
-def check_c0_distributive(
-    tnet: TimeExtendedNetwork, c0, *, known_mincut: bool = False
-) -> C0Result:
-    """The least ordering of C[0] meeting the two recurrent-sequence conditions.
+def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
+    """The least ordering of C[0] meeting the two recurrent-sequence conditions
+    (:func:`_c0_ordering`); C[0] must be a minimum cut-set of the session-0
+    domain, else :class:`NotACutset`."""
+    c0 = frozenset(c0)
+    if len(c0) != tnet.mincut0 or not c0 <= routing_domain(tnet.net, 1):
+        raise NotACutset("C[0] must be a minimum cut-set of the session-0 domain")
+    if has_path(tnet.net, "#s0", "#d0", removed=c0):
+        raise NotACutset("C[0] does not disconnect session 0")
+    return _c0_ordering(tnet, c0)
 
-    C[0] must be a minimum cut-set of the session-0 domain (else
-    :class:`NotACutset`); ``known_mincut`` skips that check for a cut-set
-    that :func:`enumerate_min_cutsets` gave for session 0.
+
+def _c0_ordering(tnet: TimeExtendedNetwork, c0: frozenset[int]) -> C0Result:
+    """The ordering check of :func:`check_c0_distributive`, for a C[0] known
+    to be a minimum cut-set of the session-0 domain.
 
     Within a recurrent sequence (time-shifted copies of one base edge,
     ascending in time), an earlier-ordered cut edge whose corresponding shift
@@ -460,12 +474,6 @@ def check_c0_distributive(
     and :func:`acyclic_reindex` returns the least in ascending edge id, the
     first passing permutation of the sorted cut.
     """
-    c0 = frozenset(c0)
-    if not known_mincut:
-        if len(c0) != tnet.mincut0 or not c0 <= routing_domain(tnet.net, 1):
-            raise NotACutset("C[0] must be a minimum cut-set of the session-0 domain")
-        if has_path(tnet.net, "#s0", "#d0", removed=c0):
-            raise NotACutset("C[0] does not disconnect session 0")
     pairs = {eid: tnet.base_pair(eid) for eid in c0}  # edge id -> (base, t)
     member = set(pairs.values())
     recurrent: dict[int, list[tuple[int, int]]] = {}  # base -> [(t, edge id)]
@@ -515,23 +523,15 @@ def check_p_extendable(tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]) -> 
     return CheckResult(violation is None, violation)
 
 
-def find_extendable_paths(
-    tnet: TimeExtendedNetwork, c0, *, session_paths: Optional[Sequence[Path]] = None
-) -> Optional[tuple[Path, ...]]:
+def find_extendable_paths(tnet: TimeExtendedNetwork, c0) -> Optional[tuple[Path, ...]]:
     """The first shift-consistent family, one path per cut edge (ascending
-    edge id), by :func:`~infodist.witnesses.find_family`.
-
-    ``session_paths`` are all #s0 -> #d0 paths in :func:`enumerate_paths`
-    order, for a caller trying many C[0]; they are enumerated when omitted,
-    and None is returned when they exceed ``PATH_LIMIT``.
-    """
+    edge id), by :func:`~infodist.witnesses.find_family`."""
     c0 = sorted(frozenset(c0))
-    if session_paths is None:
-        session_paths, truncated = _session0_paths(tnet)
-        if truncated:
-            return None
+    all_paths, truncated = tnet._session0_paths
+    if truncated:
+        return None
     per_edge: dict[int, list[Path]] = {e: [] for e in c0}
-    for path in session_paths:
+    for path in all_paths:
         hits = [e for e in path if e in per_edge]
         if len(hits) == 1:
             per_edge[hits[0]].append(path)
@@ -613,29 +613,15 @@ def deadline_verdict(
     )
 
 
-def _session0_paths(tnet: TimeExtendedNetwork) -> tuple[list[Path], bool]:
-    return enumerate_paths(tnet.net, "#s0", "#d0", limit=PATH_LIMIT)
-
-
 def search_deadline_certificate(tnet: TimeExtendedNetwork) -> Optional[DeadlineVerdict]:
-    """Try base-edge minimum cut-sets of the session-0 domain in order.
-
-    The session-0 paths are enumerated once, when the first cut-set passes
-    the ordering check; if they exceed ``PATH_LIMIT`` no family is sought.
-    """
+    """Try base-edge minimum cut-sets of the session-0 domain in order."""
     sets, _trunc = enumerate_min_cutsets(tnet.net, "#s0", "#d0", limit=CUTSET_LIMIT)
-    session_paths = None
     for cut in sets:
         if any(tnet.labels[e][0] != "base" for e in cut):
             continue
-        res = check_c0_distributive(tnet, cut, known_mincut=True)
-        if not res:
+        if not _c0_ordering(tnet, cut):
             continue
-        if session_paths is None:
-            session_paths, truncated = _session0_paths(tnet)
-            if truncated:
-                return None
-        paths = find_extendable_paths(tnet, cut, session_paths=session_paths)
+        paths = find_extendable_paths(tnet, cut)
         if paths is None:
             continue
         verdict = deadline_verdict(tnet, cut, paths)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from .errors import BijectionViolated, NotExtendable, PermutationMismatch, json_int, json_list
@@ -510,7 +510,7 @@ class _Searcher:
         # the session order: find_family's conflicts are symmetric.
         self._no_family: set[frozenset[tuple[int, frozenset[int]]]] = set()
         # Per session bitmask: the max flow from those sessions' sources to
-        # their sinks, computed on first need (see _tuples).
+        # their sinks, computed on first need (see _refuted).
         self._flows: dict[int, float] = {}
 
     def _tick(self):
@@ -587,23 +587,39 @@ class _Searcher:
             self._flows[sessions] = flow
         return flow
 
+    def _refuted(self, order, placed: Sequence[frozenset[int]], cut) -> bool:
+        """Whether `cut`, placed after `placed`, fails the subset bound on a
+        set of two or three placed positions that holds it, or on the whole
+        prefix.  Checking every set would cost 2^K flows per placement."""
+        pos = len(placed)
+        subsets: list[Sequence[int]] = [
+            *combinations(range(pos), 1), *combinations(range(pos), 2)
+        ]
+        if pos > 2:
+            subsets.append(range(pos))
+        for subset in subsets:
+            self._tick()
+            sessions, union = 1 << order[pos] - 1, cut
+            for q in subset:
+                sessions |= 1 << order[q] - 1
+                union = union | placed[q]
+            if len(union) > self._flow(sessions):
+                return True
+        return False
+
     def _tuples(self, order, pools) -> Iterator[CutSetSequence]:
         """The tuples of product(*pools), in its order, that pass the subset
         bound.  A family has one path per cut edge, and paths through
         different cut edges share no edge, so every set S of the tuple's
         sessions needs a max flow from S's sources to S's sinks of at least
         the number of distinct cut edges in S (Menger).  The tuple is built
-        one position at a time, and each placement checks every set of
-        placed positions that holds it; one failure drops every tuple with
-        that prefix.  A single session never fails: its cut is a min cut."""
-        K = len(order)
-        # Per bitmask m of positions: the sessions at m (a bitmask of
-        # session ids) and the union of the cuts placed at m.
-        sessions = [0] * (1 << K)
-        for m in range(1, 1 << K):
-            low = m & -m
-            sessions[m] = sessions[m ^ low] | 1 << (order[low.bit_length() - 1] - 1)
-        unions: list[frozenset[int]] = [frozenset()] * (1 << K)
+        one position at a time and each placement is checked by
+        :meth:`_refuted`; one failure drops every tuple with that prefix.  A
+        single session never fails: its cut is a min cut.  For K <= 4 every
+        set is checked."""
+        if not pools:
+            yield ()
+            return
         placed: list[frozenset[int]] = []
         iters = [iter(pools[0])]
         while iters:
@@ -613,19 +629,13 @@ class _Searcher:
                 iters.pop()
                 if placed:
                     placed.pop()
+            elif self._refuted(order, placed, cut):
                 continue
-            bit = 1 << len(placed)
-            for m in range(1, bit):
-                union = unions[m | bit] = unions[m] | cut
-                if len(union) > self._flow(sessions[m | bit]):
-                    break
+            elif len(placed) + 1 == len(pools):
+                yield (*placed, cut)
             else:
-                unions[bit] = cut
-                if len(placed) + 1 == K:
-                    yield (*placed, cut)
-                else:
-                    placed.append(cut)
-                    iters.append(iter(pools[len(placed)]))
+                placed.append(cut)
+                iters.append(iter(pools[len(placed)]))
 
     def run(self) -> Verdict:
         K = self.net.num_sessions
@@ -637,6 +647,7 @@ class _Searcher:
         try:
             self._enumerate()
             for order in orders:
+                self._tick()  # also for orders whose pools come up empty
                 self.stats.orders_tried += 1
                 pools: list[list[frozenset[int]]] = []
                 for pos, sess in enumerate(order):

@@ -302,6 +302,34 @@ def test_decide_twelve_disjoint_sessions_builds_no_order_list():
     assert verdict.witness.session_order == tuple(range(1, 13))
 
 
+def _with_disjoint_sessions(net, extra):
+    """net plus `extra` sessions, each on its own single edge."""
+    return Network(
+        [*net.nodes, *(v for k in range(extra) for v in (f"x{k}", f"y{k}"))],
+        [*net.edges, *((f"x{k}", f"y{k}", 0) for k in range(extra))],
+        [*net.sessions, *((f"x{k}", f"y{k}") for k in range(extra))],
+    )
+
+
+def test_decide_24_disjoint_sessions_yes_at_once():
+    # The subset bound checks O(K^2) session sets per placement, not 2^K.
+    net = _with_disjoint_sessions(Network([], [], []), 24)
+    start = time.monotonic()
+    verdict = decide_information_distributive(net)
+    assert time.monotonic() - start < 1.0
+    assert verdict.status == "yes"
+
+
+def test_decide_stops_at_the_deadline_when_pools_come_up_empty(nets):
+    # Butterfly ("no") plus 20 disjoint sessions: only the deadline ends the
+    # walk over 22! session orders, and most orders have an empty pool.
+    net = _with_disjoint_sessions(nets["butterfly"], 20)
+    start = time.monotonic()
+    verdict = decide_information_distributive(net, SearchBudget(max_seconds=0.01))
+    assert time.monotonic() - start < 0.5
+    assert verdict.status == "unknown"
+
+
 def test_decide_on_1200_edge_chain():
     nodes = [f"c{i}" for i in range(1201)]
     chain = Network(nodes, list(zip(nodes, nodes[1:], [0] * 1200)), [("c0", "c1200")])
@@ -527,6 +555,14 @@ def test_subset_bound_matches_product_walk_on_corpus(nets):
                 assert (walked.candidates, bounded.candidates) == (155, 0)
 
 
+def test_decide_without_sessions_matches_product_walk():
+    # Network accepts no sessions; product() of no pools is one empty tuple.
+    net = Network(["a", "b"], [("a", "b", 0)], [])
+    bounded, _ = _bound_matches_product_walk(net, SearchBudget())
+    assert bounded.candidates == 1
+    assert decide_information_distributive(net).witness == Witness((), (), (), ())
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
 def test_subset_bound_matches_product_walk(seed, strict, shared_terminal):
@@ -551,12 +587,12 @@ class _Clock:
         return self.now
 
 
-def _spy(monkeypatch, name, clock, calls):
+def _spy(monkeypatch, name, clock, calls, step=10):
     real = getattr(witnesses, name)
 
     def spy(*args, **kwargs):
         calls.append(name)
-        clock.now += 10  # past any deadline once this returns
+        clock.now += step  # by default past any deadline once this returns
         return real(*args, **kwargs)
 
     monkeypatch.setattr(witnesses, name, spy)
@@ -583,6 +619,18 @@ def test_budget_stops_while_a_path_table_is_built(nets, monkeypatch):
     assert verdict.stats.candidates == 1
     assert verdict.stats.path_assignments == 0
     assert calls == ["_crossing"]
+
+
+def test_budget_stops_between_two_subset_flows(monkeypatch):
+    clock, calls = _Clock(), []
+    monkeypatch.setattr(witnesses.time, "monotonic", clock)
+    _spy(monkeypatch, "_max_flow", clock, calls, step=0.6)
+    net = _with_disjoint_sessions(Network([], [], []), 22)
+    verdict = decide_information_distributive(net, SearchBudget(max_seconds=1))
+    assert verdict.status == "unknown"
+    # Position 2 checks positions {0, 2}, {1, 2} and {0, 1, 2}; the clock
+    # passes the deadline with the flow of {0, 2} and stops the next set.
+    assert calls == ["_max_flow"] * 2
 
 
 @settings(max_examples=60, deadline=None)
