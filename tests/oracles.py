@@ -19,6 +19,8 @@ helpers built on library primitives.  `bfs_find_path` is the breadth-first
 search `graph.find_path` ran before it shared the max flow's residual
 search.  `gf_rank` eliminates every row with no early stop and no memo, the
 reference for `gfmatrix.rank` and `codes.entropy`.
+`two_grid_time_extended` reads the deadline grid's session-0 min-cut on a
+full-horizon grid, built with its own layout code.
 """
 
 from __future__ import annotations
@@ -41,10 +43,13 @@ from infodist.graph import (
     reachable_from,
     routing_domain,
 )
+from infodist.errors import DeadlineTooSmall
 from infodist.reductions import (
     C0Result,
     DeadlineInstance,
+    TimeExtendedNetwork,
     _build_grid,
+    _shortest_delays,
 )
 from infodist.witnesses import (
     CheckResult,
@@ -500,6 +505,57 @@ def probe_session0_mincut(inst) -> int:
     J = inst.injection if inst.injection is not None else len(inst.edges) * (inst.tau + 1)
     net, _ = _build_grid(inst, max(J, 1))
     return min_cut(net, "#s0", "#d0")
+
+
+def _full_grid(inst: DeadlineInstance, J: int):
+    """The time-extended grid as `reductions._build_grid` lays it out,
+    formatting every `v@t` name where it is used."""
+    K, tau, M = inst.horizon, inst.tau, inst.memory
+    nodes = [f"#s{t}" for t in range(K + 1)] + [f"#d{t}" for t in range(K + 1)]
+    nodes += [f"{v}@{t}" for v in inst.base_nodes for t in range(K + tau + 1)]
+    edges, labels = [], []
+    nbase = len(inst.edges)
+    for b, (tail, head, delay) in enumerate(inst.edges):
+        for t in range(0, K + tau - delay + 1):
+            edges.append((f"{tail}@{t}", f"{head}@{t + delay}", b))
+            labels.append(("base", b, t))
+    for v in inst.base_nodes:
+        for t in range(0, K + tau):
+            for slot in range(M):
+                edges.append((f"{v}@{t}", f"{v}@{t + 1}", nbase + slot))
+                labels.append(("mem", v, slot, t))
+    for t in range(K + 1):
+        for copy in range(J):
+            edges.append((f"#s{t}", f"{inst.source}@{t}", copy))
+            labels.append(("in", copy, t))
+        for copy in range(J):
+            edges.append((f"{inst.sink}@{t + tau}", f"#d{t}", copy))
+            labels.append(("out", copy, t))
+    sessions = [(f"#s{t}", f"#d{t}") for t in range(K + 1)]
+    return Network(nodes, edges, sessions), tuple(labels)
+
+
+def two_grid_time_extended(inst: DeadlineInstance) -> TimeExtendedNetwork:
+    """`reductions.deadline_to_time_extended` as it read the session-0
+    min-cut: on a full-horizon grid without in- and out-copies, then built
+    the final grid; the reference for the horizon-0 read."""
+    delta = _shortest_delays(inst)
+    best = delta[inst.sink]
+    if best is None or best > inst.tau:
+        raise DeadlineTooSmall(inst.tau, best)
+    if inst.injection is None:
+        width = max(len(inst.edges) * (inst.tau + 1), 1)
+    else:
+        width = int(inst.injection)
+    inner, _ = _full_grid(inst, 0)
+    value = min(min_cut(inner, f"{inst.source}@0", f"{inst.sink}@{inst.tau}"), width)
+    J = width if inst.injection is not None else max(value, 1)
+    net, labels = _full_grid(inst, J)
+    return TimeExtendedNetwork(
+        net=net, inst=inst, J=J, labels=labels,
+        label_to_id={lab: i for i, lab in enumerate(labels)},
+        delta_node=delta, mincut0=value,
+    )
 
 
 def scan_c0_orderings(tnet, c0) -> C0Result:

@@ -439,6 +439,9 @@ def test_out_of_range_limit_rejected(capsys, argv):
       for net in ("fig1a", "fig1b", "fig5", "butterfly", "single-edge", "parallel-m")),
     (["reduce-index", "fig3-index"], "reduce-index-fig3-index", 0),
     (["reduce-deadline", "fig4-deadline"], "reduce-deadline-fig4-deadline", 0),
+    *((["reduce-deadline", str(GOLDEN_INPUTS / f"fig4-deadline-{variant}.json")],
+       f"reduce-deadline-fig4-deadline-{variant}", 20 if variant == "injection2" else 0)
+      for variant in ("memory2", "injection5", "injection2")),
     (["rate", "--direction", "1,1", "fig1a"], "rate-fig1a", 0),
     (["gen-code", "fig1a", "--rates", "1,1", "--field", "5", "--seed", "0", "--decodable"],
      "gen-code-fig1a", 0),

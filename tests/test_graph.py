@@ -17,6 +17,7 @@ from oracles import (
 from infodist.errors import (
     CycleDetected,
     DuplicateEdge,
+    NetworkFormatError,
     SinkHasOutEdge,
     SourceHasInEdge,
 )
@@ -73,6 +74,47 @@ def test_validate_rejects_terminal_degree_violations():
     assert exc.value.session == 1
     with pytest.raises(SinkHasOutEdge):
         Network(["s", "d", "b"], [("s", "d", 0), ("d", "b", 0)], [("s", "d")])
+
+
+# Two faulty edges each; the first one (by edge id) must be named, and an
+# edge with a bad tail and a bad head is named for its tail.
+DUPLICATE = "duplicate edge triple EdgeTriple(tail='s', head='d', index=0)"
+TWO_FAULTS = [
+    ([("s", "x", 0), ("s", "d", 0), ("s", "d", 0)], "edge 0 head 'x' not a node"),
+    ([("s", "d", 0), ("s", "d", 0), ("y", "d", 0)], DUPLICATE),
+    ([("s", "d", 1), ("y", "z", 0), ("s", "d", 1)], "edge 1 tail 'y' not a node"),
+    ([("s", "d", 0), ("s", "d", 0), ("s", "d", 0), ("s", "q", 0)], DUPLICATE),
+    ([("s", "d", 0), ("s", "q", 0), ("s", "d", 0)], "edge 1 head 'q' not a node"),
+]
+
+
+@pytest.mark.parametrize("edges, message", TWO_FAULTS)
+def test_two_faults_name_the_first_offending_edge(edges, message):
+    with pytest.raises(NetworkFormatError) as exc:
+        Network(["s", "d"], edges, [("s", "d")])
+    assert str(exc.value) == message and exc.value.field == "edges"
+    assert isinstance(exc.value, DuplicateEdge) == (message == DUPLICATE)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reindex_sessions_matches_a_fresh_network(seed, data):
+    net = random_network(random.Random(seed), max_internal=6, max_sessions=4, edge_prob=0.6)
+    order = data.draw(st.permutations(range(1, net.num_sessions + 1)))
+    got = net.reindex_sessions(order)
+    fresh = Network(net.nodes, net.edges, [net.sessions[i - 1] for i in order])
+    assert got.sessions == fresh.sessions
+    assert got.nodes == fresh.nodes and got.edges == fresh.edges
+    assert got.out_edges == fresh.out_edges and got.in_edges == fresh.in_edges
+    assert got.topo_order == fresh.topo_order and got.topo_pos == fresh.topo_pos
+    assert {v: got._alpha[v] for v in net.nodes} == fresh._alpha
+    assert [alpha(got, e) for e in range(len(net.edges))] == [
+        alpha(fresh, e) for e in range(len(net.edges))
+    ]
+    # The original keeps its own sessions and alpha.
+    assert [alpha(net, e) for e in range(len(net.edges))] == [
+        alpha(Network(net.nodes, net.edges, net.sessions), e) for e in range(len(net.edges))
+    ]
 
 
 def test_routing_domain_fig1a_session2(nets):
