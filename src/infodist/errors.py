@@ -31,11 +31,18 @@ def json_object(value, field: str) -> dict:
 
 
 def json_int(value, field: str) -> int:
-    """int(value), or a format error naming field."""
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise NetworkFormatError(f"{field} {value!r} is not an integer", field=field) from None
+    """int(value), or a format error naming field.
+
+    A JSON integer or a string of digits is read as itself; true, false and
+    a number with a fractional part (or an infinite one) are errors, where
+    int() would silently truncate them.
+    """
+    if not isinstance(value, bool) and not (isinstance(value, float) and not value.is_integer()):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise NetworkFormatError(f"{field} {value!r} is not an integer", field=field)
 
 
 class CycleDetected(NetworkFormatError):

@@ -9,10 +9,12 @@ value of a flow whose sources and sinks share a node.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from collections import deque
-from typing import Mapping, NamedTuple, Optional, Sequence
+from collections.abc import Mapping
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     CycleDetected,
@@ -47,38 +49,30 @@ class Network:
 
     def __init__(self, nodes, edges, sessions):
         self.nodes: tuple[str, ...] = tuple(nodes)
-        self.edges: tuple[EdgeTriple, ...] = tuple(EdgeTriple(*e) for e in edges)
+        self.edges: tuple[EdgeTriple, ...] = tuple(map(EdgeTriple._make, edges))
         self.sessions: tuple[tuple[str, str], ...] = tuple(
             (str(s), str(d)) for s, d in sessions
         )
 
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes):
-            raise NetworkFormatError("duplicate node id", field="nodes")
-        seen = set()
-        for eid, e in enumerate(self.edges):
-            if e.tail not in node_set:
-                raise NetworkFormatError(f"edge {eid} tail {e.tail!r} not a node", field="edges")
-            if e.head not in node_set:
-                raise NetworkFormatError(f"edge {eid} head {e.head!r} not a node", field="edges")
-            if e in seen:
-                raise DuplicateEdge(e)
-            seen.add(e)
-
-        self.out_edges: dict[str, tuple[int, ...]] = {v: () for v in self.nodes}
-        self.in_edges: dict[str, tuple[int, ...]] = {v: () for v in self.nodes}
         out: dict[str, list[int]] = {v: [] for v in self.nodes}
+        if len(out) != len(self.nodes):
+            raise NetworkFormatError("duplicate node id", field="nodes")
         inc: dict[str, list[int]] = {v: [] for v in self.nodes}
-        for eid, e in enumerate(self.edges):
-            out[e.tail].append(eid)
-            inc[e.head].append(eid)
-        self.out_edges = {v: tuple(ids) for v, ids in out.items()}
-        self.in_edges = {v: tuple(ids) for v, ids in inc.items()}
+        try:
+            for eid, e in enumerate(self.edges):
+                out[e.tail].append(eid)
+                inc[e.head].append(eid)
+        except KeyError:
+            self._check_edges()
+        if len(set(self.edges)) != len(self.edges):
+            self._check_edges()
+        self.out_edges: dict[str, tuple[int, ...]] = {v: tuple(ids) for v, ids in out.items()}
+        self.in_edges: dict[str, tuple[int, ...]] = {v: tuple(ids) for v, ids in inc.items()}
 
         for i, (s, d) in enumerate(self.sessions, start=1):
-            if s not in node_set:
+            if s not in out:
                 raise NetworkFormatError(f"session {i} source {s!r} not a node", field="sessions")
-            if d not in node_set:
+            if d not in out:
                 raise NetworkFormatError(f"session {i} sink {d!r} not a node", field="sessions")
             if s == d:
                 raise NetworkFormatError(f"session {i} source and sink are both {s!r}",
@@ -90,16 +84,35 @@ class Network:
 
         self.topo_order: tuple[str, ...] = self._toposort()
         self.topo_pos: dict[str, int] = {v: p for p, v in enumerate(self.topo_order)}
-        # Per node, the largest session index whose source reaches it (0 if
-        # none), in one pass in topological order; eager so instances stay
-        # strictly immutable (thread-transferable).
-        self._alpha: dict[str, int] = {v: 0 for v in self.nodes}
+        # Eager, so instances stay strictly immutable (thread-transferable).
+        self._alpha: dict[str, int] = self._alphas()
+
+    def _check_edges(self) -> None:
+        """Raise the error of the first edge with an endpoint that is not a
+        node or an earlier copy; run only once the one-pass build above saw
+        such an edge."""
+        node_set = set(self.nodes)
+        seen = set()
+        for eid, e in enumerate(self.edges):
+            if e.tail not in node_set:
+                raise NetworkFormatError(f"edge {eid} tail {e.tail!r} not a node", field="edges")
+            if e.head not in node_set:
+                raise NetworkFormatError(f"edge {eid} head {e.head!r} not a node", field="edges")
+            if e in seen:
+                raise DuplicateEdge(e)
+            seen.add(e)
+
+    def _alphas(self) -> dict[str, int]:
+        """Per node, the largest session index whose source reaches it (0 if
+        none), in one pass in topological order."""
+        alpha = dict.fromkeys(self.nodes, 0)
         for i, (s, _) in enumerate(self.sessions, start=1):
-            self._alpha[s] = i
+            alpha[s] = i
         for v in self.topo_order:
             for eid in self.out_edges[v]:
                 w = self.edges[eid].head
-                self._alpha[w] = max(self._alpha[w], self._alpha[v])
+                alpha[w] = max(alpha[w], alpha[v])
+        return alpha
 
     def _toposort(self) -> tuple[str, ...]:
         indeg = {v: len(self.in_edges[v]) for v in self.nodes}
@@ -133,10 +146,20 @@ class Network:
         return self.sessions[i - 1][1]
 
     def reindex_sessions(self, order: Sequence[int]) -> "Network":
-        """New network whose session p is the old session order[p-1] (1-based)."""
+        """The network whose session p is the old session order[p-1] (1-based).
+
+        A reorder changes only the sessions and the alpha values that number
+        them, so the result shares this network's validated nodes, edges,
+        adjacency and topological order; the identity order is this network.
+        """
         if sorted(order) != list(range(1, self.num_sessions + 1)):
             raise ValueError(f"not a session permutation: {order}")
-        return Network(self.nodes, self.edges, [self.sessions[i - 1] for i in order])
+        if list(order) == list(range(1, self.num_sessions + 1)):
+            return self
+        net = copy.copy(self)
+        net.sessions = tuple(self.sessions[i - 1] for i in order)
+        net._alpha = net._alphas()
+        return net
 
     def edge_str(self, eid: int) -> str:
         e = self.edges[eid]
@@ -295,19 +318,21 @@ def routing_domain(net: Network, i: int) -> frozenset[int]:
     )
 
 
-def _max_flow(net: Network, sources, sinks):
+def _max_flow(net: Network, sources, sinks, stop=math.inf):
     """Unit-capacity max flow from the sources to the sinks via BFS augmentation.
 
     Sources and sinks are node collections, joined to an implicit
     super-source and super-sink of unbounded capacity.  Returns (value,
     flow edge set, nodes the residual graph reaches from the sources);
-    value is ``math.inf`` when a node is both a source and a sink.
+    value is ``math.inf`` when a node is both a source and a sink.  Once
+    the flow reaches ``stop`` it is returned as it stands, without the
+    final search that would prove it maximal, and the reach is None.
     """
     if not set(sinks).isdisjoint(sources):
         return math.inf, set(), set(sources)
     flow: set[int] = set()
     value = 0
-    while True:
+    while value < stop:
         steps, seen = _augmenting(net, sources, sinks, flow, ())
         if steps is None:
             return value, flow, seen
@@ -317,6 +342,7 @@ def _max_flow(net: Network, sources, sinks):
             else:
                 flow.remove(eid)
         value += 1
+    return value, flow, None
 
 
 def min_cut(net: Network, u: str, v: str) -> int:

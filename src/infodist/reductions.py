@@ -11,7 +11,7 @@ copies of one cut-set and path family.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -364,27 +364,31 @@ def _shortest_delays(inst: DeadlineInstance) -> dict[str, Optional[int]]:
 
 def _build_grid(inst: DeadlineInstance, J: int) -> tuple[Network, tuple[Label, ...]]:
     K, tau, M = inst.horizon, inst.tau, inst.memory
-    base_nodes = inst.base_nodes
+    # at[v][t]: the name of node v at time t, formatted once.
+    at = {v: [f"{v}@{t}" for t in range(K + tau + 1)] for v in inst.base_nodes}
     nodes = [f"#s{t}" for t in range(K + 1)] + [f"#d{t}" for t in range(K + 1)]
-    nodes += [f"{v}@{t}" for v in base_nodes for t in range(K + tau + 1)]
+    for names in at.values():
+        nodes += names
     edges: list[tuple[str, str, int]] = []
     labels: list[Label] = []
     nbase = len(inst.edges)
     for b, (tail, head, delay) in enumerate(inst.edges):
+        tails, heads = at[tail], at[head]
         for t in range(0, K + tau - delay + 1):
-            edges.append((f"{tail}@{t}", f"{head}@{t + delay}", b))
+            edges.append((tails[t], heads[t + delay], b))
             labels.append(("base", b, t))
-    for v in base_nodes:
+    for v, names in at.items():
         for t in range(0, K + tau):
             for slot in range(M):
-                edges.append((f"{v}@{t}", f"{v}@{t + 1}", nbase + slot))
+                edges.append((names[t], names[t + 1], nbase + slot))
                 labels.append(("mem", v, slot, t))
+    sources, sinks = at[inst.source], at[inst.sink]
     for t in range(K + 1):
         for copy in range(J):
-            edges.append((f"#s{t}", f"{inst.source}@{t}", copy))
+            edges.append((f"#s{t}", sources[t], copy))
             labels.append(("in", copy, t))
         for copy in range(J):
-            edges.append((f"{inst.sink}@{t + tau}", f"#d{t}", copy))
+            edges.append((sinks[t + tau], f"#d{t}", copy))
             labels.append(("out", copy, t))
     sessions = [(f"#s{t}", f"#d{t}") for t in range(K + 1)]
     return Network(nodes, edges, sessions), tuple(labels)
@@ -398,8 +402,11 @@ def deadline_to_time_extended(inst: DeadlineInstance) -> TimeExtendedNetwork:
     index is asserted for every base-edge copy inside the valid window.
     Every #s0 -> #d0 path is an in-copy, a source@0 -> sink@tau path of the
     base-and-memory grid, then an out-copy, so the session-0 min-cut is the
-    smaller of that grid's min-cut and the injection width, and the grid is
-    built with its copies only once.
+    smaller of that grid's min-cut and the injection width.  Every edge of
+    the grid goes forward in time, so a source@0 -> sink@tau path stays in
+    times 0..tau, and the edges between those times are the same at every
+    horizon: the min-cut is read exactly on the horizon-0 grid without
+    copies, and the full grid is built once, with its copies.
     """
     delta = _shortest_delays(inst)
     best = delta[inst.sink]
@@ -411,7 +418,7 @@ def deadline_to_time_extended(inst: DeadlineInstance) -> TimeExtendedNetwork:
         width = int(inst.injection)
         if width < 1:
             raise ValueError("injection width must be >= 1")
-    inner, _ = _build_grid(inst, 0)
+    inner, _ = _build_grid(replace(inst, horizon=0), 0)
     value = min(min_cut(inner, f"{inst.source}@0", f"{inst.sink}@{inst.tau}"), width)
     J = width if inst.injection is not None else max(value, 1)
     net, labels = _build_grid(inst, J)

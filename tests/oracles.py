@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable
 
-from infodist.errors import InfodistError
+from infodist.errors import DeadlineTooSmall, InfodistError
 from infodist.graph import (
     Network,
     Path,
@@ -43,7 +43,6 @@ from infodist.graph import (
     reachable_from,
     routing_domain,
 )
-from infodist.errors import DeadlineTooSmall
 from infodist.reductions import (
     C0Result,
     DeadlineInstance,

@@ -439,15 +439,15 @@ def test_out_of_range_limit_rejected(capsys, argv):
       for net in ("fig1a", "fig1b", "fig5", "butterfly", "single-edge", "parallel-m")),
     (["reduce-index", "fig3-index"], "reduce-index-fig3-index", 0),
     (["reduce-deadline", "fig4-deadline"], "reduce-deadline-fig4-deadline", 0),
-    *((["reduce-deadline", str(GOLDEN_INPUTS / f"fig4-deadline-{variant}.json")],
-       f"reduce-deadline-fig4-deadline-{variant}", 20 if variant == "injection2" else 0)
-      for variant in ("memory2", "injection5", "injection2")),
     (["rate", "--direction", "1,1", "fig1a"], "rate-fig1a", 0),
     (["gen-code", "fig1a", "--rates", "1,1", "--field", "5", "--seed", "0", "--decodable"],
      "gen-code-fig1a", 0),
     (["audit", "fig1a", "--code", str(GOLDEN_INPUTS / "fig1a-code.json"),
       "--witness", str(GOLDEN_INPUTS / "fig1a-witness.json"),
       "--seed", "0", "--prop-samples", "200"], "audit-fig1a", 0),
+    *((["reduce-deadline", str(GOLDEN_INPUTS / f"fig4-deadline-{variant}.json")],
+       f"reduce-deadline-fig4-deadline-{variant}", 20 if variant == "injection2" else 0)
+      for variant in ("memory2", "injection5", "injection2")),
 ])
 def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
     assert main(argv) == exit_code
@@ -489,6 +489,15 @@ WRONG_TYPES = {
     "deadline-delay-null": ("reduce-deadline", "instance", lambda dl: {
         **dl, "edges": [{**dl["edges"][0], "delay": None}, *dl["edges"][1:]]}),
     "deadline-injection-list": ("reduce-deadline", "instance", lambda dl: {**dl, "injection": [1]}),
+    # Integer fields: int() would read 1.5 as 1 and true as 1, and fail on
+    # Infinity with an OverflowError.
+    "deadline-delay-float": ("reduce-deadline", "instance", lambda dl: {
+        **dl, "edges": [{**dl["edges"][0], "delay": 1.5}, *dl["edges"][1:]]}),
+    "deadline-delay-infinite": ("reduce-deadline", "instance", lambda dl: {
+        **dl, "edges": [{**dl["edges"][0], "delay": float("inf")}, *dl["edges"][1:]]}),
+    "deadline-memory-bool": ("reduce-deadline", "instance", lambda dl: {**dl, "memory": True}),
+    "check-edge-index-float": ("check", "network", lambda net: {
+        **net, "edges": [{**net["edges"][0], "index": 1.9}, *net["edges"][1:]]}),
     "deadline-edges-object": ("reduce-deadline", "instance", lambda dl: {
         **dl, "edges": {"0": dl["edges"][0]}}),
     "index-side-null": ("reduce-index", "instance", lambda _: {"K": 2, "m": 1, "side": [None, [1]]}),
