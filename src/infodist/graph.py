@@ -58,14 +58,17 @@ class Network:
         if len(out) != len(self.nodes):
             raise NetworkFormatError("duplicate node id", field="nodes")
         inc: dict[str, list[int]] = {v: [] for v in self.nodes}
-        try:
-            for eid, e in enumerate(self.edges):
-                out[e.tail].append(eid)
-                inc[e.head].append(eid)
-        except KeyError:
-            self._check_edges()
-        if len(set(self.edges)) != len(self.edges):
-            self._check_edges()
+        seen = set()
+        for eid, e in enumerate(self.edges):
+            if e.tail not in out:
+                raise NetworkFormatError(f"edge {eid} tail {e.tail!r} not a node", field="edges")
+            if e.head not in out:
+                raise NetworkFormatError(f"edge {eid} head {e.head!r} not a node", field="edges")
+            if e in seen:
+                raise DuplicateEdge(e)
+            seen.add(e)
+            out[e.tail].append(eid)
+            inc[e.head].append(eid)
         self.out_edges: dict[str, tuple[int, ...]] = {v: tuple(ids) for v, ids in out.items()}
         self.in_edges: dict[str, tuple[int, ...]] = {v: tuple(ids) for v, ids in inc.items()}
 
@@ -86,21 +89,6 @@ class Network:
         self.topo_pos: dict[str, int] = {v: p for p, v in enumerate(self.topo_order)}
         # Eager, so instances stay strictly immutable (thread-transferable).
         self._alpha: dict[str, int] = self._alphas()
-
-    def _check_edges(self) -> None:
-        """Raise the error of the first edge with an endpoint that is not a
-        node or an earlier copy; run only once the one-pass build above saw
-        such an edge."""
-        node_set = set(self.nodes)
-        seen = set()
-        for eid, e in enumerate(self.edges):
-            if e.tail not in node_set:
-                raise NetworkFormatError(f"edge {eid} tail {e.tail!r} not a node", field="edges")
-            if e.head not in node_set:
-                raise NetworkFormatError(f"edge {eid} head {e.head!r} not a node", field="edges")
-            if e in seen:
-                raise DuplicateEdge(e)
-            seen.add(e)
 
     def _alphas(self) -> dict[str, int]:
         """Per node, the largest session index whose source reaches it (0 if
@@ -318,21 +306,19 @@ def routing_domain(net: Network, i: int) -> frozenset[int]:
     )
 
 
-def _max_flow(net: Network, sources, sinks, stop=math.inf):
+def _max_flow(net: Network, sources, sinks):
     """Unit-capacity max flow from the sources to the sinks via BFS augmentation.
 
     Sources and sinks are node collections, joined to an implicit
     super-source and super-sink of unbounded capacity.  Returns (value,
     flow edge set, nodes the residual graph reaches from the sources);
-    value is ``math.inf`` when a node is both a source and a sink.  Once
-    the flow reaches ``stop`` it is returned as it stands, without the
-    final search that would prove it maximal, and the reach is None.
+    value is ``math.inf`` when a node is both a source and a sink.
     """
     if not set(sinks).isdisjoint(sources):
         return math.inf, set(), set(sources)
     flow: set[int] = set()
     value = 0
-    while value < stop:
+    while True:
         steps, seen = _augmenting(net, sources, sinks, flow, ())
         if steps is None:
             return value, flow, seen
@@ -342,7 +328,6 @@ def _max_flow(net: Network, sources, sinks, stop=math.inf):
             else:
                 flow.remove(eid)
         value += 1
-    return value, flow, None
 
 
 def min_cut(net: Network, u: str, v: str) -> int:

@@ -9,7 +9,6 @@ only reports "no" when the whole candidate space was covered.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
@@ -26,6 +25,7 @@ from .graph import (
     enumerate_paths,
     find_path,
     has_path,
+    min_cut,
     routing_domain,
     validate_path,
 )
@@ -95,18 +95,15 @@ def validate_cut_sequence(net: Network, cuts: CutSetSequence) -> None:
     routing domain.  A cut-set of min-cut size v that disconnects s_i from d_i
     is one: a max flow has v edge-disjoint s_i -> d_i paths, each crosses
     the cut-set, and it has only v edges, so every cut edge lies on one of
-    them and hence in the domain.  A cut-set C that disconnects bounds the
-    min-cut by |C| from above, so augmenting stops once |C| paths are found,
-    without the last residual search that would prove the flow maximal.
-    Only a cut-set failing that test pays for the full max flow and the
-    domain, to name the first invariant it breaks.
+    them and hence in the domain.  Only a cut-set failing that test pays for
+    the domain, to name the first invariant it breaks.
     """
     if len(cuts) != net.num_sessions:
         raise ValueError("one cut-set per session required")
     for i, cut in enumerate(cuts, start=1):
         s, d = net.sessions[i - 1]
+        value = min_cut(net, s, d)
         disconnects = not has_path(net, s, d, removed=cut)
-        value = _max_flow(net, (s,), {d}, stop=len(cut) if disconnects else math.inf)[0]
         if len(cut) == value and disconnects:
             continue
         if value == 0:

@@ -2,7 +2,7 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -415,28 +415,37 @@ def test_session0_mincut_matches_the_probe_grid(seed, injection, loop):
     assert tnet.J == (injection if injection is not None else max(tnet.mincut0, 1))
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 3),
-       st.sampled_from(["unset", "below", "above"]))
-def test_time_extended_network_matches_the_two_grid_build(seed, memory, horizon, injection):
-    inst = dataclasses.replace(
-        oracles.random_deadline(random.Random(seed)), memory=memory, horizon=horizon
-    )
-    try:
-        ref = oracles.two_grid_time_extended(inst)
-    except DeadlineTooSmall:
-        with pytest.raises(DeadlineTooSmall):
-            deadline_to_time_extended(inst)
-        return
-    if injection != "unset":  # an injection width below or above the min-cut
-        width = max(ref.mincut0 - 1, 1) if injection == "below" else ref.mincut0 + 1
-        inst = dataclasses.replace(inst, injection=width)
-        ref = oracles.two_grid_time_extended(inst)
-    tnet = deadline_to_time_extended(inst)
-    assert (tnet.J, tnet.mincut0) == (ref.J, ref.mincut0)
-    assert tnet.net.to_json_dict() == ref.net.to_json_dict()
-    assert tnet.labels == ref.labels and tnet.label_to_id == ref.label_to_id
-    assert tnet.delta_node == ref.delta_node
+def test_time_extended_network_matches_the_two_grid_build():
+    below = []
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 3),
+           st.sampled_from(["unset", "below", "above"]))
+    def compare(seed, memory, horizon, injection):
+        inst = dataclasses.replace(
+            oracles.random_deadline(random.Random(seed)), memory=memory, horizon=horizon
+        )
+        try:
+            ref = oracles.two_grid_time_extended(inst)
+        except DeadlineTooSmall:
+            with pytest.raises(DeadlineTooSmall):
+                deadline_to_time_extended(inst)
+            return
+        if injection == "below":  # a width of at least 1 strictly below the min-cut
+            assume(ref.mincut0 >= 2)
+            below.append(inst)
+        if injection != "unset":
+            width = ref.mincut0 - 1 if injection == "below" else ref.mincut0 + 1
+            inst = dataclasses.replace(inst, injection=width)
+            ref = oracles.two_grid_time_extended(inst)
+        tnet = deadline_to_time_extended(inst)
+        assert (tnet.J, tnet.mincut0) == (ref.J, ref.mincut0)
+        assert tnet.net.to_json_dict() == ref.net.to_json_dict()
+        assert tnet.labels == ref.labels and tnet.label_to_id == ref.label_to_id
+        assert tnet.delta_node == ref.delta_node
+
+    compare()
+    assert len(below) >= 15
 
 
 def test_check_c0_distributive_matches_permutation_scan():
