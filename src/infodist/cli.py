@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__, corpus
 from .errors import InfodistError, NetworkFormatError, PathEnumerationTruncated
-from .graph import validate_network
+from .graph import DEFAULT_PATH_LIMIT, validate_network
 
 EXIT_OK = 0
 EXIT_NO = 10
@@ -35,8 +35,13 @@ def _read_json(path: str) -> dict:
     from anywhere by falling back to the bundled corpus."""
     p = Path(path)
     if p.exists():
-        with open(p, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+        try:
+            with open(p, "r", encoding="utf-8") as handle:
+                data = json.load(handle)
+        except OSError as exc:  # a directory, no permission
+            raise ValueError(f"cannot read input {path}: {exc.strerror}") from None
+        except RecursionError:
+            raise ValueError(f"cannot read input {path}: JSON nested too deeply") from None
     elif p.stem in corpus.names():
         data = corpus.load(p.stem)
     else:
@@ -49,7 +54,10 @@ def _read_json(path: str) -> dict:
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a directory, a missing folder, no permission
+            raise ValueError(f"cannot write output {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -277,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("--rate", help="comma-separated rates, e.g. 1,1/2")
     p.add_argument("--direction", help="maximize lambda along this direction")
-    p.add_argument("--path-limit", type=int, default=10**6)
+    p.add_argument("--path-limit", type=int, default=DEFAULT_PATH_LIMIT)
     common(p)
     p.set_defaults(func=cmd_rate)
 
@@ -320,7 +328,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"infodist: input not found: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (NetworkFormatError, InfodistError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (InfodistError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"infodist: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -10,7 +10,7 @@ information inequality here checkable exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -23,8 +23,9 @@ if TYPE_CHECKING:
     from .rateregion import RoutingScheme
     from .witnesses import Witness
 
-# Variable references: ("edge", edge id) or ("session", session index 1..K).
-VarRef = tuple[str, int]
+# Variable references: ("edge", edge id), ("session", session index 1..K),
+# or ("rows", tuple of rows): a function of variables, given by its rows.
+VarRef = tuple[str, object]
 
 
 def edge_var(eid: int) -> VarRef:
@@ -49,8 +50,8 @@ class LinearCode:
     q: int
     rates: tuple[int, ...]
     rows: tuple[Row, ...]  # row e is G_e, one entry per source symbol
-    # entropy's memo: (frozenset of refs, extra rows) -> rank.  Rank ignores
-    # row order and repeats, and rows never change, so entries never go stale.
+    # entropy's memo: frozenset of refs -> rank.  Rank ignores row order and
+    # repeats, and rows never change, so entries never go stale.
     _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -94,8 +95,7 @@ def propagate(net: Network, rates: Sequence[int], locals_table: LocalTable, q: i
     dim = sum(rates)
     offsets = [sum(rates[:i]) for i in range(len(rates))]
     rows: list[Row] = [(0,) * dim] * len(net.edges)
-    order = sorted(range(len(net.edges)), key=lambda e: (net.topo_pos[net.edges[e].tail], e))
-    for eid in order:
+    for eid in (eid for v in net.topo_order for eid in net.out_edges[v]):
         if eid not in locals_table:
             raise MissingEncoder(net.edge_str(eid))
         tail = net.edges[eid].tail
@@ -180,18 +180,19 @@ def _collect(code: LinearCode, refs: Iterable[VarRef]) -> list[Row]:
             mat.append(code.rows[idx])
         elif kind == "session":
             mat += code.session_rows(idx)
+        elif kind == "rows":
+            mat += idx
         else:
             raise ValueError(f"unknown variable kind {kind!r}")
     return mat
 
 
-def entropy(code: LinearCode, refs: Iterable[VarRef], extra: Sequence[Row] = ()) -> int:
-    """H(refs, extra rows) in field symbols = rank of the stacked rows, memoized per code."""
+def entropy(code: LinearCode, refs: Iterable[VarRef]) -> int:
+    """H(refs) in field symbols = rank of the stacked rows, memoized per code."""
     refs = frozenset(refs)
-    key = (refs, tuple(map(tuple, extra)))
-    h = code._ranks.get(key)
+    h = code._ranks.get(refs)
     if h is None:
-        h = code._ranks[key] = gfmatrix.rank(_collect(code, refs) + list(extra), code.q)
+        h = code._ranks[refs] = gfmatrix.rank(_collect(code, refs), code.q)
     return h
 
 
@@ -220,12 +221,19 @@ def check_decodable(code: LinearCode) -> tuple[bool, ...]:
     return tuple(out)
 
 
+def _share(code: LinearCode, prior: list[VarRef], sess: int, perm: Sequence[int], eid: int) -> int:
+    """The information share cut edge eid contributes to session sess:
+    I(Y_sess ; U_e | Y_(earlier sessions), U_(cut edges before e in perm))."""
+    before = [edge_var(x) for x in perm[: perm.index(eid)]]
+    return cond_mutual_info(code, [session_var(sess)], [edge_var(eid)], prior + before)
+
+
 def extract_routing(code: LinearCode, wit: Witness, strict: bool = False) -> RoutingScheme:
     """The constructive routing scheme of the main theorem.
 
-    Each witness path carries the information share its cut edge contributes:
-    f = I(Y_i ; U_e | Y_(earlier sessions), U_(cut edges before e)), evaluated
-    in the witness's session order.  Flows are keyed by original session.
+    Each witness path carries the information share (:func:`_share`) of its
+    cut edge, evaluated in the witness's session order.  Flows are keyed by
+    original session.
     """
     from .rateregion import RoutingScheme
     from .witnesses import verify_witness
@@ -237,16 +245,8 @@ def extract_routing(code: LinearCode, wit: Witness, strict: bool = False) -> Rou
     prior: list[VarRef] = []
     for pos, sess in enumerate(wit.session_order):
         cut = wit.cuts[pos]
-        perm = wit.perms[pos]
         for path in wit.paths[pos]:
-            eid = next(e for e in path if e in cut)
-            before = perm[: perm.index(eid)]
-            value = cond_mutual_info(
-                code,
-                [session_var(sess)],
-                [edge_var(eid)],
-                prior + [edge_var(x) for x in before],
-            )
+            value = _share(code, prior, sess, wit.perms[pos], next(e for e in path if e in cut))
             if value:
                 flows[sess - 1][path] = Fraction(value)
         prior.append(session_var(sess))
@@ -265,13 +265,7 @@ class AuditEntry:
         return self.lhs <= self.rhs if self.relation == "<=" else self.lhs == self.rhs
 
     def to_json_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "relation": self.relation,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 @dataclass
@@ -293,13 +287,15 @@ def _random_refs(rng: random.Random, code: LinearCode, k: int) -> tuple[VarRef, 
     return tuple(rng.sample(pool, min(k, len(pool))))
 
 
-def _random_function_of(rng: random.Random, code: LinearCode, refs) -> list[Row]:
-    """One random row in the row space of the stacked refs (none if refs is empty)."""
+def _random_function_of(rng: random.Random, code: LinearCode, refs) -> tuple[VarRef, ...]:
+    """A ("rows", ...) ref to one random row in the row space of the stacked
+    refs (no ref if they stack no rows)."""
     mat = _collect(code, refs)
     if not mat:
-        return []
+        return ()
     coeffs = [rng.randrange(code.q) for _ in mat]
-    return [tuple(sum(c * v for c, v in zip(coeffs, col)) % code.q for col in zip(*mat))]
+    row = tuple(sum(c * v for c, v in zip(coeffs, col)) % code.q for col in zip(*mat))
+    return (("rows", (row,)),)
 
 
 def audit(
@@ -337,10 +333,7 @@ def audit(
         entries.append(AuditEntry(f"eq18/session{sess}", lhs18, rhs18, "<="))
         total = 0
         for eid in perm:
-            before = perm[: perm.index(eid)]
-            share = cond_mutual_info(
-                code, y, [edge_var(eid)], prior + [edge_var(x) for x in before]
-            )
+            share = _share(code, prior, sess, perm, eid)
             share_terms.setdefault(eid, []).append(share)
             total += share
         entries.append(AuditEntry(f"eq19/session{sess}", total, rhs18, "=="))
@@ -370,45 +363,25 @@ def audit(
         f_xw = _random_function_of(rng, code, x + w)
         # H(X|Y) == H(X|Y,f(Y))
         lhs = entropy(code, x + yv) - entropy(code, yv)
-        rhs = entropy(code, x + yv, extra=f_y) - entropy(code, yv, extra=f_y)
+        rhs = entropy(code, x + yv + f_y) - entropy(code, yv + f_y)
         entries.append(AuditEntry(f"prop1.1/{n}", lhs, rhs, "=="))
         # I(X;Y|Z) == I(X;Y|Z,f(Z))
         lhs = cond_mutual_info(code, x, yv, z)
-        rhs = (
-            entropy(code, x + z, extra=f_z)
-            + entropy(code, yv + z, extra=f_z)
-            - entropy(code, x + yv + z, extra=f_z)
-            - entropy(code, z, extra=f_z)
-        )
+        rhs = cond_mutual_info(code, x, yv, z + f_z)
         entries.append(AuditEntry(f"prop1.2/{n}", lhs, rhs, "=="))
         # H(X|f(Y)) >= H(X|Y)  (flip into lhs <= rhs form)
         lhs = entropy(code, x + yv) - entropy(code, yv)
-        rhs = entropy(code, x, extra=f_y) - entropy(code, (), extra=f_y)
+        rhs = entropy(code, x + f_y) - entropy(code, f_y)
         entries.append(AuditEntry(f"prop1.3/{n}", lhs, rhs, "<="))
         # I(X;Y|Z,W) >= I(X;f(Y,Z)|Z,W)
         lhs = cond_mutual_info(code, x, yv, z + w)
-        rhs = (
-            entropy(code, x + z + w)
-            + entropy(code, z + w, extra=f_yz)
-            - entropy(code, x + z + w, extra=f_yz)
-            - entropy(code, z + w)
-        )
+        rhs = cond_mutual_info(code, x, f_yz, z + w)
         entries.append(AuditEntry(f"prop2.4/{n}", rhs, lhs, "<="))
         # Markov special case: I(X;Y|W) >= I(X;Y|W,f(X,W)) and >= I(f(X,W);Y|W)
         lhs = cond_mutual_info(code, x, yv, w)
-        rhs = (
-            entropy(code, x + w, extra=f_xw)
-            + entropy(code, yv + w, extra=f_xw)
-            - entropy(code, x + yv + w, extra=f_xw)
-            - entropy(code, w, extra=f_xw)
-        )
+        rhs = cond_mutual_info(code, x, yv, w + f_xw)
         entries.append(AuditEntry(f"prop2a/{n}", rhs, lhs, "<="))
-        rhs = (
-            entropy(code, w, extra=f_xw)
-            + entropy(code, yv + w)
-            - entropy(code, yv + w, extra=f_xw)
-            - entropy(code, w)
-        )
+        rhs = cond_mutual_info(code, f_xw, yv, w)
         entries.append(AuditEntry(f"prop2b/{n}", rhs, lhs, "<="))
     return AuditReport(entries)
 

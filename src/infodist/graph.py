@@ -86,7 +86,6 @@ class Network:
                 raise SinkHasOutEdge(i, d)
 
         self.topo_order: tuple[str, ...] = self._toposort()
-        self.topo_pos: dict[str, int] = {v: p for p, v in enumerate(self.topo_order)}
         # Eager, so instances stay strictly immutable (thread-transferable).
         self._alpha: dict[str, int] = self._alphas()
 

@@ -73,9 +73,6 @@ class IndexCodingInstance:
             ),
         )
 
-    def to_json_dict(self) -> dict:
-        return {"K": self.K, "m": self.m, "side": [sorted(h) for h in self.side_sets]}
-
 
 def index_to_network(inst: IndexCodingInstance) -> tuple[Network, Witness]:
     """The equivalent multi-unicast network plus its canonical witness skeleton.
@@ -259,16 +256,6 @@ class DeadlineInstance:
             injection=None if injection is None else json_int(injection, "injection"),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "edges": [{"tail": t, "head": h, "delay": d} for t, h, d in self.edges],
-            "source": self.source,
-            "sink": self.sink,
-            "tau": self.tau,
-            "horizon": self.horizon,
-            "memory": self.memory,
-        }
-
 
 # Edge labels in the time-extended graph, time last: a label without its
 # time names the edge's shift family.
@@ -277,15 +264,6 @@ class DeadlineInstance:
 #   ("in", copy, session t)         (s_t, s[t])
 #   ("out", copy, session t)        (d[t+tau], d_t)
 Label = tuple
-
-
-def format_label(inst: DeadlineInstance, label: Label) -> str:
-    kind = label[0]
-    if kind == "base":
-        return f"e{label[1] + 1}[{label[2]}]"
-    if kind == "mem":
-        return f"mem({label[1]})[{label[3]}]#{label[2]}"
-    return f"{kind}{label[2]}#{label[1]}"
 
 
 @dataclass
@@ -302,7 +280,13 @@ class TimeExtendedNetwork:
         return self.delta_node[self.inst.edges[base_eid][0]]
 
     def label_str(self, eid: int) -> str:
-        return format_label(self.inst, self.labels[eid])
+        label = self.labels[eid]
+        kind = label[0]
+        if kind == "base":
+            return f"e{label[1] + 1}[{label[2]}]"
+        if kind == "mem":
+            return f"mem({label[1]})[{label[3]}]#{label[2]}"
+        return f"{kind}{label[2]}#{label[1]}"
 
     def base_pair(self, eid: int) -> tuple[int, int]:
         label = self.labels[eid]

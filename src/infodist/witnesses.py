@@ -10,9 +10,10 @@ only reports "no" when the whole candidate space was covered.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 from itertools import combinations, permutations
-from typing import Callable, Hashable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BijectionViolated, NotExtendable, PermutationMismatch, json_int, json_list
 from .graph import (
@@ -200,33 +201,41 @@ def find_permutation_sequence(
     net: Network, cuts: CutSetSequence, strict: bool = False
 ) -> Optional[PermutationSequence]:
     """First permutation sequence (lexicographic) passing the ordering check."""
-    for perms in _permutation_sequences(cuts):
+    levels = [partial(permutations, sorted(cut)) for cut in cuts]
+    for perms in _lazy_product(levels):
         if is_distributive(net, cuts, perms, strict=strict):
             return perms
     return None
 
 
-def _permutation_sequences(cuts: CutSetSequence) -> Iterator[PermutationSequence]:
-    """product(*(permutations(sorted(cut)) for cut in cuts)), in the same
-    order but lazily: each cut's permutations restart per prefix instead of
-    being stored, so the first sequence comes without |C_1|!...|C_K|! work."""
-    pools = [sorted(cut) for cut in cuts]
-    if not pools:
+def _lazy_product(
+    levels: Sequence[Callable[[], Iterable]],
+    keep: Callable[[list, object], bool] = lambda prefix, item: True,
+) -> Iterator[tuple]:
+    """The tuples of product(*(level() for level in levels)) that `keep`
+    accepts at every position, in product's order but lazily: a level's
+    iterator restarts per prefix instead of being stored, so the first tuple
+    comes without the whole product's work.  keep(prefix, item) decides
+    whether `item` may follow the placed `prefix`; a rejected item drops
+    every tuple that would start with prefix + item.  No level yields None."""
+    if not levels:
         yield ()
         return
-    prefix: list[tuple[int, ...]] = []
-    iters = [permutations(pools[0])]
+    prefix: list = []
+    iters = [iter(levels[0]())]
     while iters:
-        perm = next(iters[-1], None)
-        if perm is None:
+        item = next(iters[-1], None)
+        if item is None:
             iters.pop()
             if prefix:
                 prefix.pop()
-        elif len(iters) == len(pools):
-            yield (*prefix, perm)
+        elif not keep(prefix, item):
+            continue
+        elif len(iters) == len(levels):
+            yield (*prefix, item)
         else:
-            prefix.append(perm)
-            iters.append(permutations(pools[len(iters)]))
+            prefix.append(item)
+            iters.append(iter(levels[len(iters)]()))
 
 
 def _crossing(path: Path, cut: frozenset[int]) -> list[int]:
@@ -359,17 +368,9 @@ class SearchStats:
     path_assignments: int = 0
     truncated: bool = False
     exhausted: bool = False
-    elapsed: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "orders_tried": self.orders_tried,
-            "candidates": self.candidates,
-            "permutation_checks": self.permutation_checks,
-            "path_assignments": self.path_assignments,
-            "truncated": self.truncated,
-            "exhausted": self.exhausted,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -522,7 +523,7 @@ class _Searcher:
             s, d = self.net.sessions[i - 1]
             self._tick()
             sets, trunc = enumerate_min_cutsets(self.net, s, d, limit=CUTSET_LIMIT)
-            self.cutsets.append(sorted(sets, key=sorted))
+            self.cutsets.append(sets)
             self._tick()
             paths, trunc_paths = enumerate_paths(self.net, s, d, limit=PATH_LIMIT)
             self.paths.append(paths)
@@ -617,25 +618,12 @@ class _Searcher:
         :meth:`_refuted`; one failure drops every tuple with that prefix.  A
         single session never fails: its cut is a min cut.  For K <= 4 every
         set is checked."""
-        if not pools:
-            yield ()
-            return
-        placed: list[frozenset[int]] = []
-        iters = [iter(pools[0])]
-        while iters:
+
+        def keep(placed, cut) -> bool:
             self._tick()
-            cut = next(iters[-1], None)
-            if cut is None:
-                iters.pop()
-                if placed:
-                    placed.pop()
-            elif self._refuted(order, placed, cut):
-                continue
-            elif len(placed) + 1 == len(pools):
-                yield (*placed, cut)
-            else:
-                placed.append(cut)
-                iters.append(iter(pools[len(placed)]))
+            return not self._refuted(order, placed, cut)
+
+        return _lazy_product([partial(iter, pool) for pool in pools], keep)
 
     def run(self) -> Verdict:
         K = self.net.num_sessions
@@ -700,7 +688,4 @@ def decide_information_distributive(
     candidate (under all session orders, if enabled) was examined; budget or
     enumeration-cap exhaustion yields "unknown".
     """
-    start = time.monotonic()
-    verdict = _Searcher(net, budget or SearchBudget()).run()
-    verdict.stats.elapsed = time.monotonic() - start
-    return verdict
+    return _Searcher(net, budget or SearchBudget()).run()

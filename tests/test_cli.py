@@ -144,6 +144,20 @@ def test_non_object_json_exit_1(tmp_path, capsys, argv):
     assert capsys.readouterr().err.startswith("infodist: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["check", "{dir}"], "cannot read input"),
+    (["check", "{deep}"], "cannot read input"),
+    (["check", "fig1a", "--output", "{dir}"], "cannot write output"),
+    (["check", "fig1a", "--output", "{dir}/missing/x.json"], "cannot write output"),
+], ids=["input-directory", "input-nested-100000", "output-directory", "output-missing-folder"])
+def test_unreadable_input_or_output_exit_1(tmp_path, capsys, argv, message):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    assert main([a.format(dir=tmp_path, deep=deep) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"infodist: {message} ") and "Traceback" not in err
+
+
 def test_null_edge_index_exit_1(tmp_path, capsys):
     net = corpus.load("single-edge")
     net["edges"][0]["index"] = None

@@ -341,6 +341,12 @@ def _reference_entropy(code, refs, extra=()):
     return gf_rank(mat + list(extra), code.q)
 
 
+def _rows_ref(rows):
+    """The ("rows", ...) ref to a function of variables given by its rows;
+    none for no rows."""
+    return [("rows", tuple(rows))] if rows else []
+
+
 @pytest.mark.parametrize("q", [2, 3, 1000003, 2**61 - 1])
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
@@ -363,9 +369,10 @@ def test_memoized_entropy_matches_reference_rank(q, seed):
     ]
     for a, extra in queries + queries[::-1]:  # every query is asked again
         want = _reference_entropy(code, a, extra)
-        assert entropy(code, a, extra) == want
-        assert entropy(code, (r for r in a), extra) == want
-        assert entropy(code, a + a, extra) == want
+        f = _rows_ref(extra)
+        assert entropy(code, a + f) == want
+        assert entropy(code, (r for r in a + f)) == want
+        assert entropy(code, (a + f) * 2) == want
     for _ in range(10):
         a, b, c = refs(), refs(), refs()
         want = (_reference_entropy(code, a + c) + _reference_entropy(code, b + c)
@@ -381,5 +388,5 @@ def test_memoized_entropy_matches_reference_rank(q, seed):
     other = propagate(net, rates, {e: [] for e in range(len(net.edges))}, q)
     assert not other._ranks
     for a, extra in queries:
-        assert entropy(other, a, extra) == _reference_entropy(other, a, extra)
+        assert entropy(other, a + _rows_ref(extra)) == _reference_entropy(other, a, extra)
     assert code._ranks is not other._ranks

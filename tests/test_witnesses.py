@@ -1,5 +1,6 @@
 import random
 import time
+from functools import partial
 from itertools import permutations, product
 
 import pytest
@@ -30,7 +31,7 @@ from infodist.graph import Network, routing_domain, validate_network
 from infodist import witnesses
 from infodist.witnesses import (
     SearchBudget,
-    _permutation_sequences,
+    _lazy_product,
     Witness,
     decide_information_distributive,
     find_permutation_sequence,
@@ -637,7 +638,23 @@ def test_budget_stops_between_two_subset_flows(monkeypatch):
 @given(st.lists(st.frozensets(st.integers(0, 9), max_size=4), max_size=3))
 def test_permutation_sequences_equal_itertools_product(cuts):
     expected = list(product(*(permutations(sorted(cut)) for cut in cuts)))
-    assert list(_permutation_sequences(tuple(cuts))) == expected
+    levels = [partial(permutations, sorted(cut)) for cut in cuts]
+    assert list(_lazy_product(levels)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=4), st.integers(2, 4))
+def test_lazy_product_with_prefix_closed_keep_equals_filtered_product(levels, m):
+    # keep rejects an item that brings its prefix's sum to a multiple of m; a
+    # tuple is kept iff every one of its prefixes is, which is prefix-closed.
+    def keep(prefix, item):
+        return (sum(prefix) + item) % m != 0
+
+    expected = [
+        t for t in product(*levels)
+        if all(keep(list(t[:k]), t[k]) for k in range(len(t)))
+    ]
+    assert list(_lazy_product([partial(iter, level) for level in levels], keep)) == expected
 
 
 @settings(max_examples=60, deadline=None)
