@@ -46,7 +46,7 @@ def json_int(value, field: str) -> int:
 
 
 class CycleDetected(NetworkFormatError):
-    """The graph is not acyclic; carries one back edge."""
+    """The graph is not acyclic; carries one edge of a cycle."""
 
     def __init__(self, edge):
         super().__init__(f"graph contains a cycle through edge {edge}", field="edges")

@@ -10,7 +10,6 @@ value of a flow whose sources and sinks share a node.
 from __future__ import annotations
 
 import copy
-import json
 import math
 from collections import deque
 from collections.abc import Mapping
@@ -37,6 +36,16 @@ class EdgeTriple(NamedTuple):
     tail: str
     head: str
     index: int
+
+
+class CheckResult(NamedTuple):
+    """A check's outcome: ok, or the first violation it found.  True iff ok."""
+
+    ok: bool
+    violation: Optional[tuple] = None
+
+    def __bool__(self) -> bool:
+        return self.ok
 
 
 class Network:
@@ -114,13 +123,22 @@ class Network:
                 if indeg[w] == 0:
                     queue.append(w)
         if len(order) != len(self.nodes):
-            # Some edge inside the leftover (cyclic) part witnesses the cycle.
-            leftover = {v for v in self.nodes if indeg[v] > 0}
-            for eid, e in enumerate(self.edges):
-                if e.tail in leftover and e.head in leftover:
-                    raise CycleDetected(e)
-            raise CycleDetected(None)
+            raise CycleDetected(self._cycle_edge({v for v in self.nodes if indeg[v] > 0}))
         return tuple(order)
+
+    def _cycle_edge(self, left: set[str]) -> EdgeTriple:
+        """An edge on a cycle, given the nodes a Kahn sort left over: those
+        on a cycle and those downstream of one.  The least edge between two
+        left-over nodes is named when its head reaches its tail.  Otherwise
+        walking back from its tail along each node's least left-over in-edge
+        closes a cycle, as every left-over node has a left-over predecessor,
+        and the last edge walked is named."""
+        back = {v: next(e for e in self.in_edges[v] if self.edges[e].tail in left) for v in left}
+        first = self.edges[min(back.values())]
+        if has_path(self, first.head, first.tail):
+            return first
+        cycle = walk_back({v: self.edges[e].tail for v, e in back.items()}, first.tail)
+        return self.edges[back[cycle[0]]]
 
     @property
     def num_sessions(self) -> int:
@@ -163,14 +181,10 @@ class Network:
 
 
 def validate_network(raw) -> Network:
-    """Build a :class:`Network` from a mapping, JSON text, or pass one through.
+    """Build a :class:`Network` from its JSON object.
 
     Raises :class:`NetworkFormatError` subclasses naming the offending field.
     """
-    if isinstance(raw, Network):
-        return raw
-    if isinstance(raw, (str, bytes)):
-        raw = json.loads(raw)
     if not isinstance(raw, Mapping):
         raise NetworkFormatError("network description must be a JSON object")
     for key in ("nodes", "edges", "sessions"):
@@ -209,6 +223,18 @@ def validate_network(raw) -> Network:
     if not sessions:
         raise NetworkFormatError("at least one session required", field="sessions")
     return Network(nodes, edges, sessions)
+
+
+def walk_back(pred: Mapping, start) -> tuple:
+    """The cycle closed by walking back from start along pred, which maps each
+    node to one of its predecessors, as a node sequence in edge direction.
+    Every node the walk meets needs an entry in pred."""
+    trail: dict = {}
+    v = start
+    while v not in trail:
+        trail[v] = len(trail)
+        v = pred[v]
+    return tuple(reversed(list(trail)[trail[v]:]))
 
 
 def _bfs(net: Network, start: str, removed, forward: bool):

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from . import simplex
 from .errors import CertificateInvalid, UnknownPath, json_int, json_list, json_object
-from .graph import DEFAULT_PATH_LIMIT, Network, Path, require_paths, validate_path
+from .graph import DEFAULT_PATH_LIMIT, CheckResult, Network, Path, require_paths, validate_path
 
 RateVector = tuple[Fraction, ...]
 
@@ -27,14 +27,6 @@ class RoutingScheme:
 
     def rate(self, i: int) -> Fraction:
         return sum(self.flows[i - 1].values(), Fraction(0))
-
-    def edge_load(self, eid: int) -> Fraction:
-        total = Fraction(0)
-        for per_session in self.flows:
-            for path, value in per_session.items():
-                if eid in path:
-                    total += value
-        return total
 
     def to_json_dict(self) -> dict:
         entries = []
@@ -69,22 +61,19 @@ def parse_rates(values: Sequence) -> RateVector:
     return rates
 
 
-def _session_paths(net: Network, limit: int) -> list[list[Path]]:
-    out = []
-    for s, d in net.sessions:
-        out.append(require_paths(net, s, d, limit=limit))
-    return out
-
-
-def _path_lp(session_paths, demand, scaled: bool):
-    """(A, b) of the path-flow LP  A x <= b: one column per path, sessions
-    in order, then a lambda column if `scaled`.
+def _path_lp(net: Network, demand, scaled: bool, path_limit: int):
+    """(session paths, c, A, b) of the path-flow LP: maximise c.x subject to
+    A x <= b, with one column per session path, sessions in order, then a
+    lambda column if `scaled`.  c is 0 on every path and 1 on lambda.
 
     Session rows come first: -sum(f_i) <= -demand_i, or if `scaled`
     lambda*demand_i - sum(f_i) <= 0 (no row when demand_i == 0).  Then one
-    unit-capacity load row per used edge, in id order.
+    unit-capacity load row per used edge, in id order.  Raises
+    PathEnumerationTruncated when a session has more than path_limit paths.
     """
-    ncols = sum(len(p) for p in session_paths) + scaled
+    session_paths = [require_paths(net, s, d, limit=path_limit) for s, d in net.sessions]
+    c = [0] * sum(map(len, session_paths)) + [1] * scaled
+    ncols = len(c)
     A, b = [], []
     edge_cols: dict[int, list[int]] = {}
     col = 0
@@ -108,7 +97,7 @@ def _path_lp(session_paths, demand, scaled: bool):
             row[col] = 1
         A.append(row)
         b.append(1)
-    return A, b
+    return session_paths, c, A, b
 
 
 @dataclass
@@ -140,9 +129,8 @@ def check_rate_feasible(
     rates = parse_rates(rates)
     if len(rates) != net.num_sessions:
         raise ValueError("one rate per session required")
-    session_paths = _session_paths(net, path_limit)
-    A, b = _path_lp(session_paths, rates, scaled=False)
-    result = simplex.solve([0] * sum(map(len, session_paths)), A, b)
+    session_paths, c, A, b = _path_lp(net, rates, False, path_limit)
+    result = simplex.solve(c, A, b)
     if result.status == simplex.INFEASIBLE:
         return FeasibilityResult(False)
     assert result.status == simplex.OPTIMAL
@@ -167,9 +155,7 @@ def max_scaled_rate(
         raise ValueError("one direction entry per session required")
     if all(d == 0 for d in direction):
         raise ValueError("direction must be nonzero")
-    session_paths = _session_paths(net, path_limit)
-    A, b = _path_lp(session_paths, direction, scaled=True)
-    c = [0] * sum(map(len, session_paths)) + [1]  # flows, then lambda
+    session_paths, c, A, b = _path_lp(net, direction, True, path_limit)
     result = simplex.solve(c, A, b)
     assert result.status == simplex.OPTIMAL, result.status
     lam = result.value
@@ -209,19 +195,10 @@ def _is_dual_certificate(c, A, b, y, value) -> bool:
     return all(s >= cj for s, cj in zip(yA, c))
 
 
-@dataclass
-class VerifyResult:
-    ok: bool
-    # ("negative", session, path) | ("rate", session) | ("capacity", edge)
-    violation: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def verify_routing_scheme(net: Network, scheme: RoutingScheme, rates: Sequence) -> VerifyResult:
+def verify_routing_scheme(net: Network, scheme: RoutingScheme, rates: Sequence) -> CheckResult:
     """Substitute the scheme into both constraint families exactly, after
-    checking that every flow is nonnegative."""
+    checking that every flow is nonnegative.  The violation is the first of
+    ("negative", session, path), ("rate", session) or ("capacity", edge)."""
     rates = parse_rates(rates)
     if len(scheme.flows) != net.num_sessions or len(rates) != net.num_sessions:
         raise ValueError("scheme/rates must cover every session")
@@ -233,10 +210,10 @@ def verify_routing_scheme(net: Network, scheme: RoutingScheme, rates: Sequence) 
     for i, per_session in enumerate(scheme.flows, start=1):
         for path, value in per_session.items():
             if value < 0:
-                return VerifyResult(False, ("negative", i, path))
+                return CheckResult(False, ("negative", i, path))
     for i in range(1, net.num_sessions + 1):
         if scheme.rate(i) < rates[i - 1]:
-            return VerifyResult(False, ("rate", i))
+            return CheckResult(False, ("rate", i))
     loads: dict[int, Fraction] = {}
     for per_session in scheme.flows:
         for path, value in per_session.items():
@@ -244,5 +221,5 @@ def verify_routing_scheme(net: Network, scheme: RoutingScheme, rates: Sequence) 
                 loads[eid] = loads.get(eid, Fraction(0)) + value
     for eid in sorted(loads):
         if loads[eid] > 1:
-            return VerifyResult(False, ("capacity", eid))
-    return VerifyResult(True)
+            return CheckResult(False, ("capacity", eid))
+    return CheckResult(True)

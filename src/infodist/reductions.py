@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 from .errors import DeadlineTooSmall, NotACutset, json_int, json_list, json_object
 from .graph import (
+    CheckResult,
     Network,
     Path,
     alpha,
@@ -26,11 +27,11 @@ from .graph import (
     min_cut,
     routing_domain,
     validate_path,
+    walk_back,
 )
 from .witnesses import (
-    CheckResult,
-    FamilySlot,
     Witness,
+    family_slots,
     family_violation,
     find_family,
     is_cumulative,
@@ -158,16 +159,7 @@ def acyclic_reindex(graph: dict[int, tuple[int, ...]]) -> ReindexResult:
         for w in graph[u]:
             if w not in pred or u < pred[w]:
                 pred[w] = u
-    v = min(leftover)
-    trail = [v]
-    seen = {v}
-    while True:
-        v = pred[v]
-        if v in seen:
-            cycle = trail[trail.index(v):]
-            return ReindexResult(None, tuple(reversed(cycle)))
-        trail.append(v)
-        seen.add(v)
+    return ReindexResult(None, walk_back(pred, min(leftover)))
 
 
 @dataclass(frozen=True)
@@ -226,17 +218,10 @@ class DeadlineInstance:
                 if "@" in name or "#" in name:
                     raise ValueError(f"node name {name!r} may not contain '@' or '#'")
 
-    @property
+    @cached_property
     def base_nodes(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for tail, head, _ in self.edges:
-            for v in (tail, head):
-                if v not in seen:
-                    seen.append(v)
-        for v in (self.source, self.sink):
-            if v not in seen:
-                seen.append(v)
-        return tuple(seen)
+        ends = [v for tail, head, _ in self.edges for v in (tail, head)]
+        return tuple(dict.fromkeys([*ends, self.source, self.sink]))
 
     @classmethod
     def from_json(cls, data) -> "DeadlineInstance":
@@ -517,16 +502,10 @@ def check_p_extendable(tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]) -> 
 def find_extendable_paths(tnet: TimeExtendedNetwork, c0) -> Optional[tuple[Path, ...]]:
     """The first shift-consistent family, one path per cut edge (ascending
     edge id), by :func:`~infodist.witnesses.find_family`."""
-    c0 = sorted(frozenset(c0))
     all_paths, truncated = tnet._session0_paths
     if truncated:
         return None
-    per_edge: dict[int, list[Path]] = {e: [] for e in c0}
-    for path in all_paths:
-        hits = [e for e in path if e in per_edge]
-        if len(hits) == 1:
-            per_edge[hits[0]].append(path)
-    chosen = find_family([FamilySlot(e, per_edge[e], tnet.family_time) for e in c0])
+    chosen = find_family(family_slots(all_paths, frozenset(c0), tnet.family_time))
     return None if chosen is None else tuple(chosen)
 
 
@@ -535,7 +514,6 @@ class DeadlineVerdict:
     status: str  # "yes" | "unknown"
     c0_distributive: bool
     p_extendable: bool
-    ordering: Optional[tuple[int, ...]]
     witness: Optional[Witness]
     generic: dict[str, bool]
     lemma_discrepancies: list[str]
@@ -565,9 +543,7 @@ def deadline_verdict(
     c0res = check_c0_distributive(tnet, c0)
     pres = check_p_extendable(tnet, c0, paths)
     if not c0res or not pres:
-        return DeadlineVerdict(
-            "unknown", bool(c0res), bool(pres), c0res.ordering, None, {}, []
-        )
+        return DeadlineVerdict("unknown", bool(c0res), bool(pres), None, {}, [])
     K = tnet.inst.horizon
     cuts = tuple(tnet.shift_edges(c0, t) for t in range(K + 1))
     perms = tuple(
@@ -599,9 +575,7 @@ def deadline_verdict(
     if not ext:
         discrepancies.append(f"extendable fails at {ext.violation}")
     status = "yes" if all(generic.values()) else "unknown"
-    return DeadlineVerdict(
-        status, True, True, c0res.ordering, wit, generic, discrepancies
-    )
+    return DeadlineVerdict(status, True, True, wit, generic, discrepancies)
 
 
 def search_deadline_certificate(tnet: TimeExtendedNetwork) -> Optional[DeadlineVerdict]:

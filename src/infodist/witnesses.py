@@ -17,6 +17,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BijectionViolated, NotExtendable, PermutationMismatch, json_int, json_list
 from .graph import (
+    CheckResult,
     Network,
     Path,
     _max_flow,
@@ -78,15 +79,6 @@ def witness_from_json(data) -> Witness:
             for ps in json_list(data["paths"], "paths")
         ),
     )
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    ok: bool
-    violation: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def validate_cut_sequence(net: Network, cuts: CutSetSequence) -> None:
@@ -450,6 +442,21 @@ class FamilySlot:
         self.live = (1 << len(self.paths)) - 1 & ~twice
 
 
+def family_slots(
+    paths: Iterable[Path], cut: frozenset[int], label: Label,
+    on_path: Callable[[], None] = lambda: None,
+) -> list[FamilySlot]:
+    """Per cut edge, in ascending id order, the slot of the paths that cross
+    `cut` there and nowhere else.  on_path runs once per path."""
+    per_edge: dict[int, list[Path]] = {eid: [] for eid in sorted(cut)}
+    for path in paths:
+        on_path()
+        crossed = _crossing(path, cut)
+        if len(crossed) == 1:
+            per_edge[crossed[0]].append(path)
+    return [FamilySlot(eid, ps, label) for eid, ps in per_edge.items()]
+
+
 def find_family(
     slots: Sequence[FamilySlot], on_try: Callable[[], None] = lambda: None
 ) -> Optional[list[Path]]:
@@ -505,7 +512,7 @@ class _Searcher:
         # Per original session: min-cut sets and session paths (see _enumerate).
         self.cutsets: list[list[frozenset[int]]] = []
         self.paths: list[list[Path]] = []
-        self._tables: dict[tuple[int, frozenset[int]], dict[int, FamilySlot]] = {}
+        self._slots: dict[tuple[int, frozenset[int]], list[FamilySlot]] = {}
         self._reaching: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
         # (session, cut) slot sets known to hold no path family, whatever
         # the session order: find_family's conflicts are symmetric.
@@ -530,20 +537,13 @@ class _Searcher:
             if trunc or trunc_paths:
                 self.stats.truncated = True
 
-    def _cut_table(self, sess: int, cut: frozenset[int]) -> dict[int, FamilySlot]:
-        """Per cut edge: the slot of the session's paths crossing `cut` only
-        there.  Built on first use."""
-        table = self._tables.get((sess, cut))
-        if table is None:
-            per_edge: dict[int, list[Path]] = {eid: [] for eid in cut}
-            for path in self.paths[sess - 1]:
-                self._tick()
-                crossed = _crossing(path, cut)
-                if len(crossed) == 1:
-                    per_edge[crossed[0]].append(path)
-            table = {eid: FamilySlot(eid, ps, plain_label) for eid, ps in per_edge.items()}
-            self._tables[sess, cut] = table
-        return table
+    def _cut_slots(self, sess: int, cut: frozenset[int]) -> list[FamilySlot]:
+        """The session's :func:`family_slots` for `cut`, built on first use."""
+        slots = self._slots.get((sess, cut))
+        if slots is None:
+            slots = family_slots(self.paths[sess - 1], cut, plain_label, self._tick)
+            self._slots[sess, cut] = slots
+        return slots
 
     def _try(self) -> None:
         self.stats.path_assignments += 1
@@ -567,10 +567,9 @@ class _Searcher:
             return None
         slots, owners = [], []
         for pos, sess in enumerate(order):
-            table = self._cut_table(sess, cuts[pos])
-            for eid in sorted(cuts[pos]):
-                slots.append(table[eid])
-                owners.append(pos)
+            own = self._cut_slots(sess, cuts[pos])
+            slots += own
+            owners += [pos] * len(own)
         chosen = find_family(slots, self._try)
         if chosen is None:
             self._no_family.add(key)

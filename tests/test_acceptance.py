@@ -221,8 +221,12 @@ def test_criterion_08_extraction_pipeline_200_codes(nets):
                 scheme = extract_routing(code, wit)
                 if not verify_routing_scheme(net, scheme, rates).ok:
                     violations += 1
-                for eid in {e for fl in scheme.flows for p in fl for e in p}:
-                    load = scheme.edge_load(eid)
+                loads: dict[int, Fraction] = {}
+                for fl in scheme.flows:
+                    for path, value in fl.items():
+                        for eid in path:
+                            loads[eid] = loads.get(eid, Fraction(0)) + value
+                for eid, load in loads.items():
                     cap = entropy(code, [edge_var(rep[eid])])
                     if not (load <= cap <= 1):
                         violations += 1

@@ -210,6 +210,21 @@ def test_rate_zero_denominator_exit_1(capsys):
     assert capsys.readouterr().err.startswith("infodist: ")
 
 
+@pytest.mark.parametrize("modes", [[], ["--rate", "1,1", "--direction", "1,1"]])
+def test_rate_needs_exactly_one_mode_exit_1(capsys, modes):
+    assert main(["rate", "fig1a", *modes]) == 1
+    assert capsys.readouterr().err == "infodist: exactly one of --rate/--direction required\n"
+
+
+def test_gen_code_without_a_decodable_sample_exit_1(capsys):
+    # Seed 0's first GF(2) code for fig1a does not decode.
+    code, data = run(capsys, "gen-code", "fig1a", "--rates", "1,1", "--field", "2",
+                     "--decodable", "--attempts", "1")
+    assert code == 1
+    assert data["result"] == {"error": "no decodable code found"}
+    assert run(capsys, "gen-code", "fig1a", "--rates", "1,1", "--field", "2", "--decodable")[0] == 0
+
+
 def test_session_source_equal_to_sink_exit_1(tmp_path, capsys):
     path = tmp_path / "loop-session.json"
     path.write_text(json.dumps({

@@ -60,6 +60,49 @@ def test_validate_rejects_two_cycle():
     assert exc.value.edge is not None
 
 
+def _on_a_cycle(edges, edge) -> bool:
+    """Whether the edge's head reaches its tail over the edge list."""
+    seen, stack = {edge.head}, [edge.head]
+    while stack:
+        v = stack.pop()
+        for tail, head in edges:
+            if tail == v and head not in seen:
+                seen.add(head)
+                stack.append(head)
+    return edge.tail in seen
+
+
+@pytest.mark.parametrize("nodes, edges", [
+    # Downstream of the u<->v cycle, v->w is the least edge a Kahn sort leaves.
+    (["s", "u", "v", "w", "d"], [["v", "w"], ["u", "v"], ["v", "u"], ["s", "u"], ["w", "d"]]),
+    # The a<->b cycle sits behind a chain of lower-numbered downstream edges.
+    (["s", "a", "b", "c", "x", "d"],
+     [["c", "x"], ["x", "d"], ["b", "c"], ["a", "b"], ["b", "a"], ["s", "a"]]),
+])
+def test_cycle_diagnostic_names_an_edge_on_the_cycle(nodes, edges):
+    raw = {"nodes": nodes, "edges": edges, "sessions": [["s", "d"]]}
+    with pytest.raises(CycleDetected) as exc:
+        validate_network(raw)
+    assert _on_a_cycle(edges, exc.value.edge)
+    assert str(exc.value).startswith("graph contains a cycle through edge EdgeTriple(")
+
+
+def test_cycle_diagnostic_on_random_digraphs():
+    rng, cyclic = random.Random(5), 0
+    for _ in range(300):
+        inner = [f"v{i}" for i in range(rng.randint(2, 6))]
+        edges = [[a, b] for a in inner for b in inner if a != b and rng.random() < 0.3]
+        edges += [["s", rng.choice(inner)], [rng.choice(inner), "d"]]
+        rng.shuffle(edges)
+        raw = {"nodes": ["s", "d", *inner], "edges": edges, "sessions": [["s", "d"]]}
+        try:
+            validate_network(raw)
+        except CycleDetected as exc:
+            assert _on_a_cycle(edges, exc.edge)
+            cyclic += 1
+    assert cyclic > 100
+
+
 def test_validate_rejects_duplicate_edge():
     with pytest.raises(DuplicateEdge):
         validate_network(

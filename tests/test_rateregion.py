@@ -12,10 +12,9 @@ from oracles import fraction_simplex, vertex_enum_max
 from infodist import simplex
 from infodist.cli import main
 from infodist.errors import CertificateInvalid, PathEnumerationTruncated, UnknownPath
-from infodist.graph import Network, require_paths
+from infodist.graph import CheckResult, Network, require_paths
 from infodist.rateregion import (
     RoutingScheme,
-    VerifyResult,
     check_rate_feasible,
     max_scaled_rate,
     scheme_from_json,
@@ -288,7 +287,7 @@ def test_verify_rate_violation_names_session(nets):
 def test_verify_reports_negative_flow_on_valid_path(nets):
     net = nets["single-edge"]
     scheme = RoutingScheme(({(0,): Fraction(-1)},))
-    assert verify_routing_scheme(net, scheme, [0]) == VerifyResult(False, ("negative", 1, (0,)))
+    assert verify_routing_scheme(net, scheme, [0]) == CheckResult(False, ("negative", 1, (0,)))
 
 
 @pytest.mark.parametrize("tamper", [_tamper_overload, _tamper_underdeliver, _tamper_negate])

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import oracles
 
-from infodist import corpus
+from infodist import corpus, reductions
 from infodist.codes import check_decodable, propagate
 from infodist.errors import DeadlineTooSmall, NotACutset
-from infodist.graph import enumerate_min_cutsets, enumerate_paths, routing_domain
+from infodist.graph import CheckResult, enumerate_min_cutsets, enumerate_paths, routing_domain
 from infodist.reductions import (
     DeadlineInstance,
     IndexCodingInstance,
@@ -215,6 +215,40 @@ def test_fig4_alpha_shift_identity_spot_checks():
     assert alpha(tnet.net, tnet.label_to_id[("base", 7, 6)]) == 2   # t=6, delta=5
     assert alpha(tnet.net, tnet.label_to_id[("base", 5, 2)]) == 1   # t=2, delta=2
     assert alpha(tnet.net, tnet.label_to_id[("base", 5, 3)]) == 2
+
+
+def _fails_cut_invariants(*_):
+    raise ValueError("stub failure")
+
+
+# Per generic re-check of deadline_verdict: a failing stand-in, the key it
+# sets in `generic`, and the discrepancy it reports.
+FAILED_GENERIC = {
+    "validate_cut_sequence": (_fails_cut_invariants, "cut_invariants",
+                              "cut invariants: stub failure"),
+    "is_cumulative": (lambda *_: CheckResult(False, (2, 1, ())), "cumulative",
+                      "cumulative fails at (2, 1, ())"),
+    "is_distributive": (lambda *_: CheckResult(False, (0, 1, 2, "eq20")), "distributive",
+                        "distributive fails at (0, 1, 2, 'eq20')"),
+    "is_extendable": (lambda *_: CheckResult(False, ((0,), (1,), 3)), "extendable",
+                      "extendable fails at ((0,), (1,), 3)"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FAILED_GENERIC))
+def test_deadline_verdict_reports_a_failed_generic_check(monkeypatch, check):
+    tnet = deadline_to_time_extended(fig4())
+    c0 = fig4_c0(tnet)
+    paths = find_extendable_paths(tnet, c0)
+    stand_in, key, message = FAILED_GENERIC[check]
+    monkeypatch.setattr(reductions, check, stand_in)
+    verdict = deadline_verdict(tnet, c0, paths)
+    assert verdict.status == "unknown"
+    assert verdict.generic == {
+        "cut_invariants": True, "cumulative": True, "distributive": True, "extendable": True,
+        key: False,
+    }
+    assert verdict.lemma_discrepancies == [message]
 
 
 def test_check_c0_rejects_non_cutset():

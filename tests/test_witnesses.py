@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from functools import partial
@@ -709,3 +710,61 @@ def test_strict_def5_flag_tightens_first_condition():
     res = is_distributive(net, cuts, perms, strict=True)
     assert not res.ok
     assert res.violation[3] == "eq20"
+
+
+# Tamperings of fig1a's found witness, each with the failure tag of
+# verify_witness it must produce.  The second "paths" case crosses its cut
+# edge once but stops short of d1.
+TAMPERED = [
+    ("session_order", lambda w: dataclasses.replace(w, session_order=(1, 1))),
+    ("cuts", lambda w: dataclasses.replace(w, cuts=(frozenset({0, 5}), w.cuts[1]))),
+    ("cumulative", lambda w: dataclasses.replace(w, cuts=(frozenset({0, 3, 9}), frozenset({4, 10})))),
+    ("perms", lambda w: dataclasses.replace(w, perms=(w.perms[0], (5, 5)))),
+    ("distributive", lambda w: dataclasses.replace(w, perms=((5, 0, 11), (11, 5)))),
+    ("paths", lambda w: dataclasses.replace(w, paths=(w.paths[0], ((4, 5, 6, 8),) * 2))),
+    ("paths", lambda w: dataclasses.replace(w, paths=(((0, 1), *w.paths[0][1:]), w.paths[1]))),
+]
+
+
+@pytest.mark.parametrize("tag, tamper", TAMPERED)
+def test_verify_witness_names_each_failure(nets, tag, tamper):
+    net = nets["fig1a"]
+    wit = decide_information_distributive(net).witness
+    assert wit == Witness((1, 2), (frozenset({0, 5, 11}), frozenset({5, 11})),
+                          ((0, 5, 11), (5, 11)), wit.paths)
+    res = verify_witness(net, tamper(wit))
+    assert not res and res.violation[0] == tag
+
+
+def test_verify_witness_names_an_extendability_failure(nets):
+    # fig5's counterexample: valid, cumulative and distributive, but two
+    # paths share e5 while crossing different cut edges.
+    net = nets["fig5"]
+    cuts = (
+        frozenset({FIG5["a1"], FIG5["e3"]}),
+        frozenset({FIG5["e3"], FIG5["b4"]}),
+        frozenset({FIG5["e5"], FIG5["b6"]}),
+    )
+    paths = (
+        ((FIG5["a1"], FIG5["e1"], FIG5["b1"]), (FIG5["a2"], FIG5["e3"], FIG5["b2"])),
+        ((FIG5["a3"], FIG5["e3"], FIG5["b3"]), (FIG5["a4"], FIG5["e5"], FIG5["b4"])),
+        ((FIG5["a5"], FIG5["e5"], FIG5["b5"]), (FIG5["a6"], FIG5["e6"], FIG5["b6"])),
+    )
+    perms = find_permutation_sequence(net, cuts)
+    res = verify_witness(net, Witness((1, 2, 3), cuts, perms, paths))
+    assert res.violation == ("extendable", ((3, 10, 16), (4, 10, 17), 10))
+
+
+@pytest.mark.parametrize("limit", ["PATH_LIMIT", "CUTSET_LIMIT"])
+def test_truncated_enumeration_turns_no_into_unknown(nets, monkeypatch, limit):
+    monkeypatch.setattr(witnesses, limit, 1)
+    verdict = decide_information_distributive(nets["fig5"])
+    assert verdict.status == "unknown"
+    assert verdict.stats.to_json_dict()["truncated"] is True
+    assert not verdict.stats.exhausted
+
+
+def test_witness_from_json_defaults_to_the_identity_order(nets):
+    data = decide_information_distributive(nets["fig1b"]).witness.to_json_dict()
+    del data["session_order"]
+    assert witness_from_json(data).session_order == (1, 2, 3)
