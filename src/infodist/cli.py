@@ -51,6 +51,16 @@ def _read_json(path: str) -> dict:
     return data
 
 
+def _read(path: str, reader):
+    """reader applied to the JSON object in path; an error in its content
+    names the file."""
+    data = _read_json(path)
+    try:
+        return reader(data)
+    except (InfodistError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -91,7 +101,7 @@ def _parse_vector(text: str) -> list[Fraction]:
 def cmd_check(args) -> int:
     from .witnesses import SearchBudget, decide_information_distributive
 
-    net = validate_network(_read_json(args.network))
+    net = _read(args.network, validate_network)
     if args.budget < 1:
         raise ValueError("--budget must be positive")
     # NaN fails both comparisons, so it is rejected with infinity.
@@ -120,7 +130,7 @@ def cmd_check(args) -> int:
 def cmd_rate(args) -> int:
     from .rateregion import check_rate_feasible, max_scaled_rate
 
-    net = validate_network(_read_json(args.network))
+    net = _read(args.network, validate_network)
     if (args.rate is None) == (args.direction is None):
         raise NetworkFormatError("exactly one of --rate/--direction required")
     if args.path_limit < 1:
@@ -159,7 +169,7 @@ def cmd_reduce_index(args) -> int:
         side_information_graph,
     )
 
-    inst = IndexCodingInstance.from_json(_read_json(args.instance))
+    inst = _read(args.instance, IndexCodingInstance.from_json)
     net, skeleton = index_to_network(inst)
     rawness = decide_index_rawness(inst)
     side = side_information_graph(inst)
@@ -179,7 +189,7 @@ def cmd_reduce_index(args) -> int:
 def cmd_reduce_deadline(args) -> int:
     from .reductions import DeadlineInstance, deadline_to_time_extended, search_deadline_certificate
 
-    inst = DeadlineInstance.from_json(_read_json(args.instance))
+    inst = _read(args.instance, DeadlineInstance.from_json)
     tnet = deadline_to_time_extended(inst)
     verdict = search_deadline_certificate(tnet)
     wit = verdict.witness if verdict else None  # slot 0 holds C[0] and its paths
@@ -201,15 +211,15 @@ def cmd_audit(args) -> int:
     from .rateregion import scheme_from_json, verify_routing_scheme
     from .witnesses import witness_from_json
 
-    net = validate_network(_read_json(args.network))
-    code = code_from_json(net, _read_json(args.code))
-    wit = witness_from_json(_read_json(args.witness))
+    net = _read(args.network, validate_network)
+    code = _read(args.code, lambda data: code_from_json(net, data))
+    wit = _read(args.witness, witness_from_json)
     scheme = extract_routing(code, wit, strict=args.strict_def5)
     rates = list(code.rates)
     decodable = check_decodable(code)
     expected = [r if ok else 0 for r, ok in zip(rates, decodable)]
     if args.scheme:
-        scheme = scheme_from_json(_read_json(args.scheme), net.num_sessions)
+        scheme = _read(args.scheme, lambda data: scheme_from_json(data, net.num_sessions))
     verification = verify_routing_scheme(net, scheme, expected)
     report = audit(code, wit, seed=args.seed, prop_samples=args.prop_samples,
                    strict=args.strict_def5)
@@ -237,7 +247,7 @@ def cmd_gen_code(args) -> int:
         random_local_table,
     )
 
-    net = validate_network(_read_json(args.network))
+    net = _read(args.network, validate_network)
     rates = [int(r) for r in args.rates.split(",")]
     rng = random.Random(args.seed)
     if args.decodable:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import gfmatrix
 from .errors import (FieldTooSmall, MissingEncoder, NetworkFormatError, WitnessInvalid,
-                     json_int, json_list, json_object)
+                     json_int, json_key, json_list, json_object)
 from .graph import Network, Path
 
 if TYPE_CHECKING:
@@ -50,9 +50,10 @@ class LinearCode:
     q: int
     rates: tuple[int, ...]
     rows: tuple[Row, ...]  # row e is G_e, one entry per source symbol
-    # entropy's memo: frozenset of refs -> rank.  Rank ignores row order and
-    # repeats, and rows never change, so entries never go stale.
-    _ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The memo: frozenset of refs -> echelon basis of their stacked rows.  Its
+    # length, the rank, ignores row order and repeats, and rows never change,
+    # so entries never go stale.
+    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -147,21 +148,22 @@ def locals_from_json(entries) -> LocalTable:
     table: LocalTable = {}
     for entry in json_list(entries, "locals"):
         entry = json_object(entry, "locals")
-        eid = json_int(entry["edge"], "edge")
+        eid = json_int(json_key(entry, "edge"), "edge")
         if eid in table:
             raise NetworkFormatError(f"locals list edge {eid} twice", field="locals")
         terms: list[LocalTerm] = []
         for coeff in json_list(entry.get("coeffs", ()), "coeffs"):
             coeff = json_object(coeff, "coeffs")
-            src = coeff["from"]
-            value = json_int(coeff["value"], "value")
+            src = json_key(coeff, "from")
+            value = json_int(json_key(coeff, "value"), "value")
             if isinstance(src, str) and src.startswith("session"):
-                body = src[len("session"):].strip()
-                if ":" in body:
-                    i, sym = body.split(":")
-                    terms.append(("session", json_int(i, "from"), json_int(sym, "from"), value))
-                else:
-                    terms.append(("session", json_int(body, "from"), 0, value))
+                parts = src[len("session"):].strip().split(":")
+                if len(parts) > 2:
+                    raise NetworkFormatError(
+                        f"from {src!r} is not 'session i' or 'session i:symbol'", field="from"
+                    )
+                i, sym = parts if len(parts) == 2 else (parts[0], 0)
+                terms.append(("session", json_int(i, "from"), json_int(sym, "from"), value))
             else:
                 terms.append(("edge", json_int(src, "from"), value))
         table[eid] = terms
@@ -169,8 +171,9 @@ def locals_from_json(entries) -> LocalTable:
 
 
 def code_from_json(net: Network, data) -> LinearCode:
-    rates = [json_int(r, "rates") for r in json_list(data["rates"], "rates")]
-    return propagate(net, rates, locals_from_json(data["locals"]), json_int(data["field"], "field"))
+    rates = [json_int(r, "rates") for r in json_list(json_key(data, "rates"), "rates")]
+    return propagate(net, rates, locals_from_json(json_key(data, "locals")),
+                     json_int(json_key(data, "field"), "field"))
 
 
 def _collect(code: LinearCode, refs: Iterable[VarRef]) -> list[Row]:
@@ -187,13 +190,35 @@ def _collect(code: LinearCode, refs: Iterable[VarRef]) -> list[Row]:
     return mat
 
 
+def _basis(code: LinearCode, refs: frozenset) -> gfmatrix.Basis:
+    """The echelon basis of the stacked rows of refs, memoized per code."""
+    basis = code._bases.get(refs)
+    if basis is None:
+        basis = code._bases[refs] = gfmatrix.echelon(_collect(code, refs), code.q)
+    return basis
+
+
+def _extend(code: LinearCode, base: frozenset, basis: gfmatrix.Basis,
+            more: Iterable[VarRef]) -> tuple[frozenset, gfmatrix.Basis]:
+    """The set base | more and its basis, memoized per code: on a miss,
+    base's basis grown by the rows of the refs of more not in base."""
+    key = base.union(more)
+    grown = code._bases.get(key)
+    if grown is None:
+        grown = code._bases[key] = gfmatrix.echelon(_collect(code, key - base), code.q, basis)
+    return key, grown
+
+
 def entropy(code: LinearCode, refs: Iterable[VarRef]) -> int:
-    """H(refs) in field symbols = rank of the stacked rows, memoized per code."""
-    refs = frozenset(refs)
-    h = code._ranks.get(refs)
-    if h is None:
-        h = code._ranks[refs] = gfmatrix.rank(_collect(code, refs), code.q)
-    return h
+    """H(refs) in field symbols = rank of the stacked rows."""
+    return len(_basis(code, frozenset(refs)))
+
+
+def cond_entropy(code: LinearCode, a: Iterable[VarRef], given: Iterable[VarRef] = ()) -> int:
+    """H(a | given) = rk(a,c) - rk(c), with the (a, c) basis grown from c's."""
+    c = frozenset(given)
+    c_basis = _basis(code, c)
+    return len(_extend(code, c, c_basis, a)[1]) - len(c_basis)
 
 
 def cond_mutual_info(
@@ -202,23 +227,28 @@ def cond_mutual_info(
     b: Iterable[VarRef],
     given: Iterable[VarRef] = (),
 ) -> int:
-    """I(a ; b | given) = rk(a,c) + rk(b,c) - rk(a,b,c) - rk(c)."""
-    a, b, given = tuple(a), tuple(b), tuple(given)
-    return (
-        entropy(code, a + given)
-        + entropy(code, b + given)
-        - entropy(code, a + b + given)
-        - entropy(code, given)
-    )
+    """I(a ; b | given) = rk(a,c) + rk(b,c) - rk(a,b,c) - rk(c).
+
+    The (a, c) and (b, c) bases grow c's, and the (a, b, c) basis grows
+    (a, c)'s, so c's rows are eliminated once.
+    """
+    b = tuple(b)
+    c = frozenset(given)
+    c_basis = _basis(code, c)
+    ac, ac_basis = _extend(code, c, c_basis, a)
+    _, bc_basis = _extend(code, c, c_basis, b)
+    _, abc_basis = _extend(code, ac, ac_basis, b)
+    return len(ac_basis) + len(bc_basis) - len(abc_basis) - len(c_basis)
+
+
+def _decodes(code: LinearCode, i: int) -> bool:
+    incoming = [edge_var(e) for e in code.net.in_edges[code.net.sink(i)]]
+    return cond_entropy(code, [session_var(i)], incoming) == 0
 
 
 def check_decodable(code: LinearCode) -> tuple[bool, ...]:
-    """Session i decodes iff H(In(d_i)) == H(In(d_i), Y_i)."""
-    out = []
-    for i in range(1, code.net.num_sessions + 1):
-        incoming = [edge_var(e) for e in code.net.in_edges[code.net.sink(i)]]
-        out.append(entropy(code, incoming) == entropy(code, incoming + [session_var(i)]))
-    return tuple(out)
+    """Session i decodes iff H(Y_i | In(d_i)) == 0."""
+    return tuple(_decodes(code, i) for i in range(1, code.net.num_sessions + 1))
 
 
 def _share(code: LinearCode, prior: list[VarRef], sess: int, perm: Sequence[int], eid: int) -> int:
@@ -280,10 +310,7 @@ class AuditReport:
         return {"ok": self.ok, "entries": [e.to_json_dict() for e in self.entries]}
 
 
-def _random_refs(rng: random.Random, code: LinearCode, k: int) -> tuple[VarRef, ...]:
-    pool = [edge_var(e) for e in range(len(code.net.edges))] + [
-        session_var(i) for i in range(1, code.net.num_sessions + 1)
-    ]
+def _random_refs(rng: random.Random, pool: list[VarRef], k: int) -> tuple[VarRef, ...]:
     return tuple(rng.sample(pool, min(k, len(pool))))
 
 
@@ -338,7 +365,7 @@ def audit(
             total += share
         entries.append(AuditEntry(f"eq19/session{sess}", total, rhs18, "=="))
         base = entropy(code, cut_vars + prior)
-        joint = entropy(code, cut_vars + prior + incoming)
+        joint = base + cond_entropy(code, incoming, cut_vars + prior)
         entries.append(AuditEntry(f"lemma1-function/session{sess}", joint, base, "=="))
         prior.append(session_var(sess))
     for eid in sorted(share_terms):
@@ -352,26 +379,29 @@ def audit(
         )
 
     rng = random.Random(seed)
+    pool = [edge_var(e) for e in range(len(net.edges))] + [
+        session_var(i) for i in range(1, net.num_sessions + 1)
+    ]
     for n in range(prop_samples):
-        x = _random_refs(rng, code, rng.randrange(1, 3))
-        yv = _random_refs(rng, code, rng.randrange(1, 3))
-        z = _random_refs(rng, code, rng.randrange(0, 3))
-        w = _random_refs(rng, code, rng.randrange(0, 3))
+        x = _random_refs(rng, pool, rng.randrange(1, 3))
+        yv = _random_refs(rng, pool, rng.randrange(1, 3))
+        z = _random_refs(rng, pool, rng.randrange(0, 3))
+        w = _random_refs(rng, pool, rng.randrange(0, 3))
         f_y = _random_function_of(rng, code, yv)
         f_z = _random_function_of(rng, code, z)
         f_yz = _random_function_of(rng, code, yv + z)
         f_xw = _random_function_of(rng, code, x + w)
         # H(X|Y) == H(X|Y,f(Y))
-        lhs = entropy(code, x + yv) - entropy(code, yv)
-        rhs = entropy(code, x + yv + f_y) - entropy(code, yv + f_y)
+        lhs = cond_entropy(code, x, yv)
+        rhs = cond_entropy(code, x, yv + f_y)
         entries.append(AuditEntry(f"prop1.1/{n}", lhs, rhs, "=="))
         # I(X;Y|Z) == I(X;Y|Z,f(Z))
         lhs = cond_mutual_info(code, x, yv, z)
         rhs = cond_mutual_info(code, x, yv, z + f_z)
         entries.append(AuditEntry(f"prop1.2/{n}", lhs, rhs, "=="))
         # H(X|f(Y)) >= H(X|Y)  (flip into lhs <= rhs form)
-        lhs = entropy(code, x + yv) - entropy(code, yv)
-        rhs = entropy(code, x + f_y) - entropy(code, f_y)
+        lhs = cond_entropy(code, x, yv)
+        rhs = cond_entropy(code, x, f_y)
         entries.append(AuditEntry(f"prop1.3/{n}", lhs, rhs, "<="))
         # I(X;Y|Z,W) >= I(X;f(Y,Z)|Z,W)
         lhs = cond_mutual_info(code, x, yv, z + w)
@@ -415,10 +445,16 @@ def random_decodable_code(
     rng: random.Random,
     attempts: int = 2000,
 ) -> Optional[tuple[LinearCode, LocalTable]]:
-    """Rejection-sample random codes until every session decodes."""
+    """Rejection-sample random codes until every session decodes.
+
+    A sample is dropped at its first session that does not decode; its
+    table was drawn in full before, so the rng stream does not depend on
+    where the test stops.
+    """
+    sessions = range(1, net.num_sessions + 1)
     for _ in range(attempts):
         table = random_local_table(net, rates, q, rng)
         code = propagate(net, rates, table, q)
-        if all(check_decodable(code)):
+        if all(_decodes(code, i) for i in sessions):
             return code, table
     return None

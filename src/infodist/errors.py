@@ -14,6 +14,14 @@ class NetworkFormatError(InfodistError):
         self.field = field
 
 
+def json_key(data: dict, key: str):
+    """data[key], or a format error naming the missing key."""
+    try:
+        return data[key]
+    except KeyError:
+        raise NetworkFormatError(f"missing key {key!r}", field=key) from None
+
+
 def json_list(value, field: str):
     """value itself if it is a JSON list (or a tuple), else a format error."""
     if isinstance(value, (list, tuple)):

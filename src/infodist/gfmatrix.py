@@ -11,6 +11,9 @@ from __future__ import annotations
 from typing import Sequence
 
 Matrix = Sequence[Sequence[int]]
+# An echelon basis: (pivot column, row scaled to 1 at the pivot) per row,
+# each row zero at every earlier row's pivot.
+Basis = tuple[tuple[int, Sequence[int]], ...]
 
 # Miller-Rabin with the first 12 primes as bases is exact for n < 2^64
 # (Sorenson & Webster 2015 prove it up to 3.18e23).
@@ -42,10 +45,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def rank(M: Matrix, p: int) -> int:
-    """Rank mod p, by reducing each row against the pivot rows kept so far."""
-    pivots: list[tuple[int, list[int]]] = []  # (column, row with 1 there)
-    for row in M:
+def echelon(rows: Matrix, p: int, basis: Basis = ()) -> Basis:
+    """The echelon basis `basis` grown by `rows` mod p.
+
+    Each row, reduced mod p, is reduced against the pivot rows kept so far
+    and, if anything is left, adds a pivot at its first nonzero column.
+    When no row adds a pivot the very same `basis` object comes back, so
+    callers can share it.  Every echelon basis of a row space has the same
+    length, its rank, whatever order the rows arrived in.
+    """
+    pivots = list(basis)
+    for row in rows:
+        if len(pivots) == len(row):  # a pivot in every column: no row can add one
+            break
         row = [v % p for v in row]
         for c, prow in pivots:
             f = row[c]
@@ -53,9 +65,12 @@ def rank(M: Matrix, p: int) -> int:
                 row = [(a - f * b) % p for a, b in zip(row, prow)]
         for c, v in enumerate(row):
             if v:
-                inv = pow(v, p - 2, p)
+                inv = pow(v, -1, p)
                 pivots.append((c, [x * inv % p for x in row]))
                 break
-        if len(pivots) == len(row):  # a pivot in every column: no row can add one
-            break
-    return len(pivots)
+    return basis if len(pivots) == len(basis) else tuple(pivots)
+
+
+def rank(M: Matrix, p: int) -> int:
+    """Rank mod p: the length of the echelon basis of M's rows."""
+    return len(echelon(M, p))

@@ -23,6 +23,7 @@ from .errors import (
     SinkHasOutEdge,
     SourceHasInEdge,
     json_int,
+    json_key,
     json_list,
 )
 
@@ -187,9 +188,8 @@ def validate_network(raw) -> Network:
     """
     if not isinstance(raw, Mapping):
         raise NetworkFormatError("network description must be a JSON object")
-    for key in ("nodes", "edges", "sessions"):
-        if key not in raw:
-            raise NetworkFormatError(f"missing key {key!r}", field=key)
+    for key in ("nodes", "edges", "sessions"):  # all three present before any is read
+        json_key(raw, key)
     nodes = [str(v) for v in json_list(raw["nodes"], "nodes")]
     edges = []
     for pos, item in enumerate(json_list(raw["edges"], "edges")):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
-from .errors import CertificateInvalid, UnknownPath, json_int, json_list, json_object
+from .errors import CertificateInvalid, UnknownPath, json_int, json_key, json_list, json_object
 from .graph import DEFAULT_PATH_LIMIT, CheckResult, Network, Path, require_paths, validate_path
 
 RateVector = tuple[Fraction, ...]
@@ -42,14 +42,14 @@ class RoutingScheme:
 
 def scheme_from_json(data, num_sessions: int) -> RoutingScheme:
     flows: list[dict[Path, Fraction]] = [dict() for _ in range(num_sessions)]
-    for entry in json_list(data["flows"], "flows"):
+    for entry in json_list(json_key(data, "flows"), "flows"):
         entry = json_object(entry, "flows")
-        i = json_int(entry["session"], "session")
+        i = json_int(json_key(entry, "session"), "session")
         if not 1 <= i <= num_sessions:
             raise ValueError(f"session {i} out of range")
-        path = tuple(json_int(e, "path") for e in json_list(entry["path"], "path"))
+        path = tuple(json_int(e, "path") for e in json_list(json_key(entry, "path"), "path"))
         flows[i - 1][path] = flows[i - 1].get(path, Fraction(0)) + Fraction(
-            str(entry["value"])
+            str(json_key(entry, "value"))
         )
     return RoutingScheme(tuple(flows))
 

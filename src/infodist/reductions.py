@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .errors import DeadlineTooSmall, NotACutset, json_int, json_list, json_object
+from .errors import DeadlineTooSmall, NotACutset, json_int, json_key, json_list, json_object
 from .graph import (
     CheckResult,
     Network,
@@ -66,11 +66,11 @@ class IndexCodingInstance:
     @classmethod
     def from_json(cls, data) -> "IndexCodingInstance":
         return cls(
-            json_int(data["K"], "K"),
+            json_int(json_key(data, "K"), "K"),
             json_int(data.get("m", 1), "m"),
             tuple(
                 frozenset(json_int(x, "side") for x in json_list(hs, "side"))
-                for hs in json_list(data["side"], "side")
+                for hs in json_list(json_key(data, "side"), "side")
             ),
         )
 
@@ -226,15 +226,16 @@ class DeadlineInstance:
     @classmethod
     def from_json(cls, data) -> "DeadlineInstance":
         edges = []
-        for e in json_list(data["edges"], "edges"):
+        for e in json_list(json_key(data, "edges"), "edges"):
             e = json_object(e, "edges")
-            edges.append((str(e["tail"]), str(e["head"]), json_int(e["delay"], "delay")))
-        tau = json_int(data["tau"], "tau")
+            edges.append((str(json_key(e, "tail")), str(json_key(e, "head")),
+                          json_int(json_key(e, "delay"), "delay")))
+        tau = json_int(json_key(data, "tau"), "tau")
         injection = data.get("injection")
         return cls(
             edges=tuple(edges),
-            source=str(data["source"]),
-            sink=str(data["sink"]),
+            source=str(json_key(data, "source")),
+            sink=str(json_key(data, "sink")),
             tau=tau,
             horizon=json_int(data.get("horizon", 2 * tau), "horizon"),
             memory=json_int(data.get("memory", 0), "memory"),

@@ -15,7 +15,8 @@ from functools import partial
 from itertools import combinations, permutations
 from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
 
-from .errors import BijectionViolated, NotExtendable, PermutationMismatch, json_int, json_list
+from .errors import (BijectionViolated, NotExtendable, PermutationMismatch, json_int, json_key,
+                     json_list)
 from .graph import (
     CheckResult,
     Network,
@@ -65,7 +66,7 @@ def _int_list(value, field: str) -> tuple[int, ...]:
 
 
 def witness_from_json(data) -> Witness:
-    cuts = tuple(frozenset(_int_list(c, "cuts")) for c in json_list(data["cuts"], "cuts"))
+    cuts = tuple(frozenset(_int_list(c, "cuts")) for c in json_list(json_key(data, "cuts"), "cuts"))
     if "session_order" in data:
         order = _int_list(data["session_order"], "session_order")
     else:
@@ -73,10 +74,10 @@ def witness_from_json(data) -> Witness:
     return Witness(
         session_order=order,
         cuts=cuts,
-        perms=tuple(_int_list(p, "perms") for p in json_list(data["perms"], "perms")),
+        perms=tuple(_int_list(p, "perms") for p in json_list(json_key(data, "perms"), "perms")),
         paths=tuple(
             tuple(_int_list(p, "paths") for p in json_list(ps, "paths"))
-            for ps in json_list(data["paths"], "paths")
+            for ps in json_list(json_key(data, "paths"), "paths")
         ),
     )
 

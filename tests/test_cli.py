@@ -492,7 +492,7 @@ def test_code_repeated_locals_edge_exit_1(tmp_path, capsys):
                  "--witness", str(GOLDEN_INPUTS / "fig1a-witness.json")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "infodist: locals list edge 0 twice\n"
+    assert captured.err == f"infodist: {path}: locals list edge 0 twice\n"
 
 
 def _valid_inputs(capsys) -> dict:
@@ -557,3 +557,51 @@ def test_wrong_type_json_field_exit_1(tmp_path, capsys, case):
     assert main([command] + [a.format(**paths) for a in ARGV[command]]) == 1
     err = capsys.readouterr().err
     assert err.startswith("infodist: ") and "Traceback" not in err
+
+
+def _without(data: dict, key: str) -> dict:
+    return {k: v for k, v in data.items() if k != key}
+
+
+def _first_coeff(code: dict, change) -> dict:
+    first, *rest = code["locals"]
+    coeff, *others = first["coeffs"]
+    return {**code, "locals": [{**first, "coeffs": [change(coeff), *others]}, *rest]}
+
+
+# case: (command, input it corrupts, the corruption, what stderr must name)
+MISSING_KEYS = {
+    "check-network-edges": ("check", "network", lambda net: _without(net, "edges"),
+                            "missing key 'edges'"),
+    "deadline-tau": ("reduce-deadline", "instance", lambda dl: _without(dl, "tau"),
+                     "missing key 'tau'"),
+    "deadline-edge-head": ("reduce-deadline", "instance", lambda dl: {
+        **dl, "edges": [_without(dl["edges"][0], "head"), *dl["edges"][1:]]}, "missing key 'head'"),
+    "index-side": ("reduce-index", "instance", lambda _: {"K": 2}, "missing key 'side'"),
+    "audit-witness-perms": ("audit", "witness", lambda wit: _without(wit, "perms"),
+                            "missing key 'perms'"),
+    "audit-code-rates": ("audit", "code", lambda code: _without(code, "rates"),
+                         "missing key 'rates'"),
+    "audit-code-coeff-value": ("audit", "code", lambda code: _first_coeff(
+        code, lambda c: _without(c, "value")), "missing key 'value'"),
+    "audit-code-from-three-parts": ("audit", "code", lambda code: _first_coeff(
+        code, lambda c: {**c, "from": "session 1:2:3"}), "from 'session 1:2:3'"),
+    "audit-scheme-value": ("audit", "scheme", lambda scheme: {
+        "flows": [_without(scheme["flows"][0], "value")]}, "missing key 'value'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_KEYS))
+def test_missing_json_key_names_file_and_field_exit_1(tmp_path, capsys, case):
+    command, key, corrupt, named = MISSING_KEYS[case]
+    files = _valid_inputs(capsys)
+    files[key] = corrupt(files[key])
+    paths = {}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(data))
+    assert main([command] + [a.format(**paths) for a in ARGV[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"infodist: {paths[key]}: ")
+    assert named in captured.err and "Traceback" not in captured.err

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infodist import corpus
+from infodist import codes
 from infodist.codes import (
     audit,
     check_decodable,
     code_from_json,
+    cond_entropy,
     cond_mutual_info,
     edge_var,
     entropy,
@@ -337,7 +339,12 @@ def test_decodable_session_rate_recovered_at_sink(nets):
 def _reference_entropy(code, refs, extra=()):
     mat = []
     for kind, idx in refs:
-        mat += [code.rows[idx]] if kind == "edge" else code.session_rows(idx)
+        if kind == "edge":
+            mat.append(code.rows[idx])
+        elif kind == "session":
+            mat += code.session_rows(idx)
+        else:
+            mat += idx
     return gf_rank(mat + list(extra), code.q)
 
 
@@ -354,7 +361,8 @@ def test_memoized_entropy_matches_reference_rank(q, seed):
     rng = random.Random(seed)
     net = random_network(rng)
     rates = [rng.randint(0, 2) for _ in net.sessions]
-    code = propagate(net, rates, random_local_table(net, rates, q, rng), q)
+    table = random_local_table(net, rates, q, rng)
+    code = propagate(net, rates, table, q)
     pool = [edge_var(e) for e in range(len(net.edges))] + [
         session_var(i) for i in range(1, net.num_sessions + 1)
     ]
@@ -386,7 +394,142 @@ def test_memoized_entropy_matches_reference_rank(q, seed):
     )
     # the zero code on the same network starts with no answers and gets its own
     other = propagate(net, rates, {e: [] for e in range(len(net.edges))}, q)
-    assert not other._ranks
+    assert not other._bases
     for a, extra in queries:
         assert entropy(other, a + _rows_ref(extra)) == _reference_entropy(other, a, extra)
-    assert code._ranks is not other._ranks
+    assert code._bases is not other._bases
+    # Each set's basis is reached by growing another set's basis (the
+    # conditional measures first) or built from scratch (entropy first);
+    # both routes give every rank, in either order of a and b.
+    for _ in range(10):
+        fn = _rows_ref([tuple(rng.randrange(q) for _ in range(code.dim))] * rng.randint(0, 1))
+        a, b, c = refs() + fn, refs(), refs() + fn[: rng.randint(0, 1)]
+        sets = [a + c, b + c, a + b + c, c]
+        want = [_reference_entropy(code, x) for x in sets]
+        for scratch_first in (False, True):
+            fresh = propagate(net, rates, table, q)
+            if scratch_first:
+                assert [entropy(fresh, x) for x in sets] == want
+            assert cond_mutual_info(fresh, a, b, c) == want[0] + want[1] - want[2] - want[3]
+            assert cond_mutual_info(fresh, b, a, c) == want[0] + want[1] - want[2] - want[3]
+            assert cond_entropy(fresh, a, c) == want[0] - want[3]
+            assert [entropy(fresh, x) for x in sets] == want
+
+
+ECHELON_PRIMES = [2, 3, 1000003, 2**61 - 1]
+
+
+def _combination(rows, coeffs):
+    """sum(c * row), unreduced."""
+    return [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows[0]))]
+
+
+@pytest.mark.parametrize("p", ECHELON_PRIMES)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_echelon_grows_to_the_rank_of_the_stacked_rows(p, data):
+    width = data.draw(st.integers(0, 4))
+    # Entries below 0 and at or above p, and the edge values around them.
+    entry = st.integers(-2 * p, 2 * p) | st.sampled_from([-1, 0, 1, p - 1, p, p + 1])
+    rows = st.lists(st.lists(entry, min_size=width, max_size=width), max_size=5)
+    A = data.draw(rows)
+    B = data.draw(rows)
+    if A and width and data.draw(st.booleans()):
+        # rows of A's row space, so that B often adds no pivot
+        B += [_combination(A, data.draw(st.lists(entry, min_size=len(A), max_size=len(A))))
+              for _ in range(data.draw(st.integers(1, 3)))]
+    basis = gfmatrix.echelon(A, p)
+    grown = gfmatrix.echelon(B, p, basis)
+    assert len(basis) == gf_rank(A, p)
+    assert len(grown) == gf_rank(A + B, p)
+    assert gfmatrix.rank(A + B, p) == gf_rank(A + B, p)
+    if len(grown) == len(basis):
+        assert grown is basis
+    assert grown[: len(basis)] == basis
+    for k, (c, row) in enumerate(grown):
+        assert row[c] == 1 and all(0 <= v < p for v in row)
+        assert all(row[earlier] == 0 for earlier, _ in grown[:k])
+
+
+@pytest.mark.parametrize("p", ECHELON_PRIMES)
+def test_echelon_returns_the_same_basis_when_no_pivot_is_added(p):
+    rng = random.Random(p)
+    for _ in range(50):
+        width = rng.randint(1, 4)
+        A = [[rng.randrange(-p, 2 * p) for _ in range(width)] for _ in range(rng.randint(1, 4))]
+        basis = gfmatrix.echelon(A, p)
+        B = [_combination(A, [rng.randrange(-p, 2 * p) for _ in A]) for _ in range(3)]
+        assert gfmatrix.echelon(B, p, basis) is basis
+        assert gfmatrix.echelon([], p, basis) is basis
+        assert gfmatrix.echelon([[p * 3] * width, [0] * width], p, basis) is basis
+    full = gfmatrix.echelon([[1, 0], [0, 1]], p)
+    assert gfmatrix.echelon([[5, 7], [1, 1]], p, full) is full
+
+
+def _scratch_cond_entropy(code, a, given=()):
+    a, given = list(a), list(given)
+    return _reference_entropy(code, a + given) - _reference_entropy(code, given)
+
+
+def _scratch_cond_mutual_info(code, a, b, given=()):
+    a, b, given = list(a), list(b), list(given)
+    return (_reference_entropy(code, a + given) + _reference_entropy(code, b + given)
+            - _reference_entropy(code, a + b + given) - _reference_entropy(code, given))
+
+
+def _answers(code, wit):
+    out = [check_decodable(code)]
+    if wit is not None:
+        out += [extract_routing(code, wit), audit(code, wit, seed=7).entries]
+    return out
+
+
+def _measured_codes(nets):
+    """(code, witness or None) on fig1a, fig1b, fig5 and 20 random networks,
+    random codes with random rates, for q in 2, 3, 5."""
+    rng = random.Random(41)
+    named = [nets[name] for name in ("fig1a", "fig1b", "fig5")]
+    random_nets = [random_network(rng) for _ in range(20)]
+    for net in named + random_nets:
+        wit = decide_information_distributive(net).witness
+        for q in (2, 3, 5):
+            rates = [rng.randint(0, 2) for _ in net.sessions]
+            yield propagate(net, rates, random_local_table(net, rates, q, rng), q), wit
+
+
+def test_memoized_measures_equal_ranks_from_scratch(nets, monkeypatch):
+    measured = [(code, wit, _answers(code, wit)) for code, wit in _measured_codes(nets)]
+    assert sum(wit is not None for _, wit, _ in measured) >= 20
+    monkeypatch.setattr(codes, "entropy", _reference_entropy)
+    monkeypatch.setattr(codes, "cond_entropy", _scratch_cond_entropy)
+    monkeypatch.setattr(codes, "cond_mutual_info", _scratch_cond_mutual_info)
+    for code, wit, want in measured:
+        fresh = codes.LinearCode(code.net, code.q, code.rates, code.rows)
+        assert _answers(fresh, wit) == want
+        assert not fresh._bases  # every measure above ranked from scratch
+
+
+def _reference_sampler(net, rates, q, rng, attempts=2000):
+    """The sampler that ranks every session of every sample."""
+    for _ in range(attempts):
+        table = random_local_table(net, rates, q, rng)
+        code = propagate(net, rates, table, q)
+        if all(check_decodable(code)):
+            return code, table
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_random_decodable_code_matches_full_check_sampler(nets, q):
+    cases = [(nets["fig1a"], (1, 1)), (nets["fig1b"], (1, 1, 1)), (nets["butterfly"], (1, 1))]
+    for seed in range(100):
+        net, rates = cases[seed % len(cases)]
+        attempts = 3 if seed % 2 else 2000  # some draws run out of attempts
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        got = random_decodable_code(net, rates, q, got_rng, attempts)
+        want = _reference_sampler(net, rates, q, want_rng, attempts)
+        assert got_rng.getstate() == want_rng.getstate()
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got[1] == want[1]
+            assert got[0].rows == want[0].rows
