@@ -7,7 +7,7 @@ configuration and the seed, and are byte-stable for a fixed config+seed.
 Exit codes: 0 success (for `check`: verdict yes), 10 mathematical negative
 (verdict no / failed audit inequality), 20 indeterminate (budget or
 enumeration cap hit, or no certificate found by a sufficient-only route),
-1 input or usage error.
+1 input or usage error, a command line the parser rejects included.
 
 Each subcommand imports the library layers it runs inside its own body, so
 a call pays start-up only for those layers.
@@ -269,8 +269,20 @@ def cmd_gen_code(args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line the parser rejects; main() reports it as exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; raise instead, so main() can keep
+    to the documented exit codes.  Subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="infodist",
         description="Routing-optimality certificates for multi-unicast networks",
     )
@@ -331,8 +343,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ERROR
     try:
         return args.func(args)
     except FileNotFoundError as exc:

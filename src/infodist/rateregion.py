@@ -62,13 +62,21 @@ def parse_rates(values: Sequence) -> RateVector:
 
 
 def _path_lp(net: Network, demand, scaled: bool, path_limit: int):
-    """(session paths, c, A, b) of the path-flow LP: maximise c.x subject to
-    A x <= b, with one column per session path, sessions in order, then a
-    lambda column if `scaled`.  c is 0 on every path and 1 on lambda.
+    """(session paths, c, A, b, kept) of the path-flow LP: maximise c.x
+    subject to A x <= b, with one column per session path, sessions in
+    order, then a lambda column if `scaled`.  c is 0 on every path and 1 on
+    lambda.
 
     Session rows come first: -sum(f_i) <= -demand_i, or if `scaled`
-    lambda*demand_i - sum(f_i) <= 0 (no row when demand_i == 0).  Then one
-    unit-capacity load row per used edge, in id order.  Raises
+    lambda*demand_i - sum(f_i) <= 0 (no row when demand_i == 0).  Then the
+    unit-capacity load rows of the edges `_maximal_edges` keeps, in id
+    order; `kept` flags, per used edge in id order, whether its row is in A.
+
+    A dropped row is implied by a kept one (f >= 0), but nothing trusts
+    that: the smaller LP is a relaxation, so its dual, zero on the dropped
+    rows, still bounds the full LP, its "infeasible" holds for the full LP,
+    and `_certify_scheme` re-checks every scheme on every edge.  A wrong
+    presolve raises CertificateInvalid, never a wrong answer.  Raises
     PathEnumerationTruncated when a session has more than path_limit paths.
     """
     session_paths = [require_paths(net, s, d, limit=path_limit) for s, d in net.sessions]
@@ -91,13 +99,44 @@ def _path_lp(net: Network, demand, scaled: bool, path_limit: int):
             row[-1] = d
             A.append(row)
             b.append(0)
-    for eid in sorted(edge_cols):
-        row = [0] * ncols
-        for col in edge_cols[eid]:
-            row[col] = 1
-        A.append(row)
-        b.append(1)
-    return session_paths, c, A, b
+    used = sorted(edge_cols)
+    kept = _maximal_edges(used, edge_cols)
+    for eid in used:
+        if eid in kept:
+            row = [0] * ncols
+            for col in edge_cols[eid]:
+                row[col] = 1
+            A.append(row)
+            b.append(1)
+    return session_paths, c, A, b, [eid in kept for eid in used]
+
+
+def _maximal_edges(used: list[int], edge_cols: dict[int, list[int]]) -> set[int]:
+    """The least edge id of each maximal distinct column set among `used`.
+
+    A set equal to or strictly inside another has its row implied by that
+    one's.  Sets are met largest first, as bitmasks, so each is compared
+    with the kept ones only; strict inclusion is transitive, so every
+    dropped set has a kept superset.
+    """
+    first: dict[int, int] = {}  # column bitmask -> least edge id
+    for eid in used:
+        first.setdefault(sum(1 << col for col in edge_cols[eid]), eid)
+    kept: list[int] = []
+    for mask in sorted(first, key=int.bit_count, reverse=True):
+        for k in kept:
+            if mask & k == mask:
+                break
+        else:
+            kept.append(mask)
+    return {first[mask] for mask in kept}
+
+
+def _zero_extend(dual: list[Fraction], kept: list[bool]) -> list[Fraction]:
+    """The dual in the full LP's rows: a dropped capacity row gets 0."""
+    head = len(dual) - sum(kept)
+    rest = iter(dual[head:])
+    return dual[:head] + [next(rest) if k else Fraction(0) for k in kept]
 
 
 @dataclass
@@ -129,7 +168,7 @@ def check_rate_feasible(
     rates = parse_rates(rates)
     if len(rates) != net.num_sessions:
         raise ValueError("one rate per session required")
-    session_paths, c, A, b = _path_lp(net, rates, False, path_limit)
+    session_paths, c, A, b, _ = _path_lp(net, rates, False, path_limit)
     result = simplex.solve(c, A, b)
     if result.status == simplex.INFEASIBLE:
         return FeasibilityResult(False)
@@ -143,6 +182,8 @@ def check_rate_feasible(
 class ScalingResult:
     lam: Fraction
     scheme: RoutingScheme
+    # One entry per row of the full LP: session rows, then every used edge
+    # in id order, 0 on a capacity row `_path_lp` dropped.
     dual: list[Fraction]
 
 
@@ -155,7 +196,7 @@ def max_scaled_rate(
         raise ValueError("one direction entry per session required")
     if all(d == 0 for d in direction):
         raise ValueError("direction must be nonzero")
-    session_paths, c, A, b = _path_lp(net, direction, True, path_limit)
+    session_paths, c, A, b, kept = _path_lp(net, direction, True, path_limit)
     result = simplex.solve(c, A, b)
     assert result.status == simplex.OPTIMAL, result.status
     lam = result.value
@@ -166,7 +207,7 @@ def max_scaled_rate(
         net, scheme, [lam * d for d in direction],
         f"lambda* = {lam} times the direction",
     )
-    return ScalingResult(lam, scheme, result.dual)
+    return ScalingResult(lam, scheme, _zero_extend(result.dual, kept))
 
 
 def _certify_scheme(net, scheme, rates, what: str) -> None:

@@ -35,12 +35,16 @@ class LPResult:
 
 
 def _integer_row(values) -> tuple[int, list[int]]:
-    """(L, L*values) for the least positive L that makes every entry integral."""
-    if all(type(v) is int for v in values):
-        return 1, list(values)
-    exact = [Fraction(v) for v in values]
-    L = lcm(*[v.denominator for v in exact])
-    return L, [v.numerator * (L // v.denominator) for v in exact]
+    """(L, L*values) for the least positive L that makes every entry integral.
+
+    Only the entries that are not ints become Fractions: L is the lcm of
+    their denominators, and an int entry is just multiplied by L."""
+    exact = {j: Fraction(v) for j, v in enumerate(values) if type(v) is not int}
+    L = lcm(*[v.denominator for v in exact.values()])
+    row = [v * L for v in values] if L > 1 else list(values)
+    for j, v in exact.items():
+        row[j] = v.numerator * (L // v.denominator)
+    return L, row
 
 
 def _pivot(T, basis, prow, pcol, D):

@@ -216,6 +216,39 @@ def test_rate_needs_exactly_one_mode_exit_1(capsys, modes):
     assert capsys.readouterr().err == "infodist: exactly one of --rate/--direction required\n"
 
 
+def _usage_error(capsys, argv) -> str:
+    """main's exit code is 1, not argparse's 2; return its one-line stderr."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+def test_unknown_subcommand_exit_1(capsys):
+    err = _usage_error(capsys, ["bogus"])
+    assert err.startswith("infodist: argument command: invalid choice: 'bogus'")
+
+
+def test_missing_required_argument_exit_1(capsys):
+    err = _usage_error(capsys, ["audit", "fig1a", "--witness", "w.json"])
+    assert err == "infodist audit: the following arguments are required: --code\n"
+
+
+def test_option_like_direction_value_exit_1(capsys):
+    # argparse reads "-1,1" as an option, not as --direction's value.
+    err = _usage_error(capsys, ["rate", "corpus/fig1a.json", "--direction", "-1,1"])
+    assert err == "infodist rate: argument --direction: expected one argument\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["rate", "--help"]])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_gen_code_without_a_decodable_sample_exit_1(capsys):
     # Seed 0's first GF(2) code for fig1a does not decode.
     code, data = run(capsys, "gen-code", "fig1a", "--rates", "1,1", "--field", "2",

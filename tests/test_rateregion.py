@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_simplex, vertex_enum_max
+from oracles import fraction_simplex, random_network, vertex_enum_max
 
-from infodist import simplex
+from infodist import corpus, rateregion, simplex
 from infodist.cli import main
 from infodist.errors import CertificateInvalid, PathEnumerationTruncated, UnknownPath
 from infodist.graph import CheckResult, Network, require_paths
@@ -70,7 +70,8 @@ def test_max_scaled_rate_rejects_zero_direction(nets):
 
 
 def _lp_for_direction(net, direction):
-    """The (c, A, b) triple max_scaled_rate solves, for oracle comparison."""
+    """The full (c, A, b) of max_scaled_rate's LP, with a capacity row for
+    every used edge: an oracle for the presolved LP the library solves."""
     session_paths = [require_paths(net, s, d) for s, d in net.sessions]
     nvars = sum(map(len, session_paths)) + 1
     offsets, col = [], 0
@@ -123,6 +124,69 @@ def test_lp_duality_certificate(nets):
         for j in range(len(c)):
             assert sum(y[i] * A[i][j] for i in range(len(A))) >= c[j]
         assert sum(yi * bi for yi, bi in zip(y, b)) == res.value
+
+
+def _full_lp_verdict(net, direction, t) -> bool:
+    """Whether t * direction is routable, by the full LP with lambda pinned
+    to t, solved by the Fraction oracle."""
+    c, A, b = _lp_for_direction(net, direction)
+    pin = [Fraction(0)] * (len(c) - 1)
+    status = fraction_simplex(c, A + [pin + [Fraction(1)], pin + [Fraction(-1)]], b + [t, -t])[0]
+    return status == simplex.OPTIMAL
+
+
+_direction_entry = st.one_of(
+    st.integers(0, 3), st.fractions(min_value=0, max_value=3, max_denominator=4)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.one_of(st.sampled_from(corpus.NETWORKS), st.integers(0, 10**6)),
+    data=st.data(),
+)
+def test_presolved_lp_equals_full_lp(nets, source, data):
+    net = nets[source] if isinstance(source, str) else random_network(random.Random(source))
+    direction = data.draw(
+        st.lists(_direction_entry, min_size=net.num_sessions, max_size=net.num_sessions)
+        .filter(any)
+    )
+    res = max_scaled_rate(net, direction)
+    c, A, b = _lp_for_direction(net, direction)
+    status, _, value, _, _ = fraction_simplex(c, A, b)
+    assert status == simplex.OPTIMAL and res.lam == value
+    for t in (res.lam, res.lam + Fraction(1, 1000)):
+        rates = [t * d for d in direction]
+        assert check_rate_feasible(net, rates).feasible == _full_lp_verdict(net, direction, t)
+    # The zero-extended dual certifies lambda* on the full LP.
+    y = res.dual
+    assert len(y) == len(A) and all(v >= 0 for v in y)
+    for j in range(len(c)):
+        assert sum(y[i] * A[i][j] for i in range(len(A))) >= c[j]
+    assert sum(yi * bi for yi, bi in zip(y, b)) == res.lam
+
+
+def test_path_lp_keeps_one_row_per_maximal_column_set():
+    # One session, four paths: P1 s-u-v-d, P2 s-u-v-x-d, P3 s-u-v-w-d and
+    # P4 s-w-d.  The chain s-u, u-v carries {P1, P2, P3}, the largest set,
+    # and w-d carries {P3, P4}; every other edge's set is strictly inside
+    # one of these.  Ids: w-d 0, v-d 1, u-v 2, s-u 3, v-x 4, x-d 5, v-w 6, s-w 7.
+    net = Network(
+        ["s", "u", "v", "w", "x", "d"],
+        [("w", "d", 0), ("v", "d", 0), ("u", "v", 0), ("s", "u", 0),
+         ("v", "x", 0), ("x", "d", 0), ("v", "w", 0), ("s", "w", 0)],
+        [("s", "d")],
+    )
+    (paths,), c, A, b, kept = rateregion._path_lp(net, [Fraction(1)], True, 100)
+    assert len(paths) == 4
+    # Equal sets keep the least id (u-v, not s-u); rows follow ascending id.
+    assert kept == [eid in (0, 2) for eid in range(8)]
+    assert A[1:] == [[int(eid in p) for p in paths] + [0] for eid in (0, 2)]
+    assert b[1:] == [1, 1]
+    res = max_scaled_rate(net, [1])
+    assert res.lam == 2
+    assert len(res.dual) == 1 + 8
+    assert all(v == 0 for eid, v in enumerate(res.dual[1:]) if eid not in (0, 2))
 
 
 @contextmanager
@@ -328,8 +392,6 @@ def test_path_truncation_raises(nets):
 
 def test_random_feasibility_monotonic_in_scaling():
     rng = random.Random(17)
-    from oracles import random_network
-
     for _ in range(10):
         net = random_network(rng, max_internal=4, max_sessions=2)
         direction = [1] * net.num_sessions
