@@ -558,7 +558,7 @@ def deadline_verdict(
     generic = {}
     discrepancies = []
     try:
-        validate_cut_sequence(tnet.net, cuts)
+        validate_cut_sequence(tnet.net, cuts, pathseq)
         generic["cut_invariants"] = True
     except ValueError as exc:
         generic["cut_invariants"] = False

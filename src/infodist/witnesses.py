@@ -82,7 +82,19 @@ def witness_from_json(data) -> Witness:
     )
 
 
-def validate_cut_sequence(net: Network, cuts: CutSetSequence) -> None:
+def _disjoint_paths(net: Network, paths: Sequence[Path], s: str, d: str) -> bool:
+    """Whether paths are valid s -> d paths that share no edge."""
+    used: set[int] = set()
+    for path in paths:
+        if not validate_path(net, path, s, d) or not used.isdisjoint(path):
+            return False
+        used.update(path)
+    return True
+
+
+def validate_cut_sequence(
+    net: Network, cuts: CutSetSequence, paths: Optional[PathSetSequence] = None
+) -> None:
     """Enforce the cut-set sequence invariants; raises ValueError on failure.
 
     Each cut-set must be a minimum s_i -> d_i cut-set of its session's
@@ -91,13 +103,23 @@ def validate_cut_sequence(net: Network, cuts: CutSetSequence) -> None:
     the cut-set, and it has only v edges, so every cut edge lies on one of
     them and hence in the domain.  Only a cut-set failing that test pays for
     the domain, to name the first invariant it breaks.
+
+    Given one path set per cut-set, a cut-set C that disconnects s_i from
+    d_i bounds the min-cut by |C|, and |C| valid edge-disjoint s_i -> d_i
+    paths in paths[i-1] bound it from below (Menger).  So such a C passes
+    with no max flow.
     """
     if len(cuts) != net.num_sessions:
         raise ValueError("one cut-set per session required")
+    if paths is not None and len(paths) != len(cuts):
+        paths = None
     for i, cut in enumerate(cuts, start=1):
         s, d = net.sessions[i - 1]
-        value = min_cut(net, s, d)
         disconnects = not has_path(net, s, d, removed=cut)
+        if (disconnects and paths is not None and len(paths[i - 1]) >= len(cut)
+                and _disjoint_paths(net, paths[i - 1], s, d)):
+            continue
+        value = min_cut(net, s, d)
         if len(cut) == value and disconnects:
             continue
         if value == 0:
@@ -313,7 +335,7 @@ def verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckRes
         return CheckResult(False, ("session_order", wit.session_order))
     ordered = net.reindex_sessions(wit.session_order)
     try:
-        validate_cut_sequence(ordered, wit.cuts)
+        validate_cut_sequence(ordered, wit.cuts, wit.paths)
     except ValueError as exc:
         return CheckResult(False, ("cuts", str(exc)))
     cum = is_cumulative(ordered, wit.cuts)
@@ -325,6 +347,8 @@ def verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckRes
         return CheckResult(False, ("perms", str(exc)))
     if not dis:
         return CheckResult(False, ("distributive", dis.violation))
+    if len(wit.paths) != len(wit.cuts):
+        return CheckResult(False, ("paths", "one path set per session required"))
     try:
         ext = is_extendable(ordered, wit.cuts, wit.paths)
     except BijectionViolated as exc:

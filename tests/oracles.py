@@ -735,6 +735,14 @@ def find_cumulative_order(net: Network, cuts_by_session):
     return None if chosen is None else tuple(c + 1 for c in chosen)
 
 
+def menger_paths(net: Network, u: str, v: str) -> list[Path]:
+    """A max flow from u to v as edge-disjoint u->v paths (none if v is
+    unreachable), through the minimum cut-set at u's residual reach."""
+    _value, _flow, reach = _max_flow(net, (u,), {v})
+    cut = [eid for eid, e in enumerate(net.edges) if e.tail in reach and e.head not in reach]
+    return edge_disjoint_paths(net, u, v, cut)
+
+
 def menger_witness_for_single_session(net: Network) -> Witness:
     """The Menger certificate for a single-unicast network (always exists)."""
     assert net.num_sessions == 1

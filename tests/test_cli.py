@@ -516,6 +516,19 @@ def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
 
 
+def test_audit_witness_missing_a_path_set_exit_1(tmp_path, capsys):
+    wit = json.loads((GOLDEN_INPUTS / "fig1a-witness.json").read_text(encoding="utf-8"))
+    wit["paths"] = wit["paths"][:1]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(wit))
+    assert main(["audit", "fig1a", "--code", str(GOLDEN_INPUTS / "fig1a-code.json"),
+                 "--witness", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "infodist: witness fails ('paths', 'one path set per session required')\n")
+
+
 def test_code_repeated_locals_edge_exit_1(tmp_path, capsys):
     code = json.loads((GOLDEN_INPUTS / "fig1a-code.json").read_text(encoding="utf-8"))
     code["locals"].append({"edge": 0, "coeffs": []})

@@ -187,6 +187,16 @@ def test_extract_routing_rejects_bad_witness(nets):
         extract_routing(code, wit)
 
 
+@pytest.mark.parametrize("consumer", [extract_routing, audit])
+def test_missing_path_set_is_an_invalid_witness(nets, consumer):
+    net = nets["fig1a"]
+    wit = decide_information_distributive(net).witness
+    code = propagate(net, (1, 1), {e: [] for e in range(len(net.edges))}, 2)
+    short = Witness(wit.session_order, wit.cuts, wit.perms, wit.paths[:1])
+    with pytest.raises(WitnessInvalid, match="one path set per session required"):
+        consumer(code, short)
+
+
 def test_extract_routing_end_to_end_fig1a(nets):
     net = nets["fig1a"]
     wit = decide_information_distributive(net).witness

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 
-from infodist import corpus, reductions
+from infodist import corpus, reductions, witnesses
 from infodist.codes import check_decodable, propagate
 from infodist.errors import DeadlineTooSmall, NotACutset
 from infodist.graph import CheckResult, enumerate_min_cutsets, enumerate_paths, routing_domain
@@ -249,6 +249,26 @@ def test_deadline_verdict_reports_a_failed_generic_check(monkeypatch, check):
         key: False,
     }
     assert verdict.lemma_discrepancies == [message]
+
+
+def test_deadline_verdict_certifies_cuts_by_its_paths(monkeypatch):
+    # The shifted paths certify every shifted cut-set, so no max flow runs,
+    # and the verdict is the one the flows give.
+    tnet = deadline_to_time_extended(fig4())
+    c0 = fig4_c0(tnet)
+    paths = find_extendable_paths(tnet, c0)
+    calls, real_min_cut = [], witnesses.min_cut
+    monkeypatch.setattr(witnesses, "min_cut",
+                        lambda *args: calls.append(args) or real_min_cut(*args))
+    certified = deadline_verdict(tnet, c0, paths)
+    searched = search_deadline_certificate(tnet)
+    assert calls == []
+    real_validate = reductions.validate_cut_sequence
+    monkeypatch.setattr(reductions, "validate_cut_sequence",
+                        lambda net, cuts, paths=None: real_validate(net, cuts))
+    assert deadline_verdict(tnet, c0, paths).to_json_dict() == certified.to_json_dict()
+    assert len(calls) == tnet.inst.horizon + 1
+    assert search_deadline_certificate(tnet).to_json_dict() == searched.to_json_dict()
 
 
 def test_check_c0_rejects_non_cutset():

@@ -27,8 +27,9 @@ from oracles import (
     random_network,
 )
 
+from infodist.cli import main
 from infodist.errors import BijectionViolated, NotExtendable, PermutationMismatch
-from infodist.graph import Network, routing_domain, validate_network
+from infodist.graph import Network, enumerate_paths, routing_domain, validate_network
 from infodist import witnesses
 from infodist.witnesses import (
     SearchBudget,
@@ -485,6 +486,42 @@ def _raised(check, net, cuts):
     return None
 
 
+PATH_KINDS = ("family", "drop", "duplicate", "share", "other-session", "bad-id", "wrong-length")
+
+
+def _path_sets(net, rng, kind):
+    """Per session a max flow's edge-disjoint paths, then every session's
+    set changed as `kind` names: one path dropped, one repeated, a path
+    sharing an edge with the set added, another session's path added, a
+    path over an edge id that does not exist added, or one set too few or
+    too many.  None if no session admits `kind`."""
+    family = [oracles.menger_paths(net, s, d) for s, d in net.sessions]
+    bad = (len(net.edges) + rng.randrange(3),)
+    if kind == "family":
+        changed = family
+    elif kind == "wrong-length":
+        changed = rng.choice([family[:-1], family + [[bad]]])
+    elif kind == "drop":
+        changed = [ps[:-1] for ps in family]
+    elif kind == "duplicate":
+        changed = [ps + [rng.choice(ps)] if ps else ps for ps in family]
+    elif kind == "share":
+        changed = []
+        for (s, d), ps in zip(net.sessions, family):
+            used = {eid for path in ps for eid in path}
+            shared = [p for p in enumerate_paths(net, s, d)[0]
+                      if p not in ps and used.intersection(p)]
+            changed.append(ps + [rng.choice(shared)] if shared else ps)
+    elif kind == "other-session":
+        others = family[1:] + family[:1] if len(family) > 1 else [[]]
+        changed = [ps + other[:1] for ps, other in zip(family, others)]
+    else:
+        changed = [ps + [bad] for ps in family]
+    if kind != "family" and changed == family:
+        return None
+    return tuple(map(tuple, changed))
+
+
 MESSAGES = ("has size", "leaves its routing domain", "has no path", "does not disconnect")
 # The domain oracle's first complaint about each break (None: it passes).
 EXPECTED_BREAK = {
@@ -497,16 +534,54 @@ EXPECTED_BREAK = {
 }
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from(BREAKS))
-def test_validate_cut_sequence_matches_domain_oracle(seed, kind):
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BREAKS), st.sampled_from((None, *PATH_KINDS)))
+def test_validate_cut_sequence_matches_domain_oracle(seed, kind, path_kind):
+    # Path sets may only spare the max flow: whatever they hold, the cut-sets
+    # pass or fail with the oracle's message.
     rng = random.Random(seed)
     net = random_network(rng, max_internal=5, max_sessions=3, edge_prob=0.5)
     cuts = _cut_sequence(net, rng, kind)
     assume(cuts is not None)
+    paths = path_kind and _path_sets(net, rng, path_kind)
+    assume(paths is not None or path_kind is None)
     expected = _raised(oracles.domain_validate_cuts, net, cuts)
     assert (expected and next(m for m in MESSAGES if m in expected)) in EXPECTED_BREAK[kind]
-    assert _raised(validate_cut_sequence, net, cuts) == expected
+    assert _raised(partial(validate_cut_sequence, paths=paths), net, cuts) == expected
+
+
+def _found_witnesses(nets):
+    """(network, witness) for fig1a and fig1b's found witnesses, and for each
+    butterfly session on its own with its Menger witness: the butterfly with
+    both sessions has no witness."""
+    for name in ("fig1a", "fig1b"):
+        yield nets[name], decide_information_distributive(nets[name]).witness
+    bf = nets["butterfly"]
+    for pair in bf.sessions:
+        net = Network(bf.nodes, bf.edges, [pair])
+        yield net, menger_witness_for_single_session(net)
+
+
+def test_verify_witness_runs_no_max_flow_on_valid_witnesses(nets, monkeypatch):
+    found = list(_found_witnesses(nets))
+    calls, real = [], witnesses.min_cut
+    monkeypatch.setattr(witnesses, "min_cut", lambda *args: calls.append(args) or real(*args))
+    for net, wit in found:
+        assert verify_witness(net, wit).ok
+    assert calls == []
+    # Without the paths every session pays for one flow.
+    for net, wit in found:
+        validate_cut_sequence(net.reindex_sessions(wit.session_order), wit.cuts)
+    assert len(calls) == sum(net.num_sessions for net, _ in found)
+
+
+@pytest.mark.parametrize("name", ["fig1a", "fig1b", "butterfly", "parallel-m"])
+def test_check_output_without_the_path_certificate_is_unchanged(capsys, monkeypatch, name):
+    certified = main(["check", name]), capsys.readouterr()
+    real = witnesses.validate_cut_sequence
+    monkeypatch.setattr(witnesses, "validate_cut_sequence",
+                        lambda net, cuts, paths=None: real(net, cuts))
+    assert (main(["check", name]), capsys.readouterr()) == certified
 
 
 @settings(max_examples=200, deadline=None)
@@ -723,6 +798,7 @@ TAMPERED = [
     ("distributive", lambda w: dataclasses.replace(w, perms=((5, 0, 11), (11, 5)))),
     ("paths", lambda w: dataclasses.replace(w, paths=(w.paths[0], ((4, 5, 6, 8),) * 2))),
     ("paths", lambda w: dataclasses.replace(w, paths=(((0, 1), *w.paths[0][1:]), w.paths[1]))),
+    ("paths", lambda w: dataclasses.replace(w, paths=w.paths[:1])),
 ]
 
 
