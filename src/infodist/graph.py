@@ -13,7 +13,7 @@ import copy
 import math
 from collections import deque
 from collections.abc import Mapping
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     CycleDetected,
@@ -59,7 +59,7 @@ class Network:
 
     def __init__(self, nodes, edges, sessions):
         self.nodes: tuple[str, ...] = tuple(nodes)
-        self.edges: tuple[EdgeTriple, ...] = tuple(map(EdgeTriple._make, edges))
+        self.edges: tuple[EdgeTriple, ...] = tuple([tuple.__new__(EdgeTriple, e) for e in edges])
         self.sessions: tuple[tuple[str, str], ...] = tuple(
             (str(s), str(d)) for s, d in sessions
         )
@@ -68,17 +68,22 @@ class Network:
         if len(out) != len(self.nodes):
             raise NetworkFormatError("duplicate node id", field="nodes")
         inc: dict[str, list[int]] = {v: [] for v in self.nodes}
+        self._heads = heads = {v: [] for v in self.nodes}  # heads of out_edges[v], in order
+        repeats = len(set(self.edges)) < len(self.edges)  # then name the first repeat
         seen = set()
         for eid, e in enumerate(self.edges):
-            if e.tail not in out:
-                raise NetworkFormatError(f"edge {eid} tail {e.tail!r} not a node", field="edges")
-            if e.head not in out:
-                raise NetworkFormatError(f"edge {eid} head {e.head!r} not a node", field="edges")
-            if e in seen:
-                raise DuplicateEdge(e)
-            seen.add(e)
-            out[e.tail].append(eid)
-            inc[e.head].append(eid)
+            tail, head, _ = e
+            if tail not in out:
+                raise NetworkFormatError(f"edge {eid} tail {tail!r} not a node", field="edges")
+            if head not in out:
+                raise NetworkFormatError(f"edge {eid} head {head!r} not a node", field="edges")
+            if repeats:
+                if e in seen:
+                    raise DuplicateEdge(e)
+                seen.add(e)
+            out[tail].append(eid)
+            heads[tail].append(head)
+            inc[head].append(eid)
         self.out_edges: dict[str, tuple[int, ...]] = {v: tuple(ids) for v, ids in out.items()}
         self.in_edges: dict[str, tuple[int, ...]] = {v: tuple(ids) for v, ids in inc.items()}
 
@@ -90,12 +95,21 @@ class Network:
             if s == d:
                 raise NetworkFormatError(f"session {i} source and sink are both {s!r}",
                                          field="sessions")
-            if self.in_edges[s]:
+            if inc[s]:
                 raise SourceHasInEdge(i, s)
-            if self.out_edges[d]:
+            if out[d]:
                 raise SinkHasOutEdge(i, d)
 
-        self.topo_order: tuple[str, ...] = self._toposort()
+        indeg = {v: len(ids) for v, ids in inc.items()}
+        order = [v for v, n in indeg.items() if not n]
+        for v in order:  # Kahn's sort; the list is its own first-in-first-out queue
+            for w in heads[v]:
+                indeg[w] -= 1
+                if not indeg[w]:
+                    order.append(w)
+        if len(order) != len(self.nodes):
+            raise CycleDetected(self._cycle_edge({v for v, n in indeg.items() if n}))
+        self.topo_order: tuple[str, ...] = tuple(order)
         # Eager, so instances stay strictly immutable (thread-transferable).
         self._alpha: dict[str, int] = self._alphas()
 
@@ -105,27 +119,14 @@ class Network:
         alpha = dict.fromkeys(self.nodes, 0)
         for i, (s, _) in enumerate(self.sessions, start=1):
             alpha[s] = i
+        heads = self._heads
         for v in self.topo_order:
-            for eid in self.out_edges[v]:
-                w = self.edges[eid].head
-                alpha[w] = max(alpha[w], alpha[v])
+            a = alpha[v]
+            if a:
+                for w in heads[v]:
+                    if alpha[w] < a:
+                        alpha[w] = a
         return alpha
-
-    def _toposort(self) -> tuple[str, ...]:
-        indeg = {v: len(self.in_edges[v]) for v in self.nodes}
-        queue = deque(v for v in self.nodes if indeg[v] == 0)
-        order = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for eid in self.out_edges[v]:
-                w = self.edges[eid].head
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        if len(order) != len(self.nodes):
-            raise CycleDetected(self._cycle_edge({v for v in self.nodes if indeg[v] > 0}))
-        return tuple(order)
 
     def _cycle_edge(self, left: set[str]) -> EdgeTriple:
         """An edge on a cycle, given the nodes a Kahn sort left over: those
@@ -265,6 +266,31 @@ def co_reachable(net: Network, node: str, removed=frozenset()) -> set[str]:
 
 def has_path(net, u, v, removed=frozenset()) -> bool:
     return v in reachable_from(net, u, removed)
+
+
+def reach_masks(net: Network, targets: Sequence[tuple[str, Iterable[int]]]) -> dict[str, int]:
+    """Per node, a bitmask whose bit k says whether the node reaches the sink
+    of targets[k] without an edge of its removed set, from one pass in
+    reverse topological order that starts at the latest sink: mask[v] is the
+    OR over out-edges e = (v, w) of mask[w] less the bits of targets removing e.
+    """
+    mask = dict.fromkeys(net.nodes, 0)
+    blocked: dict[int, int] = {}
+    for k, (sink, removed) in enumerate(targets):
+        mask[sink] |= 1 << k
+        for eid in removed:
+            blocked[eid] = blocked.get(eid, 0) | 1 << k
+    order, heads, out = net.topo_order, net._heads, net.out_edges
+    stop = len(order)
+    while stop and not mask[order[stop - 1]]:
+        stop -= 1
+    for v in reversed(order[:stop]):
+        acc = mask[v]
+        for eid, w in zip(out[v], heads[v]):
+            if mask[w]:
+                acc |= mask[w] & ~blocked.get(eid, 0)
+        mask[v] = acc
+    return mask
 
 
 def _augmenting(net: Network, sources, sinks, flow, removed):

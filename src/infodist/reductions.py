@@ -23,8 +23,8 @@ from .graph import (
     alpha,
     enumerate_min_cutsets,
     enumerate_paths,
-    has_path,
     min_cut,
+    reach_masks,
     routing_domain,
     validate_path,
     walk_back,
@@ -430,13 +430,16 @@ class C0Result:
 def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
     """The least ordering of C[0] meeting the two recurrent-sequence conditions
     (:func:`_c0_ordering`); C[0] must be a minimum cut-set of the session-0
-    domain, else :class:`NotACutset`."""
+    domain, else :class:`NotACutset`.  A C[0] of min-cut size that disconnects
+    lies on min-cut many edge-disjoint paths (Menger), so inside the domain,
+    which is read only to name a failure."""
     c0 = frozenset(c0)
+    disconnects = not reach_masks(tnet.net, [("#d0", c0)])["#s0"]
+    if len(c0) == tnet.mincut0 and disconnects:
+        return _c0_ordering(tnet, c0)
     if len(c0) != tnet.mincut0 or not c0 <= routing_domain(tnet.net, 1):
         raise NotACutset("C[0] must be a minimum cut-set of the session-0 domain")
-    if has_path(tnet.net, "#s0", "#d0", removed=c0):
-        raise NotACutset("C[0] does not disconnect session 0")
-    return _c0_ordering(tnet, c0)
+    raise NotACutset("C[0] does not disconnect session 0")
 
 
 def _c0_ordering(tnet: TimeExtendedNetwork, c0: frozenset[int]) -> C0Result:

@@ -23,12 +23,11 @@ from .graph import (
     Path,
     _max_flow,
     alpha,
-    co_reachable,
     enumerate_min_cutsets,
     enumerate_paths,
     find_path,
-    has_path,
     min_cut,
+    reach_masks,
     routing_domain,
     validate_path,
 )
@@ -94,7 +93,7 @@ def _disjoint_paths(net: Network, paths: Sequence[Path], s: str, d: str) -> bool
 
 def validate_cut_sequence(
     net: Network, cuts: CutSetSequence, paths: Optional[PathSetSequence] = None
-) -> None:
+) -> frozenset[int]:
     """Enforce the cut-set sequence invariants; raises ValueError on failure.
 
     Each cut-set must be a minimum s_i -> d_i cut-set of its session's
@@ -107,17 +106,21 @@ def validate_cut_sequence(
     Given one path set per cut-set, a cut-set C that disconnects s_i from
     d_i bounds the min-cut by |C|, and |C| valid edge-disjoint s_i -> d_i
     paths in paths[i-1] bound it from below (Menger).  So such a C passes
-    with no max flow.
+    with no max flow.  Returns the sessions so passed, whose paths are all
+    valid.  One :func:`~infodist.graph.reach_masks` pass tests disconnection.
     """
     if len(cuts) != net.num_sessions:
         raise ValueError("one cut-set per session required")
     if paths is not None and len(paths) != len(cuts):
         paths = None
+    reach = reach_masks(net, [(d, cut) for (_, d), cut in zip(net.sessions, cuts)])
+    certified = set()
     for i, cut in enumerate(cuts, start=1):
         s, d = net.sessions[i - 1]
-        disconnects = not has_path(net, s, d, removed=cut)
+        disconnects = not reach[s] >> (i - 1) & 1
         if (disconnects and paths is not None and len(paths[i - 1]) >= len(cut)
                 and _disjoint_paths(net, paths[i - 1], s, d)):
+            certified.add(i)
             continue
         value = min_cut(net, s, d)
         if len(cut) == value and disconnects:
@@ -131,6 +134,7 @@ def validate_cut_sequence(
                 f"cut-set of session {i} has size {len(cut)}, min-cut is {value}"
             )
         raise ValueError(f"cut-set of session {i} does not disconnect {s!r}->{d!r}")
+    return frozenset(certified)
 
 
 def cumulativity_breach(net: Network, i: int, cut: frozenset[int], j: int) -> Optional[Path]:
@@ -138,27 +142,21 @@ def cumulativity_breach(net: Network, i: int, cut: frozenset[int], j: int) -> Op
     return find_path(net, net.source(j), net.sink(i), removed=cut)
 
 
-def _sources_reaching(net: Network, i: int, cut: frozenset[int]) -> frozenset[int]:
-    """The sessions j whose source still reaches d_i once C_i = cut is removed,
-    from one backward search out of d_i."""
-    reach = co_reachable(net, net.sink(i), removed=cut)
-    return frozenset(j for j, (s, _) in enumerate(net.sessions, start=1) if s in reach)
-
-
 def is_cumulative(net: Network, cuts: CutSetSequence) -> CheckResult:
     """Every path from a later source s_j to an earlier sink d_i meets C_i.
 
-    One backward search from each d_i (i < K) finds every later source that
-    reaches d_i around C_i.  The violation, if any, is (j, i, path) for the
-    least such i, then the least j, with path the breadth-first s_j -> d_i
-    path of :func:`cumulativity_breach`.
+    One :func:`~infodist.graph.reach_masks` pass, with a bit per d_i (i < K)
+    and C_i removed, finds every later source that reaches d_i around C_i.
+    The violation, if any, is (j, i, path) for the least such i, then the
+    least j, with path the breadth-first s_j -> d_i path of
+    :func:`cumulativity_breach`.
     """
     K = net.num_sessions
+    reach = reach_masks(net, [(net.sink(i), cuts[i - 1]) for i in range(1, K)])
     for i in range(1, K):
-        later = [j for j in _sources_reaching(net, i, cuts[i - 1]) if j > i]
-        if later:
-            j = min(later)
-            return CheckResult(False, (j, i, cumulativity_breach(net, i, cuts[i - 1], j)))
+        for j in range(i + 1, K + 1):
+            if reach[net.source(j)] >> (i - 1) & 1:
+                return CheckResult(False, (j, i, cumulativity_breach(net, i, cuts[i - 1], j)))
     return CheckResult(True)
 
 
@@ -335,7 +333,7 @@ def verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckRes
         return CheckResult(False, ("session_order", wit.session_order))
     ordered = net.reindex_sessions(wit.session_order)
     try:
-        validate_cut_sequence(ordered, wit.cuts, wit.paths)
+        certified = validate_cut_sequence(ordered, wit.cuts, wit.paths)
     except ValueError as exc:
         return CheckResult(False, ("cuts", str(exc)))
     cum = is_cumulative(ordered, wit.cuts)
@@ -356,6 +354,8 @@ def verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckRes
     if not ext:
         return CheckResult(False, ("extendable", ext.violation))
     for pos, pset in enumerate(wit.paths):
+        if pos + 1 in certified:  # its paths passed validate_path already
+            continue
         s, d = ordered.sessions[pos]
         for path in pset:
             if not validate_path(ordered, path, s, d):
@@ -538,7 +538,8 @@ class _Searcher:
         self.cutsets: list[list[frozenset[int]]] = []
         self.paths: list[list[Path]] = []
         self._slots: dict[tuple[int, frozenset[int]], list[FamilySlot]] = {}
-        self._reaching: dict[tuple[int, frozenset[int]], frozenset[int]] = {}
+        # [i][j-1]: bit k set iff s_j reaches d_i around cutsets[i-1][k].
+        self._reaching: dict[int, list[int]] = {}
         # (session, cut) slot sets known to hold no path family, whatever
         # the session order: find_family's conflicts are symmetric.
         self._no_family: set[frozenset[tuple[int, frozenset[int]]]] = set()
@@ -574,15 +575,22 @@ class _Searcher:
         self.stats.path_assignments += 1
         self._tick()
 
-    def _cumulative_ok(self, sess: int, cut: frozenset[int], later: Sequence[int]) -> bool:
-        """No source of a `later` session reaches d_sess around `cut`."""
+    def _pool(self, sess: int, later: Sequence[int]) -> list[frozenset[int]]:
+        """The session's cut-sets around which no source of a `later` session
+        reaches d_sess.  The first call with a later session answers all the
+        session's cut-sets in one :func:`~infodist.graph.reach_masks` pass."""
+        cuts = self.cutsets[sess - 1]
         if not later:
-            return True
-        key = (sess, cut)
-        reaching = self._reaching.get(key)
+            return cuts
+        reaching = self._reaching.get(sess)
         if reaching is None:
-            reaching = self._reaching[key] = _sources_reaching(self.net, sess, cut)
-        return reaching.isdisjoint(later)
+            masks = reach_masks(self.net, [(self.net.sink(sess), cut) for cut in cuts])
+            reaching = self._reaching[sess] = [masks[s] for s, _ in self.net.sessions]
+        bad = 0
+        for j in later:
+            bad |= reaching[j - 1]
+        bits = format(bad, f"0{len(cuts)}b")[::-1]  # bits[k]: bit k of bad
+        return [cut for cut, bit in zip(cuts, bits) if bit == "0"]
 
     def _find_paths(self, order, cuts) -> Optional[PathSetSequence]:
         """One path per cut edge, paths sharing an edge crossing the same cut
@@ -661,15 +669,7 @@ class _Searcher:
             for order in orders:
                 self._tick()  # also for orders whose pools come up empty
                 self.stats.orders_tried += 1
-                pools: list[list[frozenset[int]]] = []
-                for pos, sess in enumerate(order):
-                    later = order[pos + 1:]
-                    pool = [
-                        cut
-                        for cut in self.cutsets[sess - 1]
-                        if self._cumulative_ok(sess, cut, later)
-                    ]
-                    pools.append(pool)
+                pools = [self._pool(sess, order[pos + 1:]) for pos, sess in enumerate(order)]
                 if any(not pool for pool in pools):
                     continue
                 ordered_net = None  # built once a tuple reaches the ordering check

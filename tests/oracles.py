@@ -21,6 +21,10 @@ search.  `gf_rank` eliminates every row with no early stop and no memo, the
 reference for `gfmatrix.rank` and `codes.entropy`.
 `two_grid_time_extended` reads the deadline grid's session-0 min-cut on a
 full-horizon grid, built with its own layout code.
+`deque_kahn_order` and `max_alphas` are the topological sort and alpha pass
+`Network` ran before it kept each node's head list; `domain_first_c0_check`
+is `reductions.check_c0_distributive` reading the routing domain before it
+tests disconnection.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable
 
-from infodist.errors import DeadlineTooSmall, InfodistError
+from infodist.errors import DeadlineTooSmall, InfodistError, NotACutset
 from infodist.graph import (
     Network,
     Path,
@@ -252,6 +256,47 @@ def domain_validate_cuts(net: Network, cuts) -> None:
             )
         if has_path(net, s, d, removed=cut):
             raise ValueError(f"cut-set of session {i} does not disconnect {s!r}->{d!r}")
+
+
+def deque_kahn_order(net: Network) -> tuple[str, ...]:
+    """Kahn's sort with a deque, each out-edge's head looked up by edge id;
+    None when some node is left over (a cycle)."""
+    indeg = {v: len(net.in_edges[v]) for v in net.nodes}
+    queue = deque(v for v in net.nodes if indeg[v] == 0)
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for eid in net.out_edges[v]:
+            w = net.edges[eid].head
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return tuple(order) if len(order) == len(net.nodes) else None
+
+
+def max_alphas(net: Network) -> dict[str, int]:
+    """Per node, the largest session index whose source reaches it (0 if
+    none), by a max over every edge in topological order."""
+    alpha = dict.fromkeys(net.nodes, 0)
+    for i, (s, _) in enumerate(net.sessions, start=1):
+        alpha[s] = i
+    for v in deque_kahn_order(net):
+        for eid in net.out_edges[v]:
+            w = net.edges[eid].head
+            alpha[w] = max(alpha[w], alpha[v])
+    return alpha
+
+
+def domain_first_c0_check(tnet: TimeExtendedNetwork, c0) -> None:
+    """The cut-set test of `reductions.check_c0_distributive` in its printed
+    order: size and routing-domain containment, then disconnection.  Raises
+    NotACutset with the same messages."""
+    c0 = frozenset(c0)
+    if len(c0) != tnet.mincut0 or not c0 <= routing_domain(tnet.net, 1):
+        raise NotACutset("C[0] must be a minimum cut-set of the session-0 domain")
+    if has_path(tnet.net, "#s0", "#d0", removed=c0):
+        raise NotACutset("C[0] does not disconnect session 0")
 
 
 def brute_decide(net: Network) -> bool:

@@ -10,7 +10,9 @@ from oracles import (
     CutNotSaturable,
     bfs_find_path,
     brute_min_cut,
+    deque_kahn_order,
     edge_disjoint_paths,
+    max_alphas,
     random_network,
 )
 
@@ -25,10 +27,12 @@ from infodist.graph import (
     Network,
     _max_flow,
     alpha,
+    co_reachable,
     enumerate_min_cutsets,
     enumerate_paths,
     find_path,
     min_cut,
+    reach_masks,
     reachable_from,
     routing_domain,
     validate_network,
@@ -438,3 +442,33 @@ def test_min_cut_matches_bruteforce_on_random_networks():
             s, d = net.sessions[i - 1]
             value, _ = brute_min_cut(net, s, d)
             assert min_cut(net, s, d) == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_reach_masks_equal_one_search_per_target(seed, data):
+    # Sinks are any nodes; removed sets may be empty, repeat a target's sink
+    # or hold edge ids outside the network.
+    net = random_network(random.Random(seed), max_internal=6, max_sessions=3, edge_prob=0.5)
+    ids = st.integers(-2, len(net.edges) + 2)
+    targets = data.draw(st.lists(
+        st.tuples(st.sampled_from(net.nodes), st.frozensets(ids, max_size=len(net.edges) + 2)),
+        max_size=8))
+    masks = reach_masks(net, targets)
+    assert set(masks) == set(net.nodes)
+    for k, (sink, removed) in enumerate(targets):
+        reach = co_reachable(net, sink, removed=removed)
+        assert {v for v in net.nodes if masks[v] >> k & 1} == reach
+    assert all(m < 1 << len(targets) for m in masks.values())
+
+
+def test_topo_order_and_alpha_equal_the_deque_kahn_oracle(nets):
+    rng = random.Random(20)
+    cases = list(nets.values())
+    cases += [random_network(rng, max_internal=7, max_sessions=4, edge_prob=0.6)
+              for _ in range(200)]
+    for net in cases:
+        assert net.topo_order == deque_kahn_order(net)
+        assert net._alpha == max_alphas(net)
+        order = tuple(range(net.num_sessions, 0, -1))
+        assert net.reindex_sessions(order)._alpha == max_alphas(net.reindex_sessions(order))

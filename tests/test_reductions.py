@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 
-from infodist import corpus, reductions, witnesses
+from infodist import corpus, graph, reductions, witnesses
 from infodist.codes import check_decodable, propagate
 from infodist.errors import DeadlineTooSmall, NotACutset
 from infodist.graph import CheckResult, enumerate_min_cutsets, enumerate_paths, routing_domain
@@ -269,6 +269,52 @@ def test_deadline_verdict_certifies_cuts_by_its_paths(monkeypatch):
     assert deadline_verdict(tnet, c0, paths).to_json_dict() == certified.to_json_dict()
     assert len(calls) == tnet.inst.horizon + 1
     assert search_deadline_certificate(tnet).to_json_dict() == searched.to_json_dict()
+
+
+def test_deadline_verdict_answers_reach_questions_without_a_search(monkeypatch):
+    # C[0]'s cut-set test, the shifted cut-sets' disconnection and the
+    # cumulativity check each read one reach_masks pass; no graph search runs.
+    tnet = deadline_to_time_extended(fig4())
+    c0 = fig4_c0(tnet)
+    paths = find_extendable_paths(tnet, c0)
+    searches, real_bfs = [], graph._bfs
+    monkeypatch.setattr(graph, "_bfs", lambda *args: searches.append(args) or real_bfs(*args))
+    assert deadline_verdict(tnet, c0, paths).status == "yes"
+    assert searches == []
+
+
+def _c0_outcome(check, tnet, cut):
+    try:
+        check(tnet, cut)
+    except NotACutset as exc:
+        return str(exc)
+    return None
+
+
+def test_check_c0_cutset_test_matches_domain_first_order():
+    seen = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1))
+    def compare(seed):
+        rng = random.Random(seed)
+        try:
+            tnet = deadline_to_time_extended(oracles.random_deadline(rng))
+        except DeadlineTooSmall:
+            return
+        base = [e for e, label in enumerate(tnet.labels) if label[0] == "base"]
+        cuts = [frozenset(rng.sample(base, min(len(base), tnet.mincut0)))]
+        for cut in _base_cutsets(tnet)[:3]:
+            less = cut - set(sorted(cut)[:1])
+            cuts += [cut, cut | {rng.choice(base)}, less, less | {rng.choice(base)}]
+        for cut in cuts:
+            outcome = _c0_outcome(check_c0_distributive, tnet, cut)
+            assert outcome == _c0_outcome(oracles.domain_first_c0_check, tnet, cut)
+            seen.add(outcome)
+
+    compare()
+    assert seen == {None, "C[0] must be a minimum cut-set of the session-0 domain",
+                    "C[0] does not disconnect session 0"}
 
 
 def test_check_c0_rejects_non_cutset():

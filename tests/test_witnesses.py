@@ -2,7 +2,7 @@ import dataclasses
 import random
 import time
 from functools import partial
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -29,8 +29,8 @@ from oracles import (
 
 from infodist.cli import main
 from infodist.errors import BijectionViolated, NotExtendable, PermutationMismatch
-from infodist.graph import Network, enumerate_paths, routing_domain, validate_network
-from infodist import witnesses
+from infodist.graph import Network, co_reachable, enumerate_paths, routing_domain, validate_network
+from infodist import graph, witnesses
 from infodist.witnesses import (
     SearchBudget,
     _lazy_product,
@@ -573,6 +573,61 @@ def test_verify_witness_runs_no_max_flow_on_valid_witnesses(nets, monkeypatch):
     for net, wit in found:
         validate_cut_sequence(net.reindex_sessions(wit.session_order), wit.cuts)
     assert len(calls) == sum(net.num_sessions for net, _ in found)
+
+
+def _counted(monkeypatch, module, name) -> list:
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_verify_witness_answers_reach_questions_without_a_search(nets, monkeypatch):
+    # Disconnection and cumulativity come from one reach_masks pass each.
+    found = [(nets[name], decide_information_distributive(nets[name]).witness)
+             for name in ("fig1a", "fig1b")]
+    searches = _counted(monkeypatch, graph, "_bfs")
+    passes = _counted(monkeypatch, witnesses, "reach_masks")
+    for net, wit in found:
+        assert verify_witness(net, wit).ok
+    assert searches == []
+    assert len(passes) == 2 * len(found)
+
+
+def test_verify_witness_validates_each_path_once(nets, monkeypatch):
+    wit = decide_information_distributive(nets["fig1a"]).witness
+    calls = _counted(monkeypatch, witnesses, "validate_path")
+    assert verify_witness(nets["fig1a"], wit).ok
+    assert len(calls) == sum(map(len, wit.paths)) == 5
+
+
+def _pools_by_search(searcher, sess, later):
+    net = searcher.net
+    return [cut for cut in searcher.cutsets[sess - 1]
+            if not any(net.source(j) in co_reachable(net, net.sink(sess), removed=cut)
+                       for j in later)]
+
+
+def _assert_pools_equal_one_search_per_cut(net):
+    searcher = witnesses._Searcher(net, SearchBudget())
+    searcher._enumerate()
+    K = net.num_sessions
+    for sess in range(1, K + 1):
+        others = [j for j in range(1, K + 1) if j != sess]
+        for r in range(len(others) + 1):
+            for later in combinations(others, r):
+                assert searcher._pool(sess, later) == _pools_by_search(searcher, sess, later)
+
+
+def test_pools_from_one_pass_equal_one_search_per_cut_on_corpus(nets):
+    for net in nets.values():
+        _assert_pools_equal_one_search_per_cut(net)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_pools_from_one_pass_equal_one_search_per_cut(seed):
+    net = random_network(random.Random(seed), max_internal=6, max_sessions=4, edge_prob=0.6)
+    _assert_pools_equal_one_search_per_cut(net)
 
 
 @pytest.mark.parametrize("name", ["fig1a", "fig1b", "butterfly", "parallel-m"])
