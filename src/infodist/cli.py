@@ -89,13 +89,20 @@ def _envelope(args, command: str, result: dict) -> dict:
     }
 
 
-def _parse_vector(text: str) -> list[Fraction]:
+def _parse_vector(text: str, flag: str) -> list[Fraction]:
+    """The comma-separated numbers of flag's value; one that does not parse
+    names the flag."""
     from fractions import Fraction
 
-    try:
-        return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    vector = []
+    for part in filter(None, map(str.strip, text.split(","))):
+        try:
+            vector.append(Fraction(part))
+        except ZeroDivisionError:
+            raise ValueError(f"{flag}: zero denominator in {text!r}") from None
+        except ValueError:
+            raise ValueError(f"{flag}: {part!r} is not a number") from None
+    return vector
 
 
 def cmd_check(args) -> int:
@@ -137,7 +144,7 @@ def cmd_rate(args) -> int:
         raise ValueError("--path-limit must be positive")
     try:
         if args.rate is not None:
-            rates = _parse_vector(args.rate)
+            rates = _parse_vector(args.rate, "--rate")
             res = check_rate_feasible(net, rates, path_limit=args.path_limit)
             result = {
                 "mode": "feasibility",
@@ -146,7 +153,7 @@ def cmd_rate(args) -> int:
                 "scheme": res.scheme.to_json_dict() if res.scheme else None,
             }
         else:
-            direction = _parse_vector(args.direction)
+            direction = _parse_vector(args.direction, "--direction")
             res = max_scaled_rate(net, direction, path_limit=args.path_limit)
             result = {
                 "mode": "max-scaled-rate",
@@ -212,6 +219,8 @@ def cmd_audit(args) -> int:
     from .witnesses import witness_from_json
 
     net = _read(args.network, validate_network)
+    if args.prop_samples < 0:
+        raise ValueError("--prop-samples must be nonnegative")
     code = _read(args.code, lambda data: code_from_json(net, data))
     wit = _read(args.witness, witness_from_json)
     scheme = extract_routing(code, wit, strict=args.strict_def5)
@@ -248,7 +257,14 @@ def cmd_gen_code(args) -> int:
     )
 
     net = _read(args.network, validate_network)
-    rates = [int(r) for r in args.rates.split(",")]
+    rates = []
+    for part in args.rates.split(","):
+        try:
+            rates.append(int(part))
+        except ValueError:
+            raise ValueError(f"--rates: {part!r} is not an integer") from None
+    if args.attempts < 1:
+        raise ValueError("--attempts must be positive")
     rng = random.Random(args.seed)
     if args.decodable:
         chosen = random_decodable_code(net, rates, args.field, rng, args.attempts)

@@ -83,49 +83,77 @@ def _checked_sources(net: Network, rates: Sequence[int], q: int) -> tuple[tuple,
     return rates, sourced
 
 
+def _row_index(rates: tuple, heads: list) -> list[list[int]]:
+    """Per edge, the row of :func:`_compose`'s stack each local term head
+    reads: ("session", i, symbol) the unit row of that symbol, ("edge", ref)
+    the row of edge ref."""
+    offsets = [sum(rates[:i]) for i in range(len(rates) + 1)]
+    dim = offsets[-1]
+    return [[offsets[h[1] - 1] + h[2] if h[0] == "session" else dim + h[1] for h in terms]
+            for terms in heads]
+
+
+def _compose(net: Network, q: int, dim: int, index, coeffs) -> tuple[Row, ...]:
+    """The global rows, composed along the topological order.
+
+    Row e is the sum over k of coeffs[e][k] times row index[e][k] of the
+    stack of the dim source-symbol unit rows and then the edge rows, mod q.
+    """
+    zero = (0,) * dim
+    rows: list = [(0,) * p + (1,) + (0,) * (dim - p - 1) for p in range(dim)]
+    rows += [zero] * len(net.edges)
+    for v in net.topo_order:
+        for eid in net.out_edges[v]:
+            acc = zero
+            for k, c in zip(index[eid], coeffs[eid]):
+                if c:
+                    acc = [(a + c * b) % q for a, b in zip(acc, rows[k])]
+            rows[dim + eid] = tuple(acc)
+    return tuple(rows[dim:])
+
+
 def propagate(net: Network, rates: Sequence[int], locals_table: LocalTable, q: int) -> LinearCode:
     """Compose local encoders along the topological order into global rows.
 
     Edges out of a source may reference only sessions sourced at their tail;
-    interior edges only in-edges of their tail.
+    interior edges only in-edges of their tail.  Every term is checked, in
+    topological order, before any row is composed.
     """
     rates, sourced = _checked_sources(net, rates, q)
     stray = [e for e in locals_table if not 0 <= e < len(net.edges)]
     if stray:
         raise ValueError(f"locals given for edge {stray[0]}, which is not in the network")
-    dim = sum(rates)
-    offsets = [sum(rates[:i]) for i in range(len(rates))]
-    rows: list[Row] = [(0,) * dim] * len(net.edges)
+    heads: list[list[tuple]] = [[] for _ in net.edges]
+    coeffs: list[list[int]] = [[] for _ in net.edges]
     for eid in (eid for v in net.topo_order for eid in net.out_edges[v]):
         if eid not in locals_table:
             raise MissingEncoder(net.edge_str(eid))
         tail = net.edges[eid].tail
         tail_sessions = sourced.get(tail, ())
-        row = [0] * dim
         for term in locals_table[eid]:
             kind = term[0]
             if kind == "session":
-                _, i, sym, coeff = term
+                _, i, sym, _ = term
                 if i not in tail_sessions:
                     raise ValueError(
                         f"edge {net.edge_str(eid)} does not leave the source of session {i}"
                     )
                 if not 0 <= sym < rates[i - 1]:
                     raise ValueError(f"session {i} has no symbol {sym}")
-                row[offsets[i - 1] + sym] = (row[offsets[i - 1] + sym] + coeff) % q
             elif kind == "edge":
-                _, ref, coeff = term
+                _, ref, _ = term
                 if not 0 <= ref < len(net.edges):
                     raise ValueError(f"edge {ref} is not in the network")
                 if net.edges[ref].head != tail:
                     raise ValueError(
                         f"edge {net.edge_str(ref)} is not an in-edge of {tail!r}"
                     )
-                row = [(a + coeff * b) % q for a, b in zip(row, rows[ref])]
             else:
                 raise ValueError(f"unknown local term {term!r}")
-        rows[eid] = tuple(row)
-    return LinearCode(net, q, rates, tuple(rows))
+            heads[eid].append(term[:-1])
+            coeffs[eid].append(term[-1])
+    rows = _compose(net, q, sum(rates), _row_index(rates, heads), coeffs)
+    return LinearCode(net, q, rates, rows)
 
 
 def locals_to_json(table: LocalTable) -> list[dict]:
@@ -416,26 +444,36 @@ def audit(
     return AuditReport(entries)
 
 
+def _draw_plan(net: Network, rates: Sequence[int], q: int) -> tuple[tuple, list]:
+    """Check q, then the rates; return them with the head of each local term
+    that gets a random coefficient, per edge in id order.  A source edge has
+    a term ("session", i, symbol) per symbol of each session sourced at its
+    tail; an interior edge a term ("edge", ref) per in-edge of its tail."""
+    if q < 2:
+        raise FieldTooSmall(f"field size {q} < 2")
+    rates, sourced = _checked_sources(net, rates, q)
+    heads = []
+    for e in net.edges:
+        tail_sessions = sourced.get(e.tail, ())
+        if tail_sessions:
+            heads.append([("session", i, sym)
+                          for i in tail_sessions for sym in range(rates[i - 1])])
+        else:
+            heads.append([("edge", ref) for ref in net.in_edges[e.tail]])
+    return rates, heads
+
+
+def _table(heads: list, coeffs: list) -> LocalTable:
+    return {eid: [h + (c,) for h, c in zip(terms, cs)]
+            for eid, (terms, cs) in enumerate(zip(heads, coeffs))}
+
+
 def random_local_table(
     net: Network, rates: Sequence[int], q: int, rng: random.Random
 ) -> LocalTable:
     """Uniform local coefficients; source edges draw over their session symbols."""
-    if q < 2:
-        raise FieldTooSmall(f"field size {q} < 2")
-    rates, sourced = _checked_sources(net, rates, q)
-    table: LocalTable = {}
-    for eid, e in enumerate(net.edges):
-        terms: list[LocalTerm] = []
-        tail_sessions = sourced.get(e.tail, ())
-        if tail_sessions:
-            for i in tail_sessions:
-                for sym in range(rates[i - 1]):
-                    terms.append(("session", i, sym, rng.randrange(q)))
-        else:
-            for ref in net.in_edges[e.tail]:
-                terms.append(("edge", ref, rng.randrange(q)))
-        table[eid] = terms
-    return table
+    _, heads = _draw_plan(net, rates, q)
+    return _table(heads, [[rng.randrange(q) for _ in terms] for terms in heads])
 
 
 def random_decodable_code(
@@ -447,14 +485,19 @@ def random_decodable_code(
 ) -> Optional[tuple[LinearCode, LocalTable]]:
     """Rejection-sample random codes until every session decodes.
 
-    A sample is dropped at its first session that does not decode; its
-    table was drawn in full before, so the rng stream does not depend on
-    where the test stops.
+    q and the rates are checked once per call.  Each attempt draws the
+    coefficients of :func:`random_local_table`, in its order, composes the
+    rows straight from them, and is dropped at its first session that does
+    not decode.  Every coefficient is drawn before the test, so the rng
+    stream does not depend on where it stops.  Only the sample returned
+    gets its table.
     """
+    rates, heads = _draw_plan(net, rates, q)
+    dim, index = sum(rates), _row_index(rates, heads)
     sessions = range(1, net.num_sessions + 1)
     for _ in range(attempts):
-        table = random_local_table(net, rates, q, rng)
-        code = propagate(net, rates, table, q)
+        coeffs = [[rng.randrange(q) for _ in terms] for terms in heads]
+        code = LinearCode(net, q, rates, _compose(net, q, dim, index, coeffs))
         if all(_decodes(code, i) for i in sessions):
-            return code, table
+            return code, _table(heads, coeffs)
     return None

@@ -31,13 +31,14 @@ from .graph import (
 )
 from .witnesses import (
     Witness,
+    _cumulative,
+    _cut_reach,
+    _validate_cuts,
     family_slots,
     family_violation,
     find_family,
-    is_cumulative,
     is_distributive,
     is_extendable,
-    validate_cut_sequence,
 )
 
 # ---------------------------------------------------------------------------
@@ -541,7 +542,8 @@ def deadline_verdict(
     The shift lemmas predict that the generic cumulative/distributive/
     extendable checks succeed whenever the C[0] and path conditions hold;
     any disagreement is reported as a lemma audit failure rather than
-    trusted either way.
+    trusted either way.  The cut-set and cumulativity checks read one
+    :func:`~infodist.graph.reach_masks` pass.
     """
     c0 = frozenset(c0)
     c0res = check_c0_distributive(tnet, c0)
@@ -560,13 +562,14 @@ def deadline_verdict(
     wit = Witness(tuple(range(1, K + 2)), cuts, perms, pathseq)
     generic = {}
     discrepancies = []
+    reach = _cut_reach(tnet.net, cuts)
     try:
-        validate_cut_sequence(tnet.net, cuts, pathseq)
+        _validate_cuts(tnet.net, cuts, pathseq, reach)
         generic["cut_invariants"] = True
     except ValueError as exc:
         generic["cut_invariants"] = False
         discrepancies.append(f"cut invariants: {exc}")
-    cum = is_cumulative(tnet.net, cuts)
+    cum = _cumulative(tnet.net, cuts, reach)
     generic["cumulative"] = bool(cum)
     if not cum:
         discrepancies.append(f"cumulative fails at {cum.violation}")

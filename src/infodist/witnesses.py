@@ -109,11 +109,22 @@ def validate_cut_sequence(
     with no max flow.  Returns the sessions so passed, whose paths are all
     valid.  One :func:`~infodist.graph.reach_masks` pass tests disconnection.
     """
+    return _validate_cuts(net, cuts, paths, _cut_reach(net, cuts))
+
+
+def _cut_reach(net: Network, cuts: CutSetSequence) -> dict[str, int]:
+    """The reach_masks pass whose bit i-1 says whether a node reaches d_i
+    around C_i; read by :func:`_validate_cuts` and :func:`_cumulative`."""
+    return reach_masks(net, [(d, cut) for (_, d), cut in zip(net.sessions, cuts)])
+
+
+def _validate_cuts(net: Network, cuts: CutSetSequence, paths: Optional[PathSetSequence],
+                   reach: dict[str, int]) -> frozenset[int]:
+    """:func:`validate_cut_sequence` on the pass reach of :func:`_cut_reach`."""
     if len(cuts) != net.num_sessions:
         raise ValueError("one cut-set per session required")
     if paths is not None and len(paths) != len(cuts):
         paths = None
-    reach = reach_masks(net, [(d, cut) for (_, d), cut in zip(net.sessions, cuts)])
     certified = set()
     for i, cut in enumerate(cuts, start=1):
         s, d = net.sessions[i - 1]
@@ -153,6 +164,13 @@ def is_cumulative(net: Network, cuts: CutSetSequence) -> CheckResult:
     """
     K = net.num_sessions
     reach = reach_masks(net, [(net.sink(i), cuts[i - 1]) for i in range(1, K)])
+    return _cumulative(net, cuts, reach)
+
+
+def _cumulative(net: Network, cuts: CutSetSequence, reach: dict[str, int]) -> CheckResult:
+    """:func:`is_cumulative` on a pass whose bit i-1 is d_i around C_i for
+    every i < K, as the first K-1 bits of :func:`_cut_reach`'s are."""
+    K = net.num_sessions
     for i in range(1, K):
         for j in range(i + 1, K + 1):
             if reach[net.source(j)] >> (i - 1) & 1:
@@ -332,11 +350,12 @@ def verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckRes
     if sorted(wit.session_order) != list(range(1, net.num_sessions + 1)):
         return CheckResult(False, ("session_order", wit.session_order))
     ordered = net.reindex_sessions(wit.session_order)
+    reach = _cut_reach(ordered, wit.cuts)
     try:
-        certified = validate_cut_sequence(ordered, wit.cuts, wit.paths)
+        certified = _validate_cuts(ordered, wit.cuts, wit.paths, reach)
     except ValueError as exc:
         return CheckResult(False, ("cuts", str(exc)))
-    cum = is_cumulative(ordered, wit.cuts)
+    cum = _cumulative(ordered, wit.cuts, reach)
     if not cum:
         return CheckResult(False, ("cumulative", cum.violation))
     try:

@@ -488,12 +488,37 @@ def test_nonpositive_budget_rejected(capsys):
     ["check", "fig1a", "--max-seconds", "inf"],
     ["rate", "fig1a", "--direction", "1,1", "--path-limit", "0"],
     ["rate", "fig1a", "--direction", "1,1", "--path-limit", "-5"],
+    ["gen-code", "fig1a", "--rates", "1,1", "--field", "5", "--decodable", "--attempts", "0"],
+    ["gen-code", "fig1a", "--rates", "1,1", "--field", "5", "--decodable", "--attempts", "-3"],
 ])
 def test_out_of_range_limit_rejected(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"infodist: {argv[-2]} must be positive")
+
+
+def test_negative_prop_samples_rejected(capsys):
+    assert main(["audit", "fig1a", "--code", str(GOLDEN_INPUTS / "fig1a-code.json"),
+                 "--witness", str(GOLDEN_INPUTS / "fig1a-witness.json"),
+                 "--prop-samples", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "infodist: --prop-samples must be nonnegative\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["gen-code", "fig1a", "--rates", "1,x"], "infodist: --rates: 'x' is not an integer\n"),
+    (["gen-code", "fig1a", "--rates", "1,1/2"], "infodist: --rates: '1/2' is not an integer\n"),
+    (["rate", "fig1a", "--rate", "1,x"], "infodist: --rate: 'x' is not a number\n"),
+    (["rate", "fig1a", "--direction", "1,x"], "infodist: --direction: 'x' is not a number\n"),
+    (["rate", "fig1a", "--rate", "1/0,1"], "infodist: --rate: zero denominator in '1/0,1'\n"),
+])
+def test_unparsable_vector_names_its_flag(capsys, argv, err):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
 
 
 @pytest.mark.parametrize("argv, name, exit_code", [

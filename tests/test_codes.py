@@ -24,7 +24,7 @@ from infodist.codes import (
     random_local_table,
     session_var,
 )
-from infodist.errors import MissingEncoder, WitnessInvalid
+from infodist.errors import FieldTooSmall, MissingEncoder, WitnessInvalid
 from infodist.graph import Network
 from infodist.rateregion import verify_routing_scheme
 from infodist.witnesses import Witness, decide_information_distributive
@@ -519,27 +519,91 @@ def test_memoized_measures_equal_ranks_from_scratch(nets, monkeypatch):
         assert not fresh._bases  # every measure above ranked from scratch
 
 
+def _reference_table(net, rates, q, rng):
+    """The table sampler before the draw plan: q checked, then the rates,
+    then one coefficient per source symbol or in-edge, edges in id order."""
+    if q < 2:
+        raise FieldTooSmall(f"field size {q} < 2")
+    if not gfmatrix.is_prime(q):
+        raise ValueError(f"field size {q} is not prime")
+    rates = tuple(int(r) for r in rates)
+    if len(rates) != net.num_sessions or any(r < 0 for r in rates):
+        raise ValueError("one nonnegative rate per session required")
+    table = {}
+    for eid, e in enumerate(net.edges):
+        tail_sessions = [i for i, (s, _) in enumerate(net.sessions, start=1) if s == e.tail]
+        if tail_sessions:
+            table[eid] = [("session", i, sym, rng.randrange(q))
+                          for i in tail_sessions for sym in range(rates[i - 1])]
+        else:
+            table[eid] = [("edge", ref, rng.randrange(q)) for ref in net.in_edges[e.tail]]
+    return table
+
+
 def _reference_sampler(net, rates, q, rng, attempts=2000):
-    """The sampler that ranks every session of every sample."""
+    """The sampler that draws a whole table, propagates it with every check,
+    and ranks every session of every sample."""
     for _ in range(attempts):
-        table = random_local_table(net, rates, q, rng)
+        table = _reference_table(net, rates, q, rng)
         code = propagate(net, rates, table, q)
         if all(check_decodable(code)):
             return code, table
     return None
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+def _assert_samplers_agree(net, rates, q, seed, attempts):
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got = random_decodable_code(net, rates, q, got_rng, attempts)
+    want = _reference_sampler(net, rates, q, want_rng, attempts)
+    assert got_rng.getstate() == want_rng.getstate()
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got[1] == want[1]
+        assert got[0].rows == want[0].rows
+        assert got[0].rates == want[0].rates
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 1000003])
 def test_random_decodable_code_matches_full_check_sampler(nets, q):
-    cases = [(nets["fig1a"], (1, 1)), (nets["fig1b"], (1, 1, 1)), (nets["butterfly"], (1, 1))]
+    cases = [(nets["fig1a"], (1, 1)), (nets["fig1b"], (1, 1, 1)), (nets["butterfly"], (1, 1)),
+             (nets["fig1a"], (2, 1)), (nets["fig1b"], (2, 1, 1)), (nets["butterfly"], (1, 2))]
     for seed in range(100):
         net, rates = cases[seed % len(cases)]
-        attempts = 3 if seed % 2 else 2000  # some draws run out of attempts
+        # Some draws run out of attempts.  Rates above 1 get 100: at
+        # q = 1000003 they seldom decode here, and butterfly's (1, 2) never does.
+        attempts = 3 if seed // len(cases) % 2 else 2000 if max(rates) == 1 else 100
+        _assert_samplers_agree(net, rates, q, seed, attempts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 5, 1000003]), st.integers(1, 4))
+def test_random_decodable_code_matches_full_check_sampler_on_random_networks(seed, q, attempts):
+    rng = random.Random(seed)
+    net = random_network(rng, max_internal=5, max_sessions=3, edge_prob=0.5)
+    rates = [rng.randint(0, 2) for _ in net.sessions]
+    _assert_samplers_agree(net, rates, q, seed, attempts)
+
+
+def test_random_local_table_matches_the_reference_draws(nets):
+    for seed, (name, rates, q) in enumerate([("fig1a", (1, 1), 2), ("fig1b", (2, 1, 1), 5),
+                                              ("butterfly", (1, 2), 1000003)]):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
-        got = random_decodable_code(net, rates, q, got_rng, attempts)
-        want = _reference_sampler(net, rates, q, want_rng, attempts)
+        assert (random_local_table(nets[name], rates, q, got_rng)
+                == _reference_table(nets[name], rates, q, want_rng))
         assert got_rng.getstate() == want_rng.getstate()
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got[1] == want[1]
-            assert got[0].rows == want[0].rows
+
+
+@pytest.mark.parametrize("q, rates, error, message", [
+    (1, (1,), FieldTooSmall, "field size 1 < 2"),  # before the rates
+    (0, (1, 1), FieldTooSmall, "field size 0 < 2"),
+    (4, (1,), ValueError, "field size 4 is not prime"),  # before the rates
+    (5, (1,), ValueError, "one nonnegative rate per session required"),
+    (5, (1, -1), ValueError, "one nonnegative rate per session required"),
+])
+@pytest.mark.parametrize("attempts", [1, 2000])
+def test_random_decodable_code_checks_the_field_then_the_rates(nets, q, rates, error, message,
+                                                                attempts):
+    for sampler in (random_decodable_code, _reference_sampler):
+        with pytest.raises(error) as exc:
+            sampler(nets["fig1a"], rates, q, random.Random(0), attempts)
+        assert str(exc.value) == message

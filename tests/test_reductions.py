@@ -221,17 +221,18 @@ def _fails_cut_invariants(*_):
     raise ValueError("stub failure")
 
 
-# Per generic re-check of deadline_verdict: a failing stand-in, the key it
-# sets in `generic`, and the discrepancy it reports.
+# Per generic re-check of deadline_verdict: the function deadline_verdict
+# calls for it (the first two share one reach pass), a failing stand-in, the
+# key it sets in `generic`, and the discrepancy it reports.
 FAILED_GENERIC = {
-    "validate_cut_sequence": (_fails_cut_invariants, "cut_invariants",
+    "validate_cut_sequence": ("_validate_cuts", _fails_cut_invariants, "cut_invariants",
                               "cut invariants: stub failure"),
-    "is_cumulative": (lambda *_: CheckResult(False, (2, 1, ())), "cumulative",
+    "is_cumulative": ("_cumulative", lambda *_: CheckResult(False, (2, 1, ())), "cumulative",
                       "cumulative fails at (2, 1, ())"),
-    "is_distributive": (lambda *_: CheckResult(False, (0, 1, 2, "eq20")), "distributive",
-                        "distributive fails at (0, 1, 2, 'eq20')"),
-    "is_extendable": (lambda *_: CheckResult(False, ((0,), (1,), 3)), "extendable",
-                      "extendable fails at ((0,), (1,), 3)"),
+    "is_distributive": ("is_distributive", lambda *_: CheckResult(False, (0, 1, 2, "eq20")),
+                        "distributive", "distributive fails at (0, 1, 2, 'eq20')"),
+    "is_extendable": ("is_extendable", lambda *_: CheckResult(False, ((0,), (1,), 3)),
+                      "extendable", "extendable fails at ((0,), (1,), 3)"),
 }
 
 
@@ -240,8 +241,8 @@ def test_deadline_verdict_reports_a_failed_generic_check(monkeypatch, check):
     tnet = deadline_to_time_extended(fig4())
     c0 = fig4_c0(tnet)
     paths = find_extendable_paths(tnet, c0)
-    stand_in, key, message = FAILED_GENERIC[check]
-    monkeypatch.setattr(reductions, check, stand_in)
+    called, stand_in, key, message = FAILED_GENERIC[check]
+    monkeypatch.setattr(reductions, called, stand_in)
     verdict = deadline_verdict(tnet, c0, paths)
     assert verdict.status == "unknown"
     assert verdict.generic == {
@@ -263,9 +264,9 @@ def test_deadline_verdict_certifies_cuts_by_its_paths(monkeypatch):
     certified = deadline_verdict(tnet, c0, paths)
     searched = search_deadline_certificate(tnet)
     assert calls == []
-    real_validate = reductions.validate_cut_sequence
-    monkeypatch.setattr(reductions, "validate_cut_sequence",
-                        lambda net, cuts, paths=None: real_validate(net, cuts))
+    real_validate = reductions._validate_cuts
+    monkeypatch.setattr(reductions, "_validate_cuts",
+                        lambda net, cuts, paths, reach: real_validate(net, cuts, None, reach))
     assert deadline_verdict(tnet, c0, paths).to_json_dict() == certified.to_json_dict()
     assert len(calls) == tnet.inst.horizon + 1
     assert search_deadline_certificate(tnet).to_json_dict() == searched.to_json_dict()
@@ -281,6 +282,24 @@ def test_deadline_verdict_answers_reach_questions_without_a_search(monkeypatch):
     monkeypatch.setattr(graph, "_bfs", lambda *args: searches.append(args) or real_bfs(*args))
     assert deadline_verdict(tnet, c0, paths).status == "yes"
     assert searches == []
+
+
+def test_deadline_verdict_shares_the_cut_pass_with_cumulativity(monkeypatch):
+    # One pass for C[0]'s cut-set test, one for the shifted cut-sets and
+    # cumulativity together.
+    tnet = deadline_to_time_extended(fig4())
+    c0 = fig4_c0(tnet)
+    paths = find_extendable_paths(tnet, c0)
+    passes, real = [], graph.reach_masks
+
+    def counted(*args):
+        passes.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reductions, "reach_masks", counted)
+    monkeypatch.setattr(witnesses, "reach_masks", counted)
+    assert deadline_verdict(tnet, c0, paths).status == "yes"
+    assert len(passes) == 2
 
 
 def _c0_outcome(check, tnet, cut):

@@ -582,7 +582,7 @@ def _counted(monkeypatch, module, name) -> list:
 
 
 def test_verify_witness_answers_reach_questions_without_a_search(nets, monkeypatch):
-    # Disconnection and cumulativity come from one reach_masks pass each.
+    # Disconnection and cumulativity read one shared reach_masks pass.
     found = [(nets[name], decide_information_distributive(nets[name]).witness)
              for name in ("fig1a", "fig1b")]
     searches = _counted(monkeypatch, graph, "_bfs")
@@ -590,7 +590,7 @@ def test_verify_witness_answers_reach_questions_without_a_search(nets, monkeypat
     for net, wit in found:
         assert verify_witness(net, wit).ok
     assert searches == []
-    assert len(passes) == 2 * len(found)
+    assert len(passes) == len(found)
 
 
 def test_verify_witness_validates_each_path_once(nets, monkeypatch):
@@ -633,9 +633,9 @@ def test_pools_from_one_pass_equal_one_search_per_cut(seed):
 @pytest.mark.parametrize("name", ["fig1a", "fig1b", "butterfly", "parallel-m"])
 def test_check_output_without_the_path_certificate_is_unchanged(capsys, monkeypatch, name):
     certified = main(["check", name]), capsys.readouterr()
-    real = witnesses.validate_cut_sequence
-    monkeypatch.setattr(witnesses, "validate_cut_sequence",
-                        lambda net, cuts, paths=None: real(net, cuts))
+    real = witnesses._validate_cuts
+    monkeypatch.setattr(witnesses, "_validate_cuts",
+                        lambda net, cuts, paths, reach: real(net, cuts, None, reach))
     assert (main(["check", name]), capsys.readouterr()) == certified
 
 
@@ -649,6 +649,18 @@ def test_is_cumulative_matches_pairwise_scan(seed, kind):
     for order in permutations(range(1, net.num_sessions + 1)):
         ordered, seq = net.reindex_sessions(order), tuple(cuts[i - 1] for i in order)
         assert is_cumulative(ordered, seq) == oracles.scan_cumulative(ordered, seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(BREAKS))
+def test_cumulativity_on_the_cut_pass_matches_its_own_pass(seed, kind):
+    # The first K-1 bits of the cut-set pass are is_cumulative's own pass.
+    rng = random.Random(seed)
+    net = random_network(rng, max_internal=5, max_sessions=4, edge_prob=0.6)
+    cuts = _cut_sequence(net, rng, kind)
+    assume(cuts is not None)
+    reach = witnesses._cut_reach(net, cuts)
+    assert witnesses._cumulative(net, cuts, reach) == is_cumulative(net, cuts)
 
 
 def test_decide_with_backtracking_oracle_on_corpus(nets, monkeypatch):
