@@ -40,6 +40,8 @@ def _read_json(path: str) -> dict:
                 data = json.load(handle)
         except OSError as exc:  # a directory, no permission
             raise ValueError(f"cannot read input {path}: {exc.strerror}") from None
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"cannot read input {path}: JSON nested too deeply") from None
     elif p.stem in corpus.names():
@@ -95,7 +97,7 @@ def _parse_vector(text: str, flag: str) -> list[Fraction]:
     from fractions import Fraction
 
     vector = []
-    for part in filter(None, map(str.strip, text.split(","))):
+    for part in map(str.strip, text.split(",")):
         try:
             vector.append(Fraction(part))
         except ZeroDivisionError:
@@ -369,7 +371,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"infodist: input not found: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (InfodistError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (InfodistError, ValueError, KeyError) as exc:
         print(f"infodist: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

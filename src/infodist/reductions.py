@@ -29,17 +29,7 @@ from .graph import (
     validate_path,
     walk_back,
 )
-from .witnesses import (
-    Witness,
-    _cumulative,
-    _cut_reach,
-    _validate_cuts,
-    family_slots,
-    family_violation,
-    find_family,
-    is_distributive,
-    is_extendable,
-)
+from .witnesses import Witness, family_slots, family_violation, find_family, witness_checks
 
 # ---------------------------------------------------------------------------
 # Index coding
@@ -212,6 +202,8 @@ class DeadlineInstance:
     def __post_init__(self):
         if self.tau < 1 or self.horizon < 0 or self.memory < 0:
             raise ValueError("tau must be >= 1, horizon and memory >= 0")
+        if self.injection is not None and self.injection < 1:
+            raise ValueError("injection width must be >= 1")
         for tail, head, delay in self.edges:
             if delay < 1:
                 raise ValueError(f"edge ({tail},{head}) needs a positive delay")
@@ -387,8 +379,6 @@ def deadline_to_time_extended(inst: DeadlineInstance) -> TimeExtendedNetwork:
         width = max(len(inst.edges) * (inst.tau + 1), 1)
     else:
         width = int(inst.injection)
-        if width < 1:
-            raise ValueError("injection width must be >= 1")
     inner, _ = _build_grid(replace(inst, horizon=0), 0)
     value = min(min_cut(inner, f"{inst.source}@0", f"{inst.sink}@{inst.tau}"), width)
     J = width if inst.injection is not None else max(value, 1)
@@ -534,19 +524,33 @@ class DeadlineVerdict:
         }
 
 
+# witness_checks tag -> the `generic` key it fails and its discrepancy prefix
+_GENERIC = {
+    "cuts": ("cut_invariants", "cut invariants: "),
+    "cumulative": ("cumulative", "cumulative fails at "),
+    "distributive": ("distributive", "distributive fails at "),
+    "perms": ("distributive", "distributive fails at "),
+    "extendable": ("extendable", "extendable fails at "),
+    "paths": ("extendable", "extendable fails at "),
+}
+
+
 def deadline_verdict(
     tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]
 ) -> DeadlineVerdict:
     """Assemble the shifted witness and re-verify it with the generic checkers.
 
-    The shift lemmas predict that the generic cumulative/distributive/
-    extendable checks succeed whenever the C[0] and path conditions hold;
-    any disagreement is reported as a lemma audit failure rather than
-    trusted either way.  The cut-set and cumulativity checks read one
-    :func:`~infodist.graph.reach_masks` pass.
+    The shift lemmas predict that every generic check of
+    :func:`~infodist.witnesses.witness_checks` succeeds whenever the C[0]
+    and path conditions hold; each disagreement is reported as a lemma audit
+    failure rather than trusted either way.
     """
     c0 = frozenset(c0)
-    c0res = check_c0_distributive(tnet, c0)
+    return _verdict(tnet, c0, check_c0_distributive(tnet, c0), paths)
+
+
+def _verdict(tnet: TimeExtendedNetwork, c0, c0res: C0Result, paths) -> DeadlineVerdict:
+    """:func:`deadline_verdict` given C[0]'s ordering check c0res."""
     pres = check_p_extendable(tnet, c0, paths)
     if not c0res or not pres:
         return DeadlineVerdict("unknown", bool(c0res), bool(pres), None, {}, [])
@@ -560,43 +564,30 @@ def deadline_verdict(
         tuple(tnet.shift_path(p, t) for p in paths) for t in range(K + 1)
     )
     wit = Witness(tuple(range(1, K + 2)), cuts, perms, pathseq)
-    generic = {}
+    generic = dict.fromkeys((key for key, _ in _GENERIC.values()), True)
     discrepancies = []
-    reach = _cut_reach(tnet.net, cuts)
-    try:
-        _validate_cuts(tnet.net, cuts, pathseq, reach)
-        generic["cut_invariants"] = True
-    except ValueError as exc:
-        generic["cut_invariants"] = False
-        discrepancies.append(f"cut invariants: {exc}")
-    cum = _cumulative(tnet.net, cuts, reach)
-    generic["cumulative"] = bool(cum)
-    if not cum:
-        discrepancies.append(f"cumulative fails at {cum.violation}")
-    dis = is_distributive(tnet.net, cuts, perms)
-    generic["distributive"] = bool(dis)
-    if not dis:
-        discrepancies.append(f"distributive fails at {dis.violation}")
-    ext = is_extendable(tnet.net, cuts, pathseq)
-    generic["extendable"] = bool(ext)
-    if not ext:
-        discrepancies.append(f"extendable fails at {ext.violation}")
+    for tag, violation in witness_checks(tnet.net, wit):
+        if violation is not None:
+            key, prefix = _GENERIC[tag]
+            generic[key] = False
+            discrepancies.append(f"{prefix}{violation}")
     status = "yes" if all(generic.values()) else "unknown"
     return DeadlineVerdict(status, True, True, wit, generic, discrepancies)
 
 
 def search_deadline_certificate(tnet: TimeExtendedNetwork) -> Optional[DeadlineVerdict]:
-    """Try base-edge minimum cut-sets of the session-0 domain in order."""
+    """Try base-edge minimum cut-sets of the session-0 domain in order, ordering each once."""
     sets, _trunc = enumerate_min_cutsets(tnet.net, "#s0", "#d0", limit=CUTSET_LIMIT)
     for cut in sets:
         if any(tnet.labels[e][0] != "base" for e in cut):
             continue
-        if not _c0_ordering(tnet, cut):
+        c0res = _c0_ordering(tnet, cut)
+        if not c0res:
             continue
         paths = find_extendable_paths(tnet, cut)
         if paths is None:
             continue
-        verdict = deadline_verdict(tnet, cut, paths)
+        verdict = _verdict(tnet, cut, c0res, paths)
         if verdict.status == "yes":
             return verdict
     return None

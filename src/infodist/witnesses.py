@@ -345,41 +345,47 @@ def representatives(
     return rep
 
 
-def verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckResult:
-    """Round-trip check: re-verify all three properties (and the invariants)."""
-    if sorted(wit.session_order) != list(range(1, net.num_sessions + 1)):
-        return CheckResult(False, ("session_order", wit.session_order))
+def witness_checks(net: Network, wit: Witness, strict: bool = False) -> Iterator[tuple]:
+    """One (tag, violation or None) pair per re-check of a witness whose
+    session order is a permutation, each run as its pair is asked for:
+    ``cuts`` and ``cumulative`` (on one shared reach_masks pass),
+    ``distributive`` (or ``perms``), ``extendable`` (or ``paths``, which ends
+    the walk), then ``("paths", path)`` per invalid path of a session whose
+    cut-set its paths did not certify."""
     ordered = net.reindex_sessions(wit.session_order)
     reach = _cut_reach(ordered, wit.cuts)
     try:
-        certified = _validate_cuts(ordered, wit.cuts, wit.paths, reach)
+        certified, violation = _validate_cuts(ordered, wit.cuts, wit.paths, reach), None
     except ValueError as exc:
-        return CheckResult(False, ("cuts", str(exc)))
-    cum = _cumulative(ordered, wit.cuts, reach)
-    if not cum:
-        return CheckResult(False, ("cumulative", cum.violation))
+        certified, violation = frozenset(), str(exc)
+    yield "cuts", violation
+    yield "cumulative", _cumulative(ordered, wit.cuts, reach).violation
     try:
         dis = is_distributive(ordered, wit.cuts, wit.perms, strict=strict)
     except PermutationMismatch as exc:
-        return CheckResult(False, ("perms", str(exc)))
-    if not dis:
-        return CheckResult(False, ("distributive", dis.violation))
-    if len(wit.paths) != len(wit.cuts):
-        return CheckResult(False, ("paths", "one path set per session required"))
+        yield "perms", str(exc)
+    else:
+        yield "distributive", dis.violation
     try:
         ext = is_extendable(ordered, wit.cuts, wit.paths)
-    except BijectionViolated as exc:
-        return CheckResult(False, ("paths", str(exc)))
-    if not ext:
-        return CheckResult(False, ("extendable", ext.violation))
-    for pos, pset in enumerate(wit.paths):
-        if pos + 1 in certified:  # its paths passed validate_path already
-            continue
-        s, d = ordered.sessions[pos]
-        for path in pset:
-            if not validate_path(ordered, path, s, d):
-                return CheckResult(False, ("paths", path))
-    return CheckResult(True)
+    except (BijectionViolated, ValueError) as exc:
+        yield "paths", str(exc)
+        return
+    yield "extendable", ext.violation
+    for pos, ((s, d), pset) in enumerate(zip(ordered.sessions, wit.paths), start=1):
+        if pos not in certified:
+            for path in pset:
+                if not validate_path(ordered, path, s, d):
+                    yield "paths", path
+
+
+def verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckResult:
+    """Round-trip check: re-verify all three properties (and the invariants),
+    naming the first failed part by its :func:`witness_checks` tag."""
+    if sorted(wit.session_order) != list(range(1, net.num_sessions + 1)):
+        return CheckResult(False, ("session_order", wit.session_order))
+    failed = next(((tag, v) for tag, v in witness_checks(net, wit, strict) if v is not None), None)
+    return CheckResult(failed is None, failed)
 
 
 # Caps on each session's cut-set and path enumerations; hitting one makes a

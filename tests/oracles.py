@@ -25,6 +25,8 @@ full-horizon grid, built with its own layout code.
 `Network` ran before it kept each node's head list; `domain_first_c0_check`
 is `reductions.check_c0_distributive` reading the routing domain before it
 tests disconnection.
+`stepwise_verify_witness` is `witnesses.verify_witness` as the public checks
+called one at a time, each with its own pass, in the order it names failures.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable
 
-from infodist.errors import DeadlineTooSmall, InfodistError, NotACutset
+from infodist.errors import (BijectionViolated, DeadlineTooSmall, InfodistError, NotACutset,
+                             PermutationMismatch)
 from infodist.graph import (
     Network,
     Path,
@@ -46,6 +49,7 @@ from infodist.graph import (
     min_cut,
     reachable_from,
     routing_domain,
+    validate_path,
 )
 from infodist.reductions import (
     C0Result,
@@ -59,8 +63,10 @@ from infodist.witnesses import (
     Witness,
     cumulativity_breach,
     forward_check,
+    is_cumulative,
     is_distributive,
     is_extendable,
+    validate_cut_sequence,
 )
 
 
@@ -350,6 +356,41 @@ def brute_decide(net: Network) -> bool:
                 if is_extendable(ordered, cuts, tuple(chosen)):
                     return True
     return False
+
+
+def stepwise_verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckResult:
+    """`witnesses.verify_witness` from the public checks, one at a time:
+    the cut-sets (given the paths), cumulativity, the orderings, the path
+    count and bijection, extendability, then every path of every session."""
+    if sorted(wit.session_order) != list(range(1, net.num_sessions + 1)):
+        return CheckResult(False, ("session_order", wit.session_order))
+    ordered = net.reindex_sessions(wit.session_order)
+    try:
+        validate_cut_sequence(ordered, wit.cuts, wit.paths)
+    except ValueError as exc:
+        return CheckResult(False, ("cuts", str(exc)))
+    cum = is_cumulative(ordered, wit.cuts)
+    if not cum:
+        return CheckResult(False, ("cumulative", cum.violation))
+    try:
+        dis = is_distributive(ordered, wit.cuts, wit.perms, strict=strict)
+    except PermutationMismatch as exc:
+        return CheckResult(False, ("perms", str(exc)))
+    if not dis:
+        return CheckResult(False, ("distributive", dis.violation))
+    if len(wit.paths) != len(wit.cuts):
+        return CheckResult(False, ("paths", "one path set per session required"))
+    try:
+        ext = is_extendable(ordered, wit.cuts, wit.paths)
+    except BijectionViolated as exc:
+        return CheckResult(False, ("paths", str(exc)))
+    if not ext:
+        return CheckResult(False, ("extendable", ext.violation))
+    for (s, d), pset in zip(ordered.sessions, wit.paths):
+        for path in pset:
+            if not validate_path(ordered, path, s, d):
+                return CheckResult(False, ("paths", path))
+    return CheckResult(True)
 
 
 def random_network(rng: random.Random, max_internal=5, max_sessions=3, edge_prob=0.5):

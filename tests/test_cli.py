@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SHARED_CHAIN
-from infodist import corpus
+from infodist import corpus, reductions
 from infodist.cli import main
 
 
@@ -513,6 +513,10 @@ def test_negative_prop_samples_rejected(capsys):
     (["rate", "fig1a", "--rate", "1,x"], "infodist: --rate: 'x' is not a number\n"),
     (["rate", "fig1a", "--direction", "1,x"], "infodist: --direction: 'x' is not a number\n"),
     (["rate", "fig1a", "--rate", "1/0,1"], "infodist: --rate: zero denominator in '1/0,1'\n"),
+    (["rate", "fig1a", "--rate", "1,,1"], "infodist: --rate: '' is not a number\n"),
+    (["rate", "fig1a", "--rate", "1,1,"], "infodist: --rate: '' is not a number\n"),
+    (["rate", "fig1a", "--direction", "1,,1"], "infodist: --direction: '' is not a number\n"),
+    (["rate", "fig1a", "--direction", "1,1, "], "infodist: --direction: '' is not a number\n"),
 ])
 def test_unparsable_vector_names_its_flag(capsys, argv, err):
     assert main(argv) == 1
@@ -539,6 +543,28 @@ def test_unparsable_vector_names_its_flag(capsys, argv, err):
 def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
     assert main(argv) == exit_code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "{bad}"],
+    ["reduce-deadline", "{bad}"],
+    ["audit", "fig1a", "--code", "{bad}", "--witness", str(GOLDEN_INPUTS / "fig1a-witness.json")],
+    ["audit", "fig1a", "--code", str(GOLDEN_INPUTS / "fig1a-code.json"), "--witness", "{bad}"],
+], ids=["network", "instance", "code", "witness"])
+def test_non_json_input_names_its_file_exit_1(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert main([a.format(bad=bad) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"infodist: {bad}: Expecting value: line 1 column 1 (char 0)\n"
+
+
+def test_reduce_deadline_truncated_paths_exit_20(monkeypatch, capsys):
+    monkeypatch.setattr(reductions, "PATH_LIMIT", 1)
+    code, data = run(capsys, "reduce-deadline", "fig4-deadline")
+    assert code == 20
+    assert data["result"]["verdict"] == {"status": "unknown"}
 
 
 def test_audit_witness_missing_a_path_set_exit_1(tmp_path, capsys):
@@ -665,6 +691,54 @@ MISSING_KEYS = {
 @pytest.mark.parametrize("case", sorted(MISSING_KEYS))
 def test_missing_json_key_names_file_and_field_exit_1(tmp_path, capsys, case):
     command, key, corrupt, named = MISSING_KEYS[case]
+    files = _valid_inputs(capsys)
+    files[key] = corrupt(files[key])
+    paths = {}
+    for name, data in files.items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(data))
+    assert main([command] + [a.format(**paths) for a in ARGV[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"infodist: {paths[key]}: ")
+    assert named in captured.err and "Traceback" not in captured.err
+
+
+def _with_first(data: dict, key: str, change) -> dict:
+    first, *rest = data[key]
+    return {**data, key: [change(first), *rest]}
+
+
+# case: (command, input it corrupts, the corruption, what stderr must name)
+BAD_VALUES = {
+    "check-duplicate-node": ("check", "network", lambda net: {
+        **net, "nodes": [*net["nodes"], net["nodes"][0]]}, "duplicate node id"),
+    "check-session-endpoint": ("check", "network", lambda net: _with_first(
+        net, "sessions", lambda ses: {**ses, "source": "nowhere"}), "source 'nowhere' not a node"),
+    "check-edge-head": ("check", "network", lambda net: _with_first(
+        net, "edges", lambda e: _without(e, "head")), "edge 0 missing 'head'"),
+    "check-edge-length": ("check", "network", lambda net: _with_first(
+        net, "edges", lambda e: [e["tail"]]), "edge 0 malformed"),
+    "check-session-length": ("check", "network", lambda net: _with_first(
+        net, "sessions", lambda ses: [ses["source"], ses["sink"], 0]), "session 0 malformed"),
+    "index-K-zero": ("reduce-index", "instance", lambda _: {"K": 0, "side": []},
+                     "K and m must be positive"),
+    "index-side-unknown": ("reduce-index", "instance", lambda _: {"K": 2, "side": [[3], []]},
+                           "side set of terminal 1 references unknown message"),
+    "deadline-tau-zero": ("reduce-deadline", "instance", lambda dl: {**dl, "tau": 0},
+                          "tau must be >= 1"),
+    "deadline-delay-zero": ("reduce-deadline", "instance", lambda dl: _with_first(
+        dl, "edges", lambda e: {**e, "delay": 0}), "needs a positive delay"),
+    "deadline-node-at": ("reduce-deadline", "instance", lambda dl: _with_first(
+        dl, "edges", lambda e: {**e, "head": "v@1"}), "node name 'v@1' may not contain '@'"),
+    "deadline-injection-zero": ("reduce-deadline", "instance", lambda dl: {
+        **dl, "injection": 0}, "injection width must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_json_value_names_file_and_field_exit_1(tmp_path, capsys, case):
+    command, key, corrupt, named = BAD_VALUES[case]
     files = _valid_inputs(capsys)
     files[key] = corrupt(files[key])
     paths = {}

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -221,7 +224,7 @@ def _fails_cut_invariants(*_):
     raise ValueError("stub failure")
 
 
-# Per generic re-check of deadline_verdict: the function deadline_verdict
+# Per generic re-check of deadline_verdict: the function witness_checks
 # calls for it (the first two share one reach pass), a failing stand-in, the
 # key it sets in `generic`, and the discrepancy it reports.
 FAILED_GENERIC = {
@@ -229,7 +232,8 @@ FAILED_GENERIC = {
                               "cut invariants: stub failure"),
     "is_cumulative": ("_cumulative", lambda *_: CheckResult(False, (2, 1, ())), "cumulative",
                       "cumulative fails at (2, 1, ())"),
-    "is_distributive": ("is_distributive", lambda *_: CheckResult(False, (0, 1, 2, "eq20")),
+    "is_distributive": ("is_distributive",
+                        lambda *_, strict: CheckResult(False, (0, 1, 2, "eq20")),
                         "distributive", "distributive fails at (0, 1, 2, 'eq20')"),
     "is_extendable": ("is_extendable", lambda *_: CheckResult(False, ((0,), (1,), 3)),
                       "extendable", "extendable fails at ((0,), (1,), 3)"),
@@ -242,7 +246,7 @@ def test_deadline_verdict_reports_a_failed_generic_check(monkeypatch, check):
     c0 = fig4_c0(tnet)
     paths = find_extendable_paths(tnet, c0)
     called, stand_in, key, message = FAILED_GENERIC[check]
-    monkeypatch.setattr(reductions, called, stand_in)
+    monkeypatch.setattr(witnesses, called, stand_in)
     verdict = deadline_verdict(tnet, c0, paths)
     assert verdict.status == "unknown"
     assert verdict.generic == {
@@ -264,8 +268,8 @@ def test_deadline_verdict_certifies_cuts_by_its_paths(monkeypatch):
     certified = deadline_verdict(tnet, c0, paths)
     searched = search_deadline_certificate(tnet)
     assert calls == []
-    real_validate = reductions._validate_cuts
-    monkeypatch.setattr(reductions, "_validate_cuts",
+    real_validate = witnesses._validate_cuts
+    monkeypatch.setattr(witnesses, "_validate_cuts",
                         lambda net, cuts, paths, reach: real_validate(net, cuts, None, reach))
     assert deadline_verdict(tnet, c0, paths).to_json_dict() == certified.to_json_dict()
     assert len(calls) == tnet.inst.horizon + 1
@@ -300,6 +304,31 @@ def test_deadline_verdict_shares_the_cut_pass_with_cumulativity(monkeypatch):
     monkeypatch.setattr(witnesses, "reach_masks", counted)
     assert deadline_verdict(tnet, c0, paths).status == "yes"
     assert len(passes) == 2
+
+
+def test_search_tests_and_orders_each_c0_once(monkeypatch):
+    # The search orders each base cut once and hands that ordering to the
+    # verdict, whose one reach pass serves the shifted cut-sets and
+    # cumulativity; C[0]'s own cut-set test is not repeated.
+    tnet = deadline_to_time_extended(fig4())
+    passes, orderings = [], []
+    real_reach, real_ordering = graph.reach_masks, reductions._c0_ordering
+    for module in (reductions, witnesses):
+        monkeypatch.setattr(module, "reach_masks",
+                            lambda *args: passes.append(args) or real_reach(*args))
+    monkeypatch.setattr(reductions, "_c0_ordering",
+                        lambda *args: orderings.append(args) or real_ordering(*args))
+    assert search_deadline_certificate(tnet).status == "yes"
+    assert (len(passes), len(orderings)) == (1, 3)
+
+
+def test_reductions_imports_no_private_name_from_witnesses():
+    tree = ast.parse(Path(reductions.__file__).read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "witnesses"
+             for alias in node.names]
+    assert "witness_checks" in names
+    assert [name for name in names if name.startswith("_")] == []
 
 
 def _c0_outcome(check, tnet, cut):
@@ -611,6 +640,46 @@ def test_search_deadline_certificate_fig4():
     assert verdict is not None and verdict.status == "yes"
     c0, paths = verdict.witness.cuts[0], verdict.witness.paths[0]
     assert check_c0_distributive(tnet, c0).ok and check_p_extendable(tnet, c0, paths).ok
+
+
+def test_truncated_session0_paths_give_no_certificate(monkeypatch):
+    monkeypatch.setattr(reductions, "PATH_LIMIT", 1)
+    tnet = deadline_to_time_extended(fig4())
+    assert find_extendable_paths(tnet, fig4_c0(tnet)) is None
+    assert search_deadline_certificate(tnet) is None
+
+
+def _crossing_twice(tnet, c0):
+    """A session-0 path that crosses C[0] at two of its edges."""
+    paths, _ = enumerate_paths(tnet.net, "#s0", "#d0")
+    return next(p for p in paths if len(c0.intersection(p)) == 2)
+
+
+# A break of check_p_extendable's (C[0], paths) on fig4's certificate, and the
+# error it must raise.  Two paths through one cut edge share that edge, so the
+# edge-disjointness test names them; a cut edge that is not a base-edge copy
+# fails where the cut edges' base pairs are compared.
+P_BREAKS = {
+    "path-count": (lambda tnet, c0, ps: (c0, ps[:-1]), "one path per cut edge required"),
+    "not-session-0": (lambda tnet, c0, ps: (c0, (ps[0][:-1], *ps[1:])), "not a session-0 path"),
+    "crosses-twice": (lambda tnet, c0, ps: (c0, (_crossing_twice(tnet, c0), *ps[1:])),
+                      "path must cross C[0] exactly once"),
+    "one-cut-edge": (lambda tnet, c0, ps: (c0, (ps[0], *ps[:-1])),
+                     "paths must be pairwise edge-disjoint"),
+    "in-copy-cut-edge": (lambda tnet, c0, ps: (frozenset(p[0] for p in ps), ps),
+                         "is not a base-edge copy"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(P_BREAKS))
+def test_check_p_extendable_rejects_a_broken_family(case):
+    tnet = deadline_to_time_extended(fig4())
+    c0 = fig4_c0(tnet)
+    paths = find_extendable_paths(tnet, c0)
+    assert check_p_extendable(tnet, c0, paths).ok
+    breaks, message = P_BREAKS[case]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_p_extendable(tnet, *breaks(tnet, c0, paths))
 
 
 @settings(max_examples=60, deadline=None)

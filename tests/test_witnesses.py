@@ -898,6 +898,74 @@ def test_verify_witness_names_an_extendability_failure(nets):
     assert res.violation == ("extendable", ((3, 10, 16), (4, 10, 17), 10))
 
 
+def _at(seq: tuple, pos: int, item) -> tuple:
+    return (*seq[:pos], item, *seq[pos + 1:])
+
+
+def _tamper(rng: random.Random, net: Network, wit: Witness, kind: str) -> Witness:
+    """wit with one part changed at a random position: its cut-set, ordering,
+    path sets, positions or session order."""
+    K, pos = net.num_sessions, rng.randrange(net.num_sessions)
+    cut, perm, pset = wit.cuts[pos], wit.perms[pos], wit.paths[pos]
+    s, d = net.sessions[wit.session_order[pos] - 1]
+    if kind == "cut-edge-added":
+        added = cut | {rng.randrange(len(net.edges))}
+        return dataclasses.replace(wit, cuts=_at(wit.cuts, pos, added))
+    if kind == "cut-edge-dropped" and cut:
+        return dataclasses.replace(wit, cuts=_at(wit.cuts, pos, cut - {rng.choice(sorted(cut))}))
+    if kind == "other-min-cut":  # another min cut-set of the session, in a random order
+        other = rng.choice(graph.enumerate_min_cutsets(net, s, d)[0])
+        order = tuple(rng.sample(sorted(other), len(other)))
+        return dataclasses.replace(wit, cuts=_at(wit.cuts, pos, other),
+                                   perms=_at(wit.perms, pos, order))
+    if kind == "perm-reversed":
+        return dataclasses.replace(wit, perms=_at(wit.perms, pos, perm[::-1]))
+    if kind == "perm-edge-changed" and perm:
+        changed = (rng.randrange(len(net.edges)), *perm[1:])
+        return dataclasses.replace(wit, perms=_at(wit.perms, pos, changed))
+    if kind == "path-set-dropped":
+        return dataclasses.replace(wit, paths=wit.paths[:pos] + wit.paths[pos + 1:])
+    if kind == "path-dropped" and pset:
+        return dataclasses.replace(wit, paths=_at(wit.paths, pos, pset[1:]))
+    if kind == "path-extra":
+        extra = rng.choice(enumerate_paths(net, s, d)[0] or [()])
+        return dataclasses.replace(wit, paths=_at(wit.paths, pos, (*pset, extra)))
+    if kind == "path-replaced" and pset:
+        other = rng.choice(enumerate_paths(net, s, d)[0])
+        return dataclasses.replace(wit, paths=_at(wit.paths, pos, (other, *pset[1:])))
+    if kind == "path-cut-short" and pset and pset[0]:
+        return dataclasses.replace(wit, paths=_at(wit.paths, pos, (pset[0][:-1], *pset[1:])))
+    if kind == "positions-swapped" and K > 1:
+        q = rng.randrange(K)
+        swap = lambda seq: _at(_at(seq, pos, seq[q]), q, seq[pos])  # noqa: E731
+        return Witness(wit.session_order, swap(wit.cuts), swap(wit.perms), swap(wit.paths))
+    if kind == "order-changed":
+        order = list(wit.session_order)
+        rng.shuffle(order)
+        if rng.random() < 0.25:
+            order[0] = order[-1]
+        return dataclasses.replace(wit, session_order=tuple(order))
+    return wit
+
+
+TAMPER_KINDS = ("none", "cut-edge-added", "cut-edge-dropped", "other-min-cut", "perm-reversed",
+                "perm-edge-changed", "path-set-dropped", "path-dropped", "path-extra", "path-replaced",
+                "path-cut-short", "positions-swapped", "order-changed")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(TAMPER_KINDS))
+def test_verify_witness_matches_the_checks_one_at_a_time(seed, kind):
+    rng = random.Random(seed)
+    net = random_network(rng, max_internal=6, max_sessions=4, edge_prob=0.6)
+    wit = decide_information_distributive(net).witness
+    assume(wit is not None)
+    wit = _tamper(rng, net, wit, kind)
+    for strict in (False, True):
+        assert verify_witness(net, wit, strict=strict) == oracles.stepwise_verify_witness(
+            net, wit, strict=strict)
+
+
 @pytest.mark.parametrize("limit", ["PATH_LIMIT", "CUTSET_LIMIT"])
 def test_truncated_enumeration_turns_no_into_unknown(nets, monkeypatch, limit):
     monkeypatch.setattr(witnesses, limit, 1)
