@@ -88,12 +88,14 @@ class PermutationMismatch(InfodistError):
 
 
 class BijectionViolated(InfodistError):
-    """A path misses its session cut-set or crosses it more than once."""
+    """A path misses its session cut-set or crosses it more than once, or
+    (path None, message given) the session's path count is not its
+    cut-set's size."""
 
-    def __init__(self, session, path, crossed):
-        super().__init__(
+    def __init__(self, session, path, crossed, message=None):
+        super().__init__(message or (
             f"path {path} of session {session} crosses its cut-set in {sorted(crossed)}"
-        )
+        ))
         self.session = session
         self.path = path
         self.crossed = crossed

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import simplex
-from .errors import CertificateInvalid, UnknownPath, json_int, json_key, json_list, json_object
+from .errors import (CertificateInvalid, NetworkFormatError, UnknownPath, json_int, json_key,
+                     json_list, json_object)
 from .graph import DEFAULT_PATH_LIMIT, CheckResult, Network, Path, require_paths, validate_path
 
 RateVector = tuple[Fraction, ...]
@@ -48,9 +49,12 @@ def scheme_from_json(data, num_sessions: int) -> RoutingScheme:
         if not 1 <= i <= num_sessions:
             raise ValueError(f"session {i} out of range")
         path = tuple(json_int(e, "path") for e in json_list(json_key(entry, "path"), "path"))
-        flows[i - 1][path] = flows[i - 1].get(path, Fraction(0)) + Fraction(
-            str(json_key(entry, "value"))
-        )
+        text = str(json_key(entry, "value"))
+        try:
+            value = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise NetworkFormatError(f"value {text!r} is not a number", field="value") from None
+        flows[i - 1][path] = flows[i - 1].get(path, Fraction(0)) + value
     return RoutingScheme(tuple(flows))
 
 

@@ -281,17 +281,6 @@ class TimeExtendedNetwork:
     def shift_label(self, label: Label, dt: int) -> Label:
         return (*label[:-1], label[-1] + dt)
 
-    def shift_edges(self, eids, dt: int) -> frozenset[int]:
-        out = set()
-        for eid in eids:
-            shifted = self.shift_label(self.labels[eid], dt)
-            if shifted not in self.label_to_id:
-                raise ValueError(
-                    f"{self.label_str(eid)} shifted by {dt} leaves the time grid"
-                )
-            out.add(self.label_to_id[shifted])
-        return frozenset(out)
-
     def shift_path(self, path: Path, dt: int) -> Path:
         return tuple(
             self.label_to_id[self.shift_label(self.labels[eid], dt)] for eid in path
@@ -409,21 +398,12 @@ def deadline_to_time_extended(inst: DeadlineInstance) -> TimeExtendedNetwork:
     return tnet
 
 
-@dataclass
-class C0Result:
-    ok: bool
-    ordering: Optional[tuple[int, ...]] = None  # edge ids of C[0] in passing order
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
+def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> Optional[tuple[int, ...]]:
     """The least ordering of C[0] meeting the two recurrent-sequence conditions
-    (:func:`_c0_ordering`); C[0] must be a minimum cut-set of the session-0
-    domain, else :class:`NotACutset`.  A C[0] of min-cut size that disconnects
-    lies on min-cut many edge-disjoint paths (Menger), so inside the domain,
-    which is read only to name a failure."""
+    (:func:`_c0_ordering`), or None when none does; C[0] must be a minimum
+    cut-set of the session-0 domain, else :class:`NotACutset`.  A C[0] of
+    min-cut size that disconnects lies on min-cut many edge-disjoint paths
+    (Menger), so inside the domain, which is read only to name a failure."""
     c0 = frozenset(c0)
     disconnects = not reach_masks(tnet.net, [("#d0", c0)])["#s0"]
     if len(c0) == tnet.mincut0 and disconnects:
@@ -433,7 +413,7 @@ def check_c0_distributive(tnet: TimeExtendedNetwork, c0) -> C0Result:
     raise NotACutset("C[0] does not disconnect session 0")
 
 
-def _c0_ordering(tnet: TimeExtendedNetwork, c0: frozenset[int]) -> C0Result:
+def _c0_ordering(tnet: TimeExtendedNetwork, c0: frozenset[int]) -> Optional[tuple[int, ...]]:
     """The ordering check of :func:`check_c0_distributive`, for a C[0] known
     to be a minimum cut-set of the session-0 domain.
 
@@ -465,8 +445,7 @@ def _c0_ordering(tnet: TimeExtendedNetwork, c0: frozenset[int]) -> C0Result:
                 if j + 1 < len(ts):  # condition 2: needs a successor copy
                     if (bq, tq + ts[j + 1] - t) not in member and slack > t - ts[0]:
                         barred[cur].add(eq)
-    order = acyclic_reindex({e: tuple(qs) for e, qs in barred.items()}).order
-    return C0Result(order is not None, order)
+    return acyclic_reindex({e: tuple(qs) for e, qs in barred.items()}).order
 
 
 def check_p_extendable(tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]) -> CheckResult:
@@ -488,8 +467,8 @@ def check_p_extendable(tnet: TimeExtendedNetwork, c0, paths: Sequence[Path]) -> 
         if len(hits) != 1:
             raise ValueError(f"path must cross C[0] exactly once: {path}")
         crossing.append(hits[0])
-    if len({tnet.base_pair(x) for x in crossing}) != len(c0):
-        raise ValueError("paths must cross distinct cut edges")
+    for x in crossing:  # all of C[0], once each: the paths are edge-disjoint
+        tnet.base_pair(x)  # raises for a copy that is not a base edge
     violation = family_violation(paths, crossing, tnet.family_time)
     return CheckResult(violation is None, violation)
 
@@ -549,21 +528,19 @@ def deadline_verdict(
     return _verdict(tnet, c0, check_c0_distributive(tnet, c0), paths)
 
 
-def _verdict(tnet: TimeExtendedNetwork, c0, c0res: C0Result, paths) -> DeadlineVerdict:
-    """:func:`deadline_verdict` given C[0]'s ordering check c0res."""
+def _verdict(tnet: TimeExtendedNetwork, c0, ordering, paths) -> DeadlineVerdict:
+    """:func:`deadline_verdict` given C[0]'s ordering (None if it has none).
+    Every edge of C[0] and of the paths lies on a #s0 -> #d0 path, so each
+    shift by 0..K stays inside the grid."""
     pres = check_p_extendable(tnet, c0, paths)
-    if not c0res or not pres:
-        return DeadlineVerdict("unknown", bool(c0res), bool(pres), None, {}, [])
+    if ordering is None or not pres:
+        return DeadlineVerdict("unknown", ordering is not None, bool(pres), None, {}, [])
     K = tnet.inst.horizon
-    cuts = tuple(tnet.shift_edges(c0, t) for t in range(K + 1))
-    perms = tuple(
-        tuple(sorted(tnet.shift_edges([e], t))[0] for e in c0res.ordering)
-        for t in range(K + 1)
-    )
+    perms = tuple(tnet.shift_path(ordering, t) for t in range(K + 1))
     pathseq = tuple(
         tuple(tnet.shift_path(p, t) for p in paths) for t in range(K + 1)
     )
-    wit = Witness(tuple(range(1, K + 2)), cuts, perms, pathseq)
+    wit = Witness(tuple(range(1, K + 2)), tuple(map(frozenset, perms)), perms, pathseq)
     generic = dict.fromkeys((key for key, _ in _GENERIC.values()), True)
     discrepancies = []
     for tag, violation in witness_checks(tnet.net, wit):
@@ -581,13 +558,13 @@ def search_deadline_certificate(tnet: TimeExtendedNetwork) -> Optional[DeadlineV
     for cut in sets:
         if any(tnet.labels[e][0] != "base" for e in cut):
             continue
-        c0res = _c0_ordering(tnet, cut)
-        if not c0res:
+        ordering = _c0_ordering(tnet, cut)
+        if ordering is None:
             continue
         paths = find_extendable_paths(tnet, cut)
         if paths is None:
             continue
-        verdict = _verdict(tnet, cut, c0res, paths)
+        verdict = _verdict(tnet, cut, ordering, paths)
         if verdict.status == "yes":
             return verdict
     return None

@@ -159,15 +159,13 @@ def solve(
         if T[-1][-1] != 0:  # -value != 0  =>  some artificial stuck positive
             return LPResult(INFEASIBLE)
         # Drive leftover artificials out of the basis; the phase-1 objective
-        # row rides along and is dropped after.
+        # row rides along and is dropped after.  Each row began with its own
+        # slack and pivots are invertible row operations, so no row is zero
+        # on the structural and slack columns.
         arts = set(art_col.values())
         for r in range(m):
             if basis[r] in arts:
-                pcol = next(
-                    (j for j in range(n + nslack) if T[r][j] != 0), None
-                )
-                if pcol is None:
-                    continue  # redundant row; harmless to keep
+                pcol = next(j for j in range(n + nslack) if T[r][j] != 0)
                 D = _pivot(T, basis, r, pcol, D)
         T.pop()
 

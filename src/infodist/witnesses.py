@@ -317,7 +317,8 @@ def is_extendable(
         raise ValueError("one path set per session required")
     for i, (cut, pset) in enumerate(zip(cuts, paths), start=1):
         if len(pset) != len(cut):
-            raise BijectionViolated(i, None, set())
+            raise BijectionViolated(i, None, set(), f"session {i} has {len(pset)} paths"
+                                    f" for a cut-set of {len(cut)} edges")
         seen_cut_edges = set()
         for path in pset:
             crossed = _crossing(path, cut)

@@ -35,7 +35,7 @@ import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterable
+from typing import Iterable, Optional
 
 from infodist.errors import (BijectionViolated, DeadlineTooSmall, InfodistError, NotACutset,
                              PermutationMismatch)
@@ -52,7 +52,6 @@ from infodist.graph import (
     validate_path,
 )
 from infodist.reductions import (
-    C0Result,
     DeadlineInstance,
     TimeExtendedNetwork,
     _build_grid,
@@ -643,10 +642,10 @@ def two_grid_time_extended(inst: DeadlineInstance) -> TimeExtendedNetwork:
     )
 
 
-def scan_c0_orderings(tnet, c0) -> C0Result:
+def scan_c0_orderings(tnet, c0) -> Optional[tuple[int, ...]]:
     """`reductions.check_c0_distributive` before the topological sort: the
     first of all |C0|! orderings (permutations of the cut in ascending edge
-    id) that passes both recurrent-sequence slack conditions."""
+    id) that passes both recurrent-sequence slack conditions, or None."""
     pairs = [(eid,) + tnet.base_pair(eid) for eid in sorted(c0)]  # (edge id, base, t)
     member = {(b, t) for _, b, t in pairs}
     recurrent: dict[int, list[int]] = {}
@@ -675,8 +674,8 @@ def scan_c0_orderings(tnet, c0) -> C0Result:
 
     for order in permutations(pairs):
         if passes(order):
-            return C0Result(True, tuple(e for e, _, _ in order))
-    return C0Result(False)
+            return tuple(e for e, _, _ in order)
+    return None
 
 
 def dfs_acyclic(graph: dict[int, tuple[int, ...]]) -> bool:

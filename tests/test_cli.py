@@ -216,6 +216,18 @@ def test_rate_needs_exactly_one_mode_exit_1(capsys, modes):
     assert capsys.readouterr().err == "infodist: exactly one of --rate/--direction required\n"
 
 
+@pytest.mark.parametrize("mode, err", [
+    (["--rate=-1,1"], "rates must be nonnegative"),
+    (["--rate", "1"], "one rate per session required"),
+    (["--direction", "1"], "one direction entry per session required"),
+])
+def test_rate_vector_outside_the_domain_exit_1(capsys, mode, err):
+    assert main(["rate", "fig1a", *mode]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"infodist: {err}\n"
+
+
 def _usage_error(capsys, argv) -> str:
     """main's exit code is 1, not argparse's 2; return its one-line stderr."""
     assert main(argv) == 1
@@ -580,6 +592,25 @@ def test_audit_witness_missing_a_path_set_exit_1(tmp_path, capsys):
         "infodist: witness fails ('paths', 'one path set per session required')\n")
 
 
+@pytest.mark.parametrize("corrupt, failure", [
+    (lambda wit: {**wit, "cuts": wit["cuts"][:-1]},
+     ('cuts', 'one cut-set per session required')),
+    (lambda wit: {**wit, "perms": wit["perms"][:-1]},
+     ('perms', 'one permutation per cut-set required')),
+    (lambda wit: {**wit, "paths": [wit["paths"][0] + wit["paths"][0][:1], *wit["paths"][1:]]},
+     ('paths', 'session 1 has 4 paths for a cut-set of 3 edges')),
+], ids=["one-cut-set-short", "one-permutation-short", "one-path-more"])
+def test_audit_witness_of_the_wrong_shape_exit_1(tmp_path, capsys, corrupt, failure):
+    wit = json.loads((GOLDEN_INPUTS / "fig1a-witness.json").read_text(encoding="utf-8"))
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(corrupt(wit)))
+    assert main(["audit", "fig1a", "--code", str(GOLDEN_INPUTS / "fig1a-code.json"),
+                 "--witness", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"infodist: witness fails {failure}\n"
+
+
 def test_code_repeated_locals_edge_exit_1(tmp_path, capsys):
     code = json.loads((GOLDEN_INPUTS / "fig1a-code.json").read_text(encoding="utf-8"))
     code["locals"].append({"edge": 0, "coeffs": []})
@@ -733,6 +764,22 @@ BAD_VALUES = {
         dl, "edges", lambda e: {**e, "head": "v@1"}), "node name 'v@1' may not contain '@'"),
     "deadline-injection-zero": ("reduce-deadline", "instance", lambda dl: {
         **dl, "injection": 0}, "injection width must be >= 1"),
+    "check-session-no-sink": ("check", "network", lambda net: _with_first(
+        net, "sessions", lambda ses: _without(ses, "sink")), "session 0 missing 'sink'"),
+    "check-session-sink": ("check", "network", lambda net: _with_first(
+        net, "sessions", lambda ses: {**ses, "sink": "nowhere"}), "sink 'nowhere' not a node"),
+    "index-one-side-set-short": ("reduce-index", "instance", lambda _: {"K": 2, "side": [[2]]},
+                                 "one side set per terminal required"),
+    "audit-code-symbol": ("audit", "code", lambda code: _first_coeff(
+        code, lambda c: {**c, "from": "session 1:5"}), "session 1 has no symbol 5"),
+    "audit-scheme-zero-denominator": ("audit", "scheme", lambda scheme: {"flows": [
+        {**scheme["flows"][0], "value": "1/0"}]}, "value '1/0' is not a number"),
+    "audit-scheme-value-word": ("audit", "scheme", lambda scheme: {"flows": [
+        {**scheme["flows"][0], "value": "x"}]}, "value 'x' is not a number"),
+    "audit-scheme-flow-int": ("audit", "scheme", lambda _: {"flows": [1]},
+                              "flows must be an object, got int"),
+    "audit-scheme-session": ("audit", "scheme", lambda scheme: {"flows": [
+        {**scheme["flows"][0], "session": 3}]}, "session 3 out of range"),
 }
 
 

@@ -80,6 +80,17 @@ def test_propagate_rejects_non_in_edge(nets):
         propagate(net, (1, 1), table, 2)
 
 
+def test_propagate_rejects_unknown_term_kind():
+    with pytest.raises(ValueError, match="unknown local term"):
+        propagate(chain_network(), (1,), {0: [("node", "s", 1)], 1: []}, 2)
+
+
+def test_entropy_rejects_unknown_ref_kind():
+    code = propagate(chain_network(), (1,), {0: [("session", 1, 0, 1)], 1: [("edge", 0, 1)]}, 2)
+    with pytest.raises(ValueError, match="unknown variable kind 'node'"):
+        entropy(code, [("node", 0)])
+
+
 def test_source_edges_touch_only_their_session_block(nets):
     rng = random.Random(2)
     net = nets["fig1a"]

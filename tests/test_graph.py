@@ -36,6 +36,7 @@ from infodist.graph import (
     reachable_from,
     routing_domain,
     validate_network,
+    validate_path,
 )
 
 
@@ -50,6 +51,11 @@ def test_validate_single_edge():
         {"nodes": ["s", "d"], "edges": [["s", "d"]], "sessions": [["s", "d"]]}
     )
     assert len(net.edges) == 1
+
+
+def test_validate_rejects_a_list():
+    with pytest.raises(NetworkFormatError, match="network description must be a JSON object"):
+        validate_network([])
 
 
 def test_validate_rejects_two_cycle():
@@ -143,6 +149,11 @@ def test_two_faults_name_the_first_offending_edge(edges, message):
     assert isinstance(exc.value, DuplicateEdge) == (message == DUPLICATE)
 
 
+def test_reindex_sessions_rejects_a_non_permutation(nets):
+    with pytest.raises(ValueError, match=r"not a session permutation: \(1, 1\)"):
+        nets["fig1a"].reindex_sessions((1, 1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_reindex_sessions_matches_a_fresh_network(seed, data):
@@ -200,6 +211,14 @@ def test_enumerate_min_cutsets_trivial_cases(nets):
     chain = Network(["s", "x", "d"], [("s", "x", 0), ("x", "d", 0)], [("s", "d")])
     sets, _ = enumerate_min_cutsets(chain, "s", "d")
     assert sets == [frozenset({0}), frozenset({1})]
+
+
+def test_equal_endpoints(nets):
+    net = nets["fig1a"]
+    for search in (min_cut, enumerate_min_cutsets):
+        with pytest.raises(ValueError, match="min_cut endpoints must differ"):
+            search(net, "s1", "s1")
+    assert enumerate_paths(net, "s1", "s1") == ([()], False)
 
 
 def test_enumerate_min_cutsets_truncation_flag():
@@ -354,6 +373,13 @@ def test_enumerate_paths_examples(nets):
     )
     paths, _ = enumerate_paths(diamond, "s", "d")
     assert paths == [(0, 2), (1, 3)]
+
+
+def test_validate_path_rejects_a_repeated_edge(nets):
+    net = nets["fig1a"]
+    (path, *_), _ = enumerate_paths(net, "s1", "d1")
+    assert validate_path(net, path, "s1", "d1")
+    assert not validate_path(net, path + path[:1], "s1", "d1")
 
 
 def test_enumerate_paths_fig5_session2(nets):

@@ -366,6 +366,12 @@ def test_check_rate_feasible_rejects_tampered_lp_answer(nets, monkeypatch, capsy
     assert "infodist: the LP scheme does not route the rates" in captured.err
 
 
+def test_verify_rejects_a_rate_vector_one_short(nets):
+    scheme = RoutingScheme((dict(), dict()))
+    with pytest.raises(ValueError, match="scheme/rates must cover every session"):
+        verify_routing_scheme(nets["fig1a"], scheme, [0])
+
+
 def test_verify_rejects_unknown_path(nets):
     net = nets["fig1a"]
     scheme = RoutingScheme(({(0, 2): Fraction(1)}, dict()))
