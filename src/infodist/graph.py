@@ -13,7 +13,7 @@ import copy
 import math
 from collections import deque
 from collections.abc import Mapping
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     CycleDetected,
@@ -389,7 +389,8 @@ def min_cut(net: Network, u: str, v: str) -> int:
 
 
 def enumerate_min_cutsets(
-    net: Network, u: str, v: str, limit: Optional[int] = None
+    net: Network, u: str, v: str, limit: Optional[int] = None,
+    on_cutset: Callable[[], None] = lambda: None,
 ) -> tuple[list[frozenset[int]], bool]:
     """All minimum-cardinality u->v edge cut-sets in lexicographic order.
 
@@ -409,6 +410,7 @@ def enumerate_min_cutsets(
     whose head reaches v: a dead-end branch costs one backward search.
 
     Returns (cutsets, truncated); truncated means more than ``limit`` exist.
+    on_cutset runs once per cut-set found.
     """
     if u == v:
         raise ValueError("min_cut endpoints must differ")
@@ -456,6 +458,7 @@ def enumerate_min_cutsets(
         if len(chosen) == value:
             # Every cut-set below holds `chosen` and has `value` edges.
             found.append(frozenset(chosen))
+            on_cutset()
             if limit is not None and len(found) > limit:
                 return found[:limit], True
             # Backtrack to the deepest cut edge that can be rejected instead.
@@ -497,13 +500,15 @@ def enumerate_min_cutsets(
 
 
 def enumerate_paths(
-    net: Network, u: str, v: str, limit: int = DEFAULT_PATH_LIMIT
+    net: Network, u: str, v: str, limit: int = DEFAULT_PATH_LIMIT,
+    on_path: Callable[[], None] = lambda: None,
 ) -> tuple[list[Path], bool]:
     """All simple directed u->v paths in lexicographic edge-id order.
 
     The depth-first search never enters a node that cannot reach v, so a
     dead-end branch costs one backward search.  Returns (paths, truncated);
-    truncated means the cap was hit and the list is incomplete.
+    truncated means the cap was hit and the list is incomplete.  on_path
+    runs once per path found.
     """
     if u == v:
         return [()], False
@@ -523,6 +528,7 @@ def enumerate_paths(
                 continue
             if head == v:
                 paths.append((*prefix, eid))
+                on_path()
                 if len(paths) > limit:
                     return paths[:limit], True
                 continue
@@ -553,9 +559,8 @@ def alpha(net: Network, eid: int) -> int:
 
 
 def validate_path(net: Network, path: Sequence[int], u: str, v: str) -> bool:
-    """True iff path is a duplicate-free u->v walk over existing edge ids."""
-    if len(set(path)) != len(path):
-        return False
+    """True iff path is a u->v walk over existing edge ids.  The network is
+    acyclic, so such a walk never repeats an edge."""
     at = u
     for eid in path:
         if not 0 <= eid < len(net.edges):

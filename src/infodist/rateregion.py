@@ -1,15 +1,17 @@
 """Exact path-flow LP for the routing rate region.
 
 The formulation is path-based, mirroring the two constraint families the
-routing model imposes: per-session delivered traffic at least the demanded
-rate, and per-edge total load at most the unit capacity.  All arithmetic is
-Fraction-exact; a feasibility verdict comes with a witness scheme.
+routing model imposes: per-session delivered traffic, and per-edge total
+load at most the unit capacity.  All arithmetic is Fraction-exact, and every
+LP answer is re-checked outside the solver: a "feasible" verdict by its
+witness scheme, an "infeasible" one by the LP dual, and lambda* by both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import simplex
@@ -67,24 +69,28 @@ def parse_rates(values: Sequence) -> RateVector:
 
 def _path_lp(net: Network, demand, scaled: bool, path_limit: int):
     """(session paths, c, A, b, kept) of the path-flow LP: maximise c.x
-    subject to A x <= b, with one column per session path, sessions in
-    order, then a lambda column if `scaled`.  c is 0 on every path and 1 on
-    lambda.
+    subject to A x <= b (b >= 0), with one column per session path,
+    sessions in order, then a lambda column if `scaled`.
 
-    Session rows come first: -sum(f_i) <= -demand_i, or if `scaled`
-    lambda*demand_i - sum(f_i) <= 0 (no row when demand_i == 0).  Then the
+    Session rows come first.  Unscaled, sum(f_i) <= demand_i and c is 1 on
+    the paths of each session with demand_i > 0, so the demand is routable
+    iff the optimum is sum(demand).  Scaled, lambda*demand_i - sum(f_i) <= 0
+    (no row when demand_i == 0) and c is 1 on lambda only.  Then the
     unit-capacity load rows of the edges `_maximal_edges` keeps, in id
     order; `kept` flags, per used edge in id order, whether its row is in A.
 
     A dropped row is implied by a kept one (f >= 0), but nothing trusts
     that: the smaller LP is a relaxation, so its dual, zero on the dropped
-    rows, still bounds the full LP, its "infeasible" holds for the full LP,
-    and `_certify_scheme` re-checks every scheme on every edge.  A wrong
-    presolve raises CertificateInvalid, never a wrong answer.  Raises
-    PathEnumerationTruncated when a session has more than path_limit paths.
+    rows, still bounds the full LP, and `_certify_scheme` re-checks every
+    scheme on every edge.  A wrong presolve raises CertificateInvalid, never
+    a wrong answer.  Raises PathEnumerationTruncated when a session has
+    more than path_limit paths.
     """
     session_paths = [require_paths(net, s, d, limit=path_limit) for s, d in net.sessions]
-    c = [0] * sum(map(len, session_paths)) + [1] * scaled
+    # A zero-rate session's paths get c = 0: pricing them in would only
+    # add degenerate pivots on its row, which holds their flow at 0.
+    c = [0 if scaled else int(d > 0) for paths, d in zip(session_paths, demand) for _ in paths]
+    c += [1] * scaled
     ncols = len(c)
     A, b = [], []
     edge_cols: dict[int, list[int]] = {}
@@ -92,13 +98,13 @@ def _path_lp(net: Network, demand, scaled: bool, path_limit: int):
     for paths, d in zip(session_paths, demand):
         row = [0] * ncols
         for path in paths:
-            row[col] = -1
+            row[col] = -1 if scaled else 1
             for eid in path:
                 edge_cols.setdefault(eid, []).append(col)
             col += 1
         if not scaled:
             A.append(row)
-            b.append(-d)
+            b.append(d)
         elif d:
             row[-1] = d
             A.append(row)
@@ -164,7 +170,10 @@ def check_rate_feasible(
     net: Network, rates: Sequence, path_limit: int = DEFAULT_PATH_LIMIT
 ) -> FeasibilityResult:
     """Decide whether nonnegative path flows deliver the rates within unit
-    edge capacities; returns one witness scheme when feasible.
+    edge capacities, by maximising the total flow with each session capped
+    at its rate.  "Feasible" is re-checked by the scheme it returns,
+    "infeasible" by the LP dual, which bounds the total flow below the sum
+    of the rates; a failed check raises CertificateInvalid.
 
     Raises PathEnumerationTruncated when the path cap was hit (result would
     be indeterminate).
@@ -174,9 +183,12 @@ def check_rate_feasible(
         raise ValueError("one rate per session required")
     session_paths, c, A, b, _ = _path_lp(net, rates, False, path_limit)
     result = simplex.solve(c, A, b)
-    if result.status == simplex.INFEASIBLE:
+    assert result.status == simplex.OPTIMAL, result.status
+    value = result.value
+    if value < sum(rates):
+        if not _is_dual_certificate(c, A, b, result.dual, value):
+            raise CertificateInvalid(f"the LP dual does not certify the maximum flow {value}")
         return FeasibilityResult(False)
-    assert result.status == simplex.OPTIMAL
     scheme = _build_scheme(net, session_paths, result.x)
     _certify_scheme(net, scheme, rates, "the rates")
     return FeasibilityResult(True, scheme)
@@ -226,18 +238,19 @@ def _certify_scheme(net, scheme, rates, what: str) -> None:
 
 def _is_dual_certificate(c, A, b, y, value) -> bool:
     """Weak duality, exactly: y >= 0, y^T A >= c and y^T b == value, so no
-    feasible x has c.x > value."""
+    feasible x has c.x > value.  It sums den * y^T A, den the lcm of y's
+    denominators, so that integer rows of A stay in integers."""
     if len(y) != len(A) or any(v < 0 for v in y):
         return False
     if sum(yi * bi for yi, bi in zip(y, b)) != value:
         return False
+    den = lcm(*[yi.denominator for yi in y])
     yA = [0] * len(c)
     for yi, row in zip(y, A):
         if yi:
-            for j, a in enumerate(row):
-                if a:
-                    yA[j] += yi * a
-    return all(s >= cj for s, cj in zip(yA, c))
+            k = yi.numerator * (den // yi.denominator)
+            yA = [s + k * a for s, a in zip(yA, row)]
+    return all(s >= cj * den for s, cj in zip(yA, c))
 
 
 def verify_routing_scheme(net: Network, scheme: RoutingScheme, rates: Sequence) -> CheckResult:

@@ -1,17 +1,17 @@
-"""Two-phase primal simplex over exact rationals, on an integer tableau.
+"""One-phase primal simplex over exact rationals, on an integer tableau.
 
-Solves  max c.x  s.t.  A x <= b,  x >= 0  with Bland's anti-cycling rule.
-Verdicts feed theorem checks, so no floating point or tolerance is allowed.
+Solves  max c.x  s.t.  A x <= b,  x >= 0  for b >= 0, from the all-slack
+basis (the origin), with Bland's anti-cycling rule.  Verdicts feed theorem
+checks, so no floating point or tolerance is allowed.
 
 The tableau is fraction-free (Bareiss, Math. Comp. 22, 1968): each
 constraint row is scaled by the positive lcm L_i of its denominators, its
-slack and artificial keep coefficient +-1, and every stored row, the
-objective row included, holds its true value times one common positive
-denominator D.  A pivot is then one exact integer division per cell instead
-of a Fraction gcd.  The scaling multiplies tableau rows and slack columns by
-positive constants only, so signs, ratio-test order and hence every pivot
-are those of the plain Fraction tableau; the phase-1 weights below keep its
-objective a uniform multiple of -sum(artificials).
+slack keeps coefficient 1, and every stored row, the objective row
+included, holds its true value times one common positive denominator D.  A
+pivot is then one exact integer division per cell instead of a Fraction
+gcd.  The scaling multiplies tableau rows and slack columns by positive
+constants only, so signs, ratio-test order and hence every pivot are those
+of the plain Fraction tableau.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from math import lcm
 from typing import Optional, Sequence
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -48,12 +47,9 @@ def _integer_row(values) -> tuple[int, list[int]]:
 
 
 def _pivot(T, basis, prow, pcol, D):
-    """Pivot every row of T (objective last) on T[prow][pcol]; return the new D."""
+    """Pivot every row of T (objective last) on T[prow][pcol] > 0; return D."""
     P = T[prow]
     piv = P[pcol]
-    if piv < 0:  # keep D positive: the pivot row's true value is P / piv either way
-        piv = -piv
-        P = T[prow] = [-v for v in P]
     if piv == D:
         # (v*D - f*p) // D == v - f*p // D, as f*p is then a multiple of D:
         # only the pivot row's nonzero columns change, in place.
@@ -76,16 +72,17 @@ def _pivot(T, basis, prow, pcol, D):
     return piv
 
 
-def _optimize(T, basis, allowed, D):
+def _optimize(T, basis, D):
     """Run simplex steps on T, whose last row holds the reduced costs.
 
-    The objective row is [z_j - c_j ... | z] times D.  Only columns in
-    `allowed` (ascending) may enter.  Returns the status and the new D.
+    The objective row is [z_j - c_j ... | z] times D.  The ratio test takes
+    positive entries only, so D stays positive.  Returns (status, new D).
     """
     obj = T[-1]
     m = len(basis)
+    ncols = len(obj) - 1
     while True:
-        enter = next((j for j in allowed if obj[j] < 0), -1)
+        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
         if enter < 0:
             return OPTIMAL, D
         leave = -1
@@ -105,74 +102,26 @@ def _optimize(T, basis, allowed, D):
         obj = T[-1]
 
 
-def _price_out(T, basis, cost, D):
-    """Objective row [z_j - c_j ... | z] for the current basis, times D."""
-    obj = [-cj * D for cj in cost] + [0]
-    for r, bcol in enumerate(basis):
-        cb = cost[bcol]
-        if cb:
-            obj = [o + cb * v for o, v in zip(obj, T[r])]
-    return obj
-
-
 def solve(
     c: Sequence, A: Sequence[Sequence], b: Sequence
 ) -> LPResult:
-    """Maximize c.x subject to A x <= b, x >= 0 (everything exact)."""
+    """Maximize c.x subject to A x <= b, x >= 0 (everything exact).  Raises
+    ValueError when some b_i < 0: the origin must be feasible."""
     m = len(A)
     n = len(c)
     assert len(b) == m
-    nslack = m
+    if any(bi < 0 for bi in b):
+        raise ValueError("simplex.solve needs b >= 0")
     scaled = [_integer_row([*row, bi]) for row, bi in zip(A, b)]
-    scale = [L for L, _ in scaled]
-    sign = [-1 if row[-1] < 0 else 1 for _, row in scaled]
-    art_rows = [i for i in range(m) if sign[i] < 0]
-    nart = len(art_rows)
-    ncols = n + nslack + nart
-
-    T: list[list[int]] = []
-    basis: list[int] = []
-    art_col = {i: n + nslack + k for k, i in enumerate(art_rows)}
-    for i, (_, head) in enumerate(scaled):
-        assert len(head) == n + 1
-        s = sign[i]
-        row = [s * v for v in head[:n]] + [0] * (ncols - n) + [s * head[n]]
-        row[n + i] = s
-        if i in art_col:
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
-        else:
-            basis.append(n + i)
-        T.append(row)
-    D = 1
-
-    if nart:
-        # Artificial i carries L_i times its true value; weighting it by
-        # lcm/L_i makes this objective lcm * (-sum of true artificials).
-        art_lcm = lcm(*[scale[i] for i in art_rows])
-        cost1 = [0] * ncols
-        for i in art_rows:
-            cost1[art_col[i]] = -(art_lcm // scale[i])
-        T.append(_price_out(T, basis, cost1, D))
-        status, D = _optimize(T, basis, range(ncols), D)
-        assert status == OPTIMAL, "phase 1 cannot be unbounded"
-        if T[-1][-1] != 0:  # -value != 0  =>  some artificial stuck positive
-            return LPResult(INFEASIBLE)
-        # Drive leftover artificials out of the basis; the phase-1 objective
-        # row rides along and is dropped after.  Each row began with its own
-        # slack and pivots are invertible row operations, so no row is zero
-        # on the structural and slack columns.
-        arts = set(art_col.values())
-        for r in range(m):
-            if basis[r] in arts:
-                pcol = next(j for j in range(n + nslack) if T[r][j] != 0)
-                D = _pivot(T, basis, r, pcol, D)
-        T.pop()
-
-    cl, cost2 = _integer_row(c)
-    cost2 += [0] * (nslack + nart)
-    T.append(_price_out(T, basis, cost2, D))
-    status, D = _optimize(T, basis, range(n + nslack), D)
+    T = [head[:n] + [0] * m + head[n:] for _, head in scaled]
+    for i, row in enumerate(T):
+        assert len(row) == n + m + 1
+        row[n + i] = 1
+    basis = list(range(n, n + m))
+    # The all-slack basis has z = 0, so its objective row is just -c.
+    cl, cost = _integer_row(c)
+    T.append([-cj for cj in cost] + [0] * (m + 1))
+    status, D = _optimize(T, basis, 1)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * n
@@ -180,5 +129,5 @@ def solve(
         if bcol < n:
             x[bcol] = Fraction(T[r][-1], D)
     obj = T[-1]
-    dual = [Fraction(sign[i] * scale[i] * obj[n + i], D * cl) for i in range(m)]
+    dual = [Fraction(L * obj[n + i], D * cl) for i, (L, _) in enumerate(scaled)]
     return LPResult(OPTIMAL, x=x, value=Fraction(obj[-1], D * cl), dual=dual)

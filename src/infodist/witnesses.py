@@ -578,13 +578,10 @@ class _Searcher:
             raise _BudgetExceeded
 
     def _enumerate(self) -> None:
-        for i in range(1, self.net.num_sessions + 1):
-            s, d = self.net.sessions[i - 1]
-            self._tick()
-            sets, trunc = enumerate_min_cutsets(self.net, s, d, limit=CUTSET_LIMIT)
+        for s, d in self.net.sessions:
+            sets, trunc = enumerate_min_cutsets(self.net, s, d, CUTSET_LIMIT, self._tick)
             self.cutsets.append(sets)
-            self._tick()
-            paths, trunc_paths = enumerate_paths(self.net, s, d, limit=PATH_LIMIT)
+            paths, trunc_paths = enumerate_paths(self.net, s, d, PATH_LIMIT, self._tick)
             self.paths.append(paths)
             if trunc or trunc_paths:
                 self.stats.truncated = True

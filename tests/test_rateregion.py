@@ -234,12 +234,17 @@ def _small_lps(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_small_lps())
-@example(([1], [[1]], [-1]))  # infeasible
+@example(([1], [[1]], [-1]))  # negative b
 @example(([1], [[-1]], [0]))  # unbounded
-@example(([0, 1], [[-1, 0]], [-1]))  # unbounded after phase 1
-@example(([1], [[-1], [1]], [-1, 1]))  # artificial driven out on a negative pivot
+@example(([0, 1], [[-1, 0]], [-1]))  # negative b
+@example(([1], [[-1], [1]], [-1, 1]))  # negative b
 def test_simplex_matches_fraction_oracle(lp):
-    _solve_matches_oracle(*lp)
+    c, A, b = lp
+    if any(v < 0 for v in b):
+        with pytest.raises(ValueError):
+            simplex.solve(c, A, b)
+    else:
+        _solve_matches_oracle(c, A, b)
 
 
 def test_simplex_oracle_cases_cover_every_branch():
@@ -258,11 +263,18 @@ def test_simplex_oracle_cases_cover_every_branch():
         m, n = rng.randint(1, 4), rng.randint(1, 4)
         c = [entry() for _ in range(n)]
         A = [[entry() for _ in range(n)] for _ in range(m)]
-        seen.add(_solve_matches_oracle(c, A, [entry() for _ in range(m)])[0])
-    assert seen == {simplex.OPTIMAL, simplex.INFEASIBLE, simplex.UNBOUNDED}
-    # x1 >= 1 and x1 <= 1: phase 1 leaves the artificial basic at zero, and
-    # driving it out pivots on its slack's -1.
-    assert _solve_matches_oracle([1], [[-1], [1]], [-1, 1]) == (simplex.OPTIMAL, 1)
+        b = [entry() for _ in range(m)]
+        if any(v < 0 for v in b):
+            with pytest.raises(ValueError):
+                simplex.solve(c, A, b)
+            continue
+        status, negative = _solve_matches_oracle(c, A, b)
+        assert negative == 0
+        seen.add(status)
+    assert seen == {simplex.OPTIMAL, simplex.UNBOUNDED}
+    # x1 >= 1 and x1 <= 1 needs a phase 1, which solve does not have.
+    with pytest.raises(ValueError):
+        simplex.solve([1], [[-1], [1]], [-1, 1])
 
 
 def test_simplex_matches_fraction_oracle_on_corpus_lps(nets):
@@ -364,6 +376,41 @@ def test_check_rate_feasible_rejects_tampered_lp_answer(nets, monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "infodist: the LP scheme does not route the rates" in captured.err
+
+
+def _tamper_lower_value(res):
+    return replace(res, value=res.value - Fraction(1, 7))
+
+
+def _tamper_zero_dual(res):
+    return replace(res, dual=[Fraction(0)] * len(res.dual))
+
+
+@pytest.mark.parametrize("tamper", [_tamper_lower_value, _tamper_zero_dual])
+def test_check_rate_feasible_rejects_tampered_infeasible_answer(nets, monkeypatch, capsys, tamper):
+    honest = simplex.solve
+    monkeypatch.setattr(simplex, "solve", lambda c, A, b: tamper(honest(c, A, b)))
+    with pytest.raises(CertificateInvalid):
+        check_rate_feasible(nets["butterfly"], [1, 1])
+    assert main(["rate", "butterfly", "--rate", "1,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "infodist: the LP" in captured.err
+
+
+def test_rate_feasible_on_the_boundary(nets):
+    # lambda* = 3/2 on fig1a, so (3/2, 3/2) is feasible with no slack: the
+    # capped total flow reaches the sum of the rates exactly.
+    res = check_rate_feasible(nets["fig1a"], [Fraction(3, 2)] * 2)
+    assert res.feasible
+    assert [res.scheme.rate(i) for i in (1, 2)] == [Fraction(3, 2)] * 2
+
+
+def test_zero_rate_session_carries_no_flow(nets):
+    res = check_rate_feasible(nets["fig1a"], [0, 1])
+    assert res.feasible
+    assert res.scheme.flows[0] == {}
+    assert res.scheme.rate(2) == 1
 
 
 def test_verify_rejects_a_rate_vector_one_short(nets):

@@ -752,6 +752,34 @@ def test_budget_stops_between_cutset_and_path_enumeration(nets, monkeypatch):
     assert calls == ["enumerate_min_cutsets"]
 
 
+@pytest.mark.parametrize("name", ["enumerate_min_cutsets", "enumerate_paths"])
+def test_budget_stops_inside_an_enumeration(monkeypatch, name):
+    # A chain of 6 diamonds from v0 to v6: 24 min cut-sets and 64 paths.
+    edges = [(f"v{i}", f"{m}{i}", 0) for i in range(6) for m in "ab"]
+    edges += [(f"{m}{i}", f"v{i + 1}", 0) for i in range(6) for m in "ab"]
+    nodes = sorted({x for e in edges for x in e[:2]})
+    net = Network(nodes, edges, [("v0", "v6")])
+    clock, found = _Clock(), []
+    monkeypatch.setattr(witnesses.time, "monotonic", clock)
+    real = getattr(witnesses, name)
+
+    def spy(*args):
+        *head, on_item = args
+
+        def counted():
+            found.append(name)
+            if len(found) == 3:
+                clock.now += 10  # past the deadline from the third item on
+            on_item()
+
+        return real(*head, counted)
+
+    monkeypatch.setattr(witnesses, name, spy)
+    verdict = decide_information_distributive(net, SearchBudget(max_seconds=1))
+    assert verdict.status == "unknown"
+    assert found == [name] * 3
+
+
 def test_budget_stops_while_a_path_table_is_built(nets, monkeypatch):
     clock, calls = _Clock(), []
     monkeypatch.setattr(witnesses.time, "monotonic", clock)
