@@ -5,13 +5,17 @@ basis (the origin), with Bland's anti-cycling rule.  Verdicts feed theorem
 checks, so no floating point or tolerance is allowed.
 
 The tableau is fraction-free (Bareiss, Math. Comp. 22, 1968): each
-constraint row is scaled by the positive lcm L_i of its denominators, its
-slack keeps coefficient 1, and every stored row, the objective row
-included, holds its true value times one common positive denominator D.  A
-pivot is then one exact integer division per cell instead of a Fraction
-gcd.  The scaling multiplies tableau rows and slack columns by positive
-constants only, so signs, ratio-test order and hence every pivot are those
-of the plain Fraction tableau.
+constraint row is scaled by the positive lcm L_i of its denominators (a row
+of ints is taken as it is), and its slack keeps coefficient 1.  Row r then
+holds its true values times its own positive scale[r].  The eager Bareiss
+step would keep every row at one common denominator D; here a row that is 0
+in the pivot column is left as it is, and any other row gets exactly the
+integers the eager step would have stored, with scale D again.  The
+objective row is nonzero in every entering column, so its scale is always D.
+A pivot is one exact integer division per cell of the rows it touches,
+instead of a Fraction gcd per cell of every row.  The ratio test and the
+reduced-cost signs each read within one row, and every scale is positive,
+so every pivot is that of the plain Fraction tableau.
 """
 
 from __future__ import annotations
@@ -36,8 +40,11 @@ class LPResult:
 def _integer_row(values) -> tuple[int, list[int]]:
     """(L, L*values) for the least positive L that makes every entry integral.
 
-    Only the entries that are not ints become Fractions: L is the lcm of
-    their denominators, and an int entry is just multiplied by L."""
+    A row of ints is returned as it is.  Otherwise only the entries that are
+    not ints become Fractions: L is the lcm of their denominators, and an
+    int entry is just multiplied by L."""
+    if {*map(type, values)} <= {int}:
+        return 1, list(values)
     exact = {j: Fraction(v) for j, v in enumerate(values) if type(v) is not int}
     L = lcm(*[v.denominator for v in exact.values()])
     row = [v * L for v in values] if L > 1 else list(values)
@@ -46,37 +53,45 @@ def _integer_row(values) -> tuple[int, list[int]]:
     return L, row
 
 
-def _pivot(T, basis, prow, pcol, D):
-    """Pivot every row of T (objective last) on T[prow][pcol] > 0; return D."""
+def _pivot(T, basis, prow, pcol, scale):
+    """Pivot T (objective last) on T[prow][pcol] > 0, updating row scales.
+
+    With D = scale[-1], the eager Bareiss step stores a row r that is 0 in
+    pcol as v * piv // D and any other as (v * piv - f * p) // D, all at
+    scale D.  A row that is 0 in pcol keeps its values and its scale.  A row
+    at scale s != D stands for v * D // s at scale D, so its update is
+    (v * piv - f * p) // s: the same exact integers the eager step stores.
+    """
+    D = scale[-1]
     P = T[prow]
+    if scale[prow] != D:
+        P = T[prow] = [v * D // scale[prow] for v in P]
     piv = P[pcol]
     if piv == D:
         # (v*D - f*p) // D == v - f*p // D, as f*p is then a multiple of D:
-        # only the pivot row's nonzero columns change, in place.
+        # a row at scale D changes only in the pivot row's nonzero columns.
         support = [(j, p) for j, p in enumerate(P) if p]
-        for r, row in enumerate(T):
-            f = row[pcol]
-            if f and r != prow:
-                for j, p in support:
-                    row[j] -= f * p // D
-    else:
-        for r, row in enumerate(T):
-            if r == prow:
-                continue
-            f = row[pcol]
-            if f:
-                T[r] = [(v * piv - f * p) // D for v, p in zip(row, P)]
-            else:
-                T[r] = [v * piv // D for v in row]
+    for r, row in enumerate(T):
+        f = row[pcol]
+        if not f or r == prow:
+            continue
+        s = scale[r]
+        if piv == s == D:
+            for j, p in support:
+                row[j] -= f * p // D
+        else:
+            T[r] = [(v * piv - f * p) // s for v, p in zip(row, P)]
+            scale[r] = piv
+    scale[prow] = piv
     basis[prow] = pcol
-    return piv
 
 
-def _optimize(T, basis, D):
+def _optimize(T, basis, scale):
     """Run simplex steps on T, whose last row holds the reduced costs.
 
-    The objective row is [z_j - c_j ... | z] times D.  The ratio test takes
-    positive entries only, so D stays positive.  Returns (status, new D).
+    The objective row is [z_j - c_j ... | z] times scale[-1].  The ratio
+    test takes positive entries only, so every scale stays positive.
+    Returns the status.
     """
     obj = T[-1]
     m = len(basis)
@@ -84,7 +99,7 @@ def _optimize(T, basis, D):
     while True:
         enter = next((j for j in range(ncols) if obj[j] < 0), -1)
         if enter < 0:
-            return OPTIMAL, D
+            return OPTIMAL
         leave = -1
         for r in range(m):
             a = T[r][enter]
@@ -92,13 +107,14 @@ def _optimize(T, basis, D):
                 if leave < 0:
                     leave, num, den = r, T[r][-1], a
                     continue
-                # T[r][-1] / a  vs  num / den, cross-multiplied (a, den > 0)
+                # T[r][-1] / a  vs  num / den, cross-multiplied (a, den > 0);
+                # each ratio is read within one row, so scales cancel.
                 lhs, rhs = T[r][-1] * den, num * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
                     leave, num, den = r, T[r][-1], a
         if leave < 0:
-            return UNBOUNDED, D
-        D = _pivot(T, basis, leave, enter, D)
+            return UNBOUNDED
+        _pivot(T, basis, leave, enter, scale)
         obj = T[-1]
 
 
@@ -121,13 +137,14 @@ def solve(
     # The all-slack basis has z = 0, so its objective row is just -c.
     cl, cost = _integer_row(c)
     T.append([-cj for cj in cost] + [0] * (m + 1))
-    status, D = _optimize(T, basis, 1)
-    if status == UNBOUNDED:
+    scale = [1] * (m + 1)
+    if _optimize(T, basis, scale) == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [Fraction(0)] * n
     for r, bcol in enumerate(basis):
         if bcol < n:
-            x[bcol] = Fraction(T[r][-1], D)
+            x[bcol] = Fraction(T[r][-1], scale[r])
     obj = T[-1]
+    D = scale[-1]
     dual = [Fraction(L * obj[n + i], D * cl) for i, (L, _) in enumerate(scaled)]
     return LPResult(OPTIMAL, x=x, value=Fraction(obj[-1], D * cl), dual=dual)

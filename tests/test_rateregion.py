@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
@@ -9,10 +11,10 @@ from hypothesis import strategies as st
 
 from oracles import fraction_simplex, random_network, vertex_enum_max
 
-from infodist import corpus, rateregion, simplex
+from infodist import corpus, graph, rateregion, simplex
 from infodist.cli import main
 from infodist.errors import CertificateInvalid, PathEnumerationTruncated, UnknownPath
-from infodist.graph import CheckResult, Network, require_paths
+from infodist.graph import DEFAULT_PATH_LIMIT, CheckResult, Network, require_paths, validate_network
 from infodist.rateregion import (
     RoutingScheme,
     check_rate_feasible,
@@ -452,3 +454,177 @@ def test_random_feasibility_monotonic_in_scaling():
         assert check_rate_feasible(net, [lam] * net.num_sessions).feasible
         bump = [lam + Fraction(1, 7)] * net.num_sessions
         assert not check_rate_feasible(net, bump).feasible
+
+
+def _counted_enumerations(monkeypatch):
+    """Count graph.enumerate_paths calls from here on."""
+    calls = []
+    real = graph.enumerate_paths
+    monkeypatch.setattr(graph, "enumerate_paths", lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
+def test_one_path_enumeration_per_network(monkeypatch):
+    calls = _counted_enumerations(monkeypatch)
+    net = validate_network(corpus.load("fig1a"))
+    K = net.num_sessions
+    best = max_scaled_rate(net, [1, 1])
+    at = check_rate_feasible(net, [best.lam] * K)
+    above = check_rate_feasible(net, [best.lam + Fraction(1, 1000)] * K)
+    assert len(calls) == K
+    # The cached path lists are shared read-only.
+    session_paths = rateregion._path_lp(net, [1, 1], True, DEFAULT_PATH_LIMIT)[0]
+    assert len(calls) == K
+    assert type(session_paths) is tuple and all(type(paths) is tuple for paths in session_paths)
+    # A second network object from the same JSON is enumerated on its own
+    # and gets the same answers.
+    twin = validate_network(corpus.load("fig1a"))
+    best2 = max_scaled_rate(twin, [1, 1])
+    at2 = check_rate_feasible(twin, [best.lam] * K)
+    above2 = check_rate_feasible(twin, [best.lam + Fraction(1, 1000)] * K)
+    assert len(calls) == 2 * K
+    assert (best2.lam, best2.scheme, best2.dual) == (best.lam, best.scheme, best.dual)
+    assert (at2.feasible, at2.scheme) == (at.feasible, at.scheme)
+    assert (above2.feasible, above2.scheme) == (above.feasible, above.scheme) == (False, None)
+
+
+def test_truncated_enumeration_is_not_cached(monkeypatch):
+    calls = _counted_enumerations(monkeypatch)
+    net = validate_network(corpus.load("fig1a"))
+    for _ in range(2):
+        with pytest.raises(PathEnumerationTruncated):
+            max_scaled_rate(net, [1, 1], path_limit=1)
+    assert len(calls) == 2
+    # Another limit is its own entry.
+    assert max_scaled_rate(net, [1, 1], path_limit=100).lam == Fraction(3, 2)
+    assert max_scaled_rate(net, [1, 1], path_limit=100).lam == Fraction(3, 2)
+    assert len(calls) == 2 + net.num_sessions
+
+
+def test_memo_entry_dies_with_its_network():
+    net = validate_network(corpus.load("butterfly"))
+    max_scaled_rate(net, [1, 1])
+    assert net in rateregion._SKELETONS
+    before = len(rateregion._SKELETONS)
+    ref = weakref.ref(net)
+    del net
+    gc.collect()
+    assert ref() is None
+    assert len(rateregion._SKELETONS) == before - 1
+
+
+def test_pivot_leaves_rows_that_are_zero_in_the_pivot_column_alone():
+    # max x0 + x1 + x2 with 2 x0 + x1 <= 4, 3 x1 + x2 <= 3, x1 + 2 x2 <= 2.
+    T = [[2, 1, 0, 1, 0, 0, 4], [0, 3, 1, 0, 1, 0, 3], [0, 1, 2, 0, 0, 1, 2],
+         [-1, -1, -1, 0, 0, 0, 0]]
+    F = [[Fraction(v) for v in row] for row in T]  # the plain Fraction tableau
+    scale, basis = [1] * 4, [3, 4, 5]
+
+    def pivot(prow, pcol):
+        F[prow] = [v / F[prow][pcol] for v in F[prow]]
+        for r, row in enumerate(F):
+            if r != prow:
+                F[r] = [v - row[pcol] * p for v, p in zip(row, F[prow])]
+        simplex._pivot(T, basis, prow, pcol, scale)
+        assert [[Fraction(v, s) for v in row] for row, s in zip(T, scale)] == F
+
+    # Rows 1 and 2 are 0 in column 0: they keep their values and scale 1.
+    rows = T[1], T[2]
+    pivot(0, 0)
+    assert (T[1], T[2]) == rows and T[1] is rows[0] and T[2] is rows[1]
+    assert scale == [2, 1, 1, 2]
+    # Row 1 is brought to scale 2 before it pivots; row 2, still at scale
+    # 1, gets exactly the integers the eager step stores at the new scale 6.
+    pivot(1, 1)
+    assert scale == [6, 6, 6, 6]
+    assert T[2] == [0, 0, 10, 0, -2, 6, 6]
+    pivot(2, 2)
+    assert basis == [0, 1, 2] and scale[-1] == scale[2]
+
+
+def test_integer_row_returns_an_int_row_as_it_is():
+    values = [0, 1, -1, 7]
+    L, row = simplex._integer_row(values)
+    assert (L, row) == (1, values) and row is not values
+    assert simplex._integer_row([]) == (1, [])
+    assert simplex._integer_row([1, Fraction(1, 2), 3]) == (2, [2, 1, 6])
+
+
+@st.composite
+def _path_lp_shaped(draw):
+    """max c.x, A x <= b with A in {0, 1, -1} but for one Fraction column
+    (the lambda column of the scaled path LP), b >= 0 of Fractions."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    frac = draw(st.integers(0, n - 1))
+    unit = st.sampled_from([0, 0, 1, -1])
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    A = [[draw(entry) if j == frac else draw(unit) for j in range(n)] for _ in range(m)]
+    c = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    b = draw(st.lists(st.fractions(min_value=0, max_value=3, max_denominator=6), min_size=m, max_size=m))
+    return c, A, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_path_lp_shaped())
+def test_lazily_scaled_pivots_match_fraction_oracle(lp):
+    _solve_matches_oracle(*lp)
+
+
+def _reference_verify(net, scheme, rates):
+    """verify_routing_scheme with its loads summed as Fractions."""
+    for i, per_session in enumerate(scheme.flows, start=1):
+        for path, value in per_session.items():
+            if value < 0:
+                return CheckResult(False, ("negative", i, path))
+    for i, r in enumerate(rates, start=1):
+        if sum(scheme.flows[i - 1].values(), Fraction(0)) < r:
+            return CheckResult(False, ("rate", i))
+    loads = {}
+    for per_session in scheme.flows:
+        for path, value in per_session.items():
+            for eid in path:
+                loads[eid] = loads.get(eid, Fraction(0)) + Fraction(value)
+    for eid in sorted(loads):
+        if loads[eid] > 1:
+            return CheckResult(False, ("capacity", eid))
+    return CheckResult(True)
+
+
+def test_integer_loads_match_a_fraction_sum(nets):
+    rng = random.Random(25)
+    cases = [
+        (nets["single-edge"], RoutingScheme(({(0,): 1},)), [1]),
+        (nets["single-edge"], RoutingScheme(({(0,): Fraction(1)},)), [0]),
+        (nets["fig1a"], RoutingScheme((dict(), dict())), [0, 0]),
+        # fig1a's paths 9-11-12 and 10-11-13 share edge 11: a load of
+        # exactly 1 fits, 1 + 1/6 does not.
+        (nets["fig1a"], RoutingScheme(({(9, 11, 12): Fraction(1, 3)}, {(10, 11, 13): Fraction(2, 3)})), [0, 0]),
+        (nets["fig1a"], RoutingScheme(({(9, 11, 12): Fraction(1, 3)}, {(10, 11, 13): Fraction(5, 6)})), [0, 0]),
+    ]
+    for _ in range(300):
+        net = random_network(rng, max_internal=5, max_sessions=3)
+        flows = []
+        for s, d in net.sessions:
+            paths = require_paths(net, s, d)
+            den = rng.randint(1, 6)
+            flows.append({
+                p: rng.choice([rng.randint(-1, 2), Fraction(rng.randint(-1, 2 * den), den)])
+                for p in rng.sample(paths, rng.randint(0, len(paths)))
+            })
+        # A load of exactly 1, or 1 + 1/den, on the first edge of some path.
+        if flows[0]:
+            path = next(iter(flows[0]))
+            den = rng.randint(1, 6)
+            flows[0][path] = Fraction(rng.choice([den, den + 1]), den) - sum(
+                v for fl in flows for p, v in fl.items() if path[0] in p and p is not path)
+        scheme = RoutingScheme(tuple(flows))
+        rates = [rng.choice([0, 0, max(scheme.rate(i), 0), 1]) for i in range(1, net.num_sessions + 1)]
+        cases.append((net, scheme, rates))
+    seen = set()
+    assert verify_routing_scheme(*cases[3]).ok
+    assert verify_routing_scheme(*cases[4]).violation == ("capacity", 11)
+    for net, scheme, rates in cases:
+        got = verify_routing_scheme(net, scheme, rates)
+        assert got == _reference_verify(net, scheme, rates)
+        seen.add(got.violation[0] if got.violation else "ok")
+    assert seen == {"ok", "negative", "rate", "capacity"}
