@@ -1,27 +1,40 @@
-"""One-phase primal simplex over exact rationals, on an integer tableau.
+"""One-phase primal simplex over exact rationals, in revised form on integer rows.
 
 Solves  max c.x  s.t.  A x <= b,  x >= 0  for b >= 0, from the all-slack
 basis (the origin), with Bland's anti-cycling rule.  Verdicts feed theorem
 checks, so no floating point or tolerance is allowed.
 
-The tableau is fraction-free (Bareiss, Math. Comp. 22, 1968): each
+The rows are fraction-free (Bareiss, Math. Comp. 22, 1968): each
 constraint row is scaled by the positive lcm L_i of its denominators (a row
 of ints is taken as it is), and its slack keeps coefficient 1.  Row r then
-holds its true values times its own positive scale[r].  The eager Bareiss
-step would keep every row at one common denominator D; here a row that is 0
-in the pivot column is left as it is, and any other row gets exactly the
-integers the eager step would have stored, with scale D again.  The
-objective row is nonzero in every entering column, so its scale is always D.
-A pivot is one exact integer division per cell of the rows it touches,
-instead of a Fraction gcd per cell of every row.  The ratio test and the
-reduced-cost signs each read within one row, and every scale is positive,
-so every pivot is that of the plain Fraction tableau.
+holds its true values times its own positive scale[r].  `_pivot` leaves a
+row that is 0 in the pivot column as it is, and gives any other row exactly
+the integers the eager Bareiss step would store, at the common scale D.  A
+pivot is one exact integer division per cell of the rows it touches,
+instead of a Fraction gcd per cell of every row.
+
+The form is revised (Dantzig and Orchard-Hays, MTAC 8, 1954): of the
+tableau [L*A | I | L*b] with objective row [-cost | 0 | 0], only m + 1 rows
+[entering cell | slack part | rhs] are kept.  The slack block starts as the
+identity, so a row's slack part is the row operations applied to it so
+far, times its scale.  Its cell in structural column j is therefore its
+slack part times column j of L*A, and the objective row's cell is
+y.(L*A_j) - D*cost_j, with y its slack part and D its scale: integer
+identities at the row's own scale.  So each cell computed here from the
+sparse columns of L*A is the integer the dense tableau stores, at the same
+scale.  Pricing reads the structural columns in index order, then the
+slacks (Bland's order); the ratio test keeps the least ratio and, on a tie,
+the least basis index; `_pivot` updates the same cells at the same scales.
+Each of these reads within one row, and every scale is positive, so every
+pivot, x, value and dual is that of the dense tableau, and of the plain
+Fraction tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from typing import Optional, Sequence
 
@@ -86,38 +99,6 @@ def _pivot(T, basis, prow, pcol, scale):
     basis[prow] = pcol
 
 
-def _optimize(T, basis, scale):
-    """Run simplex steps on T, whose last row holds the reduced costs.
-
-    The objective row is [z_j - c_j ... | z] times scale[-1].  The ratio
-    test takes positive entries only, so every scale stays positive.
-    Returns the status.
-    """
-    obj = T[-1]
-    m = len(basis)
-    ncols = len(obj) - 1
-    while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
-        if enter < 0:
-            return OPTIMAL
-        leave = -1
-        for r in range(m):
-            a = T[r][enter]
-            if a > 0:
-                if leave < 0:
-                    leave, num, den = r, T[r][-1], a
-                    continue
-                # T[r][-1] / a  vs  num / den, cross-multiplied (a, den > 0);
-                # each ratio is read within one row, so scales cancel.
-                lhs, rhs = T[r][-1] * den, num * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave, num, den = r, T[r][-1], a
-        if leave < 0:
-            return UNBOUNDED
-        _pivot(T, basis, leave, enter, scale)
-        obj = T[-1]
-
-
 def solve(
     c: Sequence, A: Sequence[Sequence], b: Sequence
 ) -> LPResult:
@@ -129,22 +110,68 @@ def solve(
     if any(bi < 0 for bi in b):
         raise ValueError("simplex.solve needs b >= 0")
     scaled = [_integer_row([*row, bi]) for row, bi in zip(A, b)]
-    T = [head[:n] + [0] * m + head[n:] for _, head in scaled]
-    for i, row in enumerate(T):
-        assert len(row) == n + m + 1
-        row[n + i] = 1
+    # cols[j]: the nonzero (k, L_i * A_ij) of column j, where k = 1 + i is
+    # slack i's cell in a row [entering cell | slack part | rhs].
+    cols = [[] for _ in range(n)]
+    T = []
+    for k, (_, row) in enumerate(scaled, 1):
+        assert len(row) == n + 1
+        for j in compress(range(n), row):
+            cols[j].append((k, row[j]))
+        T.append([0] * (m + 1) + [row[n]])
+        T[-1][k] = 1
     basis = list(range(n, n + m))
-    # The all-slack basis has z = 0, so its objective row is just -c.
     cl, cost = _integer_row(c)
-    T.append([-cj for cj in cost] + [0] * (m + 1))
+    T.append([0] * (m + 2))
     scale = [1] * (m + 1)
-    if _optimize(T, basis, scale) == UNBOUNDED:
-        return LPResult(UNBOUNDED)
-    x = [Fraction(0)] * n
+    basic = [False] * (n + m)
+    while True:
+        obj = T[-1]
+        D = scale[-1]
+        # Bland's order: the structural columns by index, then the slacks.
+        for enter, col in enumerate(cols):
+            if basic[enter]:  # its reduced cost is 0
+                continue
+            d = -D * cost[enter]
+            for k, a in col:
+                d += obj[k] * a
+            if d < 0:
+                break
+        else:
+            k = next((k for k in range(1, m + 1) if obj[k] < 0), 0)
+            if not k:
+                break
+            enter, col, d = n + k - 1, [(k, 1)], obj[k]
+        obj[0] = d
+        # Each row's entering cell, one sparse dot product, and the ratio test.
+        leave = -1
+        for r, row in zip(range(m), T):
+            a = 0
+            for k, v in col:
+                a += row[k] * v
+            row[0] = a
+            if a > 0:
+                if leave < 0:
+                    leave, num, den = r, row[-1], a
+                    continue
+                # row[-1] / a  vs  num / den, cross-multiplied (a, den > 0);
+                # each ratio is read within one row, so scales cancel.
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, num, den = r, row[-1], a
+        if leave < 0:
+            return LPResult(UNBOUNDED)
+        basic[basis[leave]] = False
+        basic[enter] = True
+        # Column 0 holds the entering cell; the basis keeps column indices.
+        _pivot(T, basis, leave, 0, scale)
+        basis[leave] = enter
+    zero = Fraction(0)
+    x = [zero] * n
     for r, bcol in enumerate(basis):
-        if bcol < n:
+        if bcol < n and T[r][-1]:
             x[bcol] = Fraction(T[r][-1], scale[r])
     obj = T[-1]
     D = scale[-1]
-    dual = [Fraction(L * obj[n + i], D * cl) for i, (L, _) in enumerate(scaled)]
+    dual = [Fraction(L * y, D * cl) if y else zero for (L, _), y in zip(scaled, obj[1:])]
     return LPResult(OPTIMAL, x=x, value=Fraction(obj[-1], D * cl), dual=dual)

@@ -551,6 +551,8 @@ def test_unparsable_vector_names_its_flag(capsys, argv, err):
     *((["reduce-deadline", str(GOLDEN_INPUTS / f"fig4-deadline-{variant}.json")],
        f"reduce-deadline-fig4-deadline-{variant}", 20 if variant == "injection2" else 0)
       for variant in ("memory2", "injection5", "injection2")),
+    # perfbench's r42 shape, layered_dag(3, 4, 4, 3, 1, 2): 33 rows, 46 columns, 21 pivots.
+    (["rate", str(GOLDEN_INPUTS / "layered-r42.json"), "--direction", "1,1,1"], "rate-layered-r42", 0),
 ])
 def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
     assert main(argv) == exit_code

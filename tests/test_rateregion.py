@@ -1,14 +1,17 @@
 import gc
+import json
 import random
 import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import differential
 from oracles import fraction_simplex, random_network, vertex_enum_max
 
 from infodist import corpus, graph, rateregion, simplex
@@ -568,6 +571,70 @@ def _path_lp_shaped(draw):
 @given(_path_lp_shaped())
 def test_lazily_scaled_pivots_match_fraction_oracle(lp):
     _solve_matches_oracle(*lp)
+
+
+def _wide_lp(draw_int, draw_from):
+    """A path-LP-shaped LP with many more columns than rows (m <= 8, n in
+    13..40), the regime where pricing the columns is most of a pivot: A in
+    {0, 1, -1} but for one Fraction column, and every other column j has a
+    1 in row j mod m, as every path crosses a capacity row.  So no column
+    is unbounded at the origin; an LP can end unbounded only after pivots."""
+    m, n = draw_int(1, 8), draw_int(13, 40)
+    frac = draw_int(0, n - 1)
+    A = [[Fraction(draw_int(-18, 18), draw_int(1, 6)) if j == frac else
+          1 if i == j % m else draw_from([0, 0, 0, 1, 1, -1]) for j in range(n)] for i in range(m)]
+    c = [draw_from([0, 1]) for _ in range(n)]
+    b = [Fraction(draw_int(0, 18), draw_int(1, 6)) for _ in range(m)]
+    return c, A, b
+
+
+@st.composite
+def _wide_path_lps(draw):
+    return _wide_lp(lambda lo, hi: draw(st.integers(lo, hi)), lambda values: draw(st.sampled_from(values)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_wide_path_lps())
+def test_wide_lps_match_fraction_oracle(lp):
+    _solve_matches_oracle(*lp)
+
+
+def test_wide_lps_enter_structural_and_slack_columns():
+    """Seeded wide LPs: every answer matches the oracle, and among them a
+    structural column enters, a slack column enters, and an LP ends
+    unbounded after pivots."""
+    rng = random.Random(3)
+    entered, statuses = set(), set()
+    original = simplex._pivot
+    for _ in range(40):
+        c, A, b = _wide_lp(rng.randint, rng.choice)
+        states, rows, final = [], [], []
+
+        def recording(T, basis, prow, pcol, scale):
+            states.append(basis[:])
+            rows.append(prow)
+            original(T, basis, prow, pcol, scale)
+            final.append(basis)
+
+        simplex._pivot = recording
+        try:
+            statuses.add((_solve_matches_oracle(c, A, b)[0], bool(rows)))
+        finally:
+            simplex._pivot = original
+        # The column that entered at pivot k sits at its row in the basis
+        # that the next pivot (or the caller, after the last one) sees.
+        for state, prow in zip(states[1:] + final[-1:], rows):
+            entered.add("structural" if state[prow] < len(c) else "slack")
+    assert entered == {"structural", "slack"}
+    assert (simplex.UNBOUNDED, True) in statuses and (simplex.OPTIMAL, True) in statuses
+
+
+def test_rate_differential_matches_its_pinned_hashes():
+    """tests/differential.py's rate family on a small seed range: its
+    answers (lambda*, schemes, duals, verdicts) and pivot counts hash to
+    the pinned values."""
+    pinned = json.loads((Path(__file__).parent / "golden" / "differential.json").read_text())["rate"]
+    assert differential.run("rate", pinned["seeds"]) == {k: pinned[k] for k in ("answers", "pivots")}
 
 
 def _reference_verify(net, scheme, rates):
