@@ -62,7 +62,9 @@ def scheme_from_json(data, num_sessions: int) -> RoutingScheme:
 
 
 def parse_rates(values: Sequence) -> RateVector:
-    rates = tuple(Fraction(str(v)) for v in values)
+    """The rates as Fractions: an int or Fraction as it is, anything else
+    through its string, so that a float 0.1 is 1/10."""
+    rates = tuple(Fraction(v) if type(v) in (int, Fraction) else Fraction(str(v)) for v in values)
     if any(r < 0 for r in rates):
         raise ValueError("rates must be nonnegative")
     return rates
@@ -110,16 +112,19 @@ def _skeleton(net: Network, path_limit: int):
 
 
 def _path_lp(net: Network, demand, scaled: bool, path_limit: int):
-    """(session paths, c, A, b, kept) of the path-flow LP: maximise c.x
+    """(session paths, c, b, cols, kept) of the path-flow LP: maximise c.x
     subject to A x <= b (b >= 0), with one column per session path,
-    sessions in order, then a lambda column if `scaled`.
+    sessions in order, then a lambda column if `scaled`.  cols[j] lists
+    column j's nonzero (row, value) pairs in row order, the form
+    `simplex.solve` takes: no dense row is built.
 
     Session rows come first.  Unscaled, sum(f_i) <= demand_i and c is 1 on
     the paths of each session with demand_i > 0, so the demand is routable
     iff the optimum is sum(demand).  Scaled, lambda*demand_i - sum(f_i) <= 0
-    (no row when demand_i == 0) and c is 1 on lambda only.  Then the
-    unit-capacity load rows of the edges `_maximal_edges` keeps, in id
-    order; `kept` flags, per used edge in id order, whether its row is in A.
+    (no row when demand_i == 0) and c is 1 on lambda only, so a path column
+    has -1 on its session row and the lambda column demand_i on each.  Then
+    the unit-capacity load rows of the edges `_maximal_edges` keeps, in id
+    order; `kept` flags, per used edge in id order, whether it has a row.
 
     A dropped row is implied by a kept one (f >= 0), but nothing trusts
     that: the smaller LP is a relaxation, so its dual, zero on the dropped
@@ -129,31 +134,26 @@ def _path_lp(net: Network, demand, scaled: bool, path_limit: int):
     more than path_limit paths.
     """
     session_paths, capacity, kept = _skeleton(net, path_limit)
-    # A zero-rate session's paths get c = 0: pricing them in would only
-    # add degenerate pivots on its row, which holds their flow at 0.
-    c = [0 if scaled else int(d > 0) for paths, d in zip(session_paths, demand) for _ in paths]
-    c += [1] * scaled
-    ncols = len(c)
-    A, b = [], []
-    col = 0
+    c, b, cols, lam = [], [], [], []
     for paths, d in zip(session_paths, demand):
-        row = [0] * ncols
-        row[col:col + len(paths)] = [-1 if scaled else 1] * len(paths)
-        col += len(paths)
-        if not scaled:
-            A.append(row)
-            b.append(d)
-        elif d:
-            row[-1] = d
-            A.append(row)
-            b.append(0)
-    for cols in capacity:
-        row = [0] * ncols
-        for col in cols:
-            row[col] = 1
-        A.append(row)
-        b.append(1)
-    return session_paths, c, A, b, list(kept)
+        # A zero-rate session's paths get c = 0: pricing them in would only
+        # add degenerate pivots on its row, which holds their flow at 0.
+        c += [0 if scaled else int(d > 0)] * len(paths)
+        if scaled and not d:
+            cols += [[] for _ in paths]
+            continue
+        lam.append((len(b), d))
+        cols += [[(len(b), -1 if scaled else 1)] for _ in paths]
+        b.append(0 if scaled else d)
+    for row, path_cols in enumerate(capacity, len(b)):
+        entry = (row, 1)
+        for col in path_cols:
+            cols[col].append(entry)
+    b += [1] * len(capacity)
+    if scaled:
+        c.append(1)
+        cols.append(lam)
+    return session_paths, c, b, cols, list(kept)
 
 
 def _maximal_edges(used: list[int], edge_cols: dict[int, list[int]]) -> set[int]:
@@ -216,12 +216,12 @@ def check_rate_feasible(
     rates = parse_rates(rates)
     if len(rates) != net.num_sessions:
         raise ValueError("one rate per session required")
-    session_paths, c, A, b, _ = _path_lp(net, rates, False, path_limit)
-    result = simplex.solve(c, A, b)
+    session_paths, c, b, cols, _ = _path_lp(net, rates, False, path_limit)
+    result = simplex.solve(c, b, cols)
     assert result.status == simplex.OPTIMAL, result.status
     value = result.value
     if value < sum(rates):
-        if not _is_dual_certificate(c, A, b, result.dual, value):
+        if not _is_dual_certificate(c, b, cols, result.dual, value):
             raise CertificateInvalid(f"the LP dual does not certify the maximum flow {value}")
         return FeasibilityResult(False)
     scheme = _build_scheme(net, session_paths, result.x)
@@ -247,11 +247,11 @@ def max_scaled_rate(
         raise ValueError("one direction entry per session required")
     if all(d == 0 for d in direction):
         raise ValueError("direction must be nonzero")
-    session_paths, c, A, b, kept = _path_lp(net, direction, True, path_limit)
-    result = simplex.solve(c, A, b)
+    session_paths, c, b, cols, kept = _path_lp(net, direction, True, path_limit)
+    result = simplex.solve(c, b, cols)
     assert result.status == simplex.OPTIMAL, result.status
     lam = result.value
-    if not _is_dual_certificate(c, A, b, result.dual, lam):
+    if not _is_dual_certificate(c, b, cols, result.dual, lam):
         raise CertificateInvalid(f"the LP dual does not certify lambda* = {lam}")
     scheme = _build_scheme(net, session_paths, result.x[:-1])
     _certify_scheme(
@@ -271,22 +271,25 @@ def _certify_scheme(net, scheme, rates, what: str) -> None:
         )
 
 
-def _is_dual_certificate(c, A, b, y, value) -> bool:
+def _is_dual_certificate(c, b, cols, y, value) -> bool:
     """Weak duality, exactly: y >= 0, y^T A >= c and y^T b == value, so no
-    feasible x has c.x > value.  It tests y >= 0 on numerators and sums
-    den * y^T A, den the lcm of y's denominators, so that integer rows of A
-    stay in integers."""
-    if len(y) != len(A) or any(v.numerator < 0 for v in y):
-        return False
-    if sum(yi * bi for yi, bi in zip(y, b)) != value:
+    feasible x has c.x > value.  It tests y >= 0 on numerators and scales y
+    to the integers k = den * y, den the lcm of y's denominators, so that
+    y^T b == value reads sum(k_i * b_i) == value * den and each column j of
+    A, given as in `simplex.solve`, is checked as k^T A_j >= c_j * den."""
+    if len(y) != len(b) or any(v.numerator < 0 for v in y):
         return False
     den = lcm(*[yi.denominator for yi in y])
-    yA = [0] * len(c)
-    for yi, row in zip(y, A):
-        if yi:
-            k = yi.numerator * (den // yi.denominator)
-            yA = [s + k * a for s, a in zip(yA, row)]
-    return all(s >= cj * den for s, cj in zip(yA, c))
+    k = [yi.numerator * (den // yi.denominator) for yi in y]
+    if sum(ki * bi for ki, bi in zip(k, b) if ki) != value * den:
+        return False
+    for cj, col in zip(c, cols):
+        s = 0
+        for i, a in col:
+            s += k[i] * a
+        if s < cj * den:
+            return False
+    return True
 
 
 def verify_routing_scheme(net: Network, scheme: RoutingScheme, rates: Sequence) -> CheckResult:

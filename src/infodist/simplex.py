@@ -4,14 +4,18 @@ Solves  max c.x  s.t.  A x <= b,  x >= 0  for b >= 0, from the all-slack
 basis (the origin), with Bland's anti-cycling rule.  Verdicts feed theorem
 checks, so no floating point or tolerance is allowed.
 
-The rows are fraction-free (Bareiss, Math. Comp. 22, 1968): each
-constraint row is scaled by the positive lcm L_i of its denominators (a row
-of ints is taken as it is), and its slack keeps coefficient 1.  Row r then
-holds its true values times its own positive scale[r].  `_pivot` leaves a
-row that is 0 in the pivot column as it is, and gives any other row exactly
-the integers the eager Bareiss step would store, at the common scale D.  A
-pivot is one exact integer division per cell of the rows it touches,
-instead of a Fraction gcd per cell of every row.
+A is given by its sparse columns: cols[j] lists the nonzero (i, A_ij) of
+column j, each an int or a Fraction, and m = len(b); no dense row is
+built.  The rows are fraction-free (Bareiss, Math. Comp. 22, 1968): each
+constraint row is scaled by the positive lcm L_i of the denominators of
+its entries and of b_i that are not ints, read from the nonzeros in one
+pass (a zero entry has denominator 1, so L_i is that of the dense row),
+and its slack keeps coefficient 1.  Row r then holds its true values times
+its own positive scale[r].  `_pivot` leaves a row that is 0 in the pivot
+column as it is, and gives any other row exactly the integers the eager
+Bareiss step would store, at the common scale D.  A pivot is one exact
+integer division per cell of the rows it touches, instead of a Fraction
+gcd per cell of every row.
 
 The form is revised (Dantzig and Orchard-Hays, MTAC 8, 1954): of the
 tableau [L*A | I | L*b] with objective row [-cost | 0 | 0], only m + 1 rows
@@ -20,8 +24,9 @@ identity, so a row's slack part is the row operations applied to it so
 far, times its scale.  Its cell in structural column j is therefore its
 slack part times column j of L*A, and the objective row's cell is
 y.(L*A_j) - D*cost_j, with y its slack part and D its scale: integer
-identities at the row's own scale.  So each cell computed here from the
-sparse columns of L*A is the integer the dense tableau stores, at the same
+identities at the row's own scale, in which a zero of A_j adds nothing.
+So each cell computed here from the scaled columns, the pairs
+(1 + i, L_i * A_ij), is the integer the dense tableau stores, at the same
 scale.  Pricing reads the structural columns in index order, then the
 slacks (Bland's order); the ratio test keeps the least ratio and, on a tie,
 the least basis index; `_pivot` updates the same cells at the same scales.
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
@@ -99,27 +104,30 @@ def _pivot(T, basis, prow, pcol, scale):
     basis[prow] = pcol
 
 
-def solve(
-    c: Sequence, A: Sequence[Sequence], b: Sequence
-) -> LPResult:
-    """Maximize c.x subject to A x <= b, x >= 0 (everything exact).  Raises
-    ValueError when some b_i < 0: the origin must be feasible."""
-    m = len(A)
+def solve(c: Sequence, b: Sequence, cols: Sequence[Sequence]) -> LPResult:
+    """Maximize c.x subject to A x <= b, x >= 0 (everything exact), where A
+    has m = len(b) rows and cols[j] lists the nonzero (i, A_ij) of its
+    column j.  Raises ValueError when some b_i < 0: the origin must be
+    feasible."""
+    m = len(b)
     n = len(c)
-    assert len(b) == m
+    assert len(cols) == n
     if any(bi < 0 for bi in b):
         raise ValueError("simplex.solve needs b >= 0")
-    scaled = [_integer_row([*row, bi]) for row, bi in zip(A, b)]
+    # L[i]: the lcm of the denominators of row i's entries that are not ints.
+    L = [1] * m
+    for i, v in chain(enumerate(b), *cols):
+        if type(v) is not int:
+            L[i] = lcm(L[i], v.denominator)
     # cols[j]: the nonzero (k, L_i * A_ij) of column j, where k = 1 + i is
     # slack i's cell in a row [entering cell | slack part | rhs].
-    cols = [[] for _ in range(n)]
+    cols = [[(i + 1, v * L[i] if type(v) is int else v.numerator * (L[i] // v.denominator))
+             for i, v in col] for col in cols]
     T = []
-    for k, (_, row) in enumerate(scaled, 1):
-        assert len(row) == n + 1
-        for j in compress(range(n), row):
-            cols[j].append((k, row[j]))
-        T.append([0] * (m + 1) + [row[n]])
+    for k, (Li, bi) in enumerate(zip(L, b), 1):
+        T.append([0] * (m + 2))
         T[-1][k] = 1
+        T[-1][-1] = bi * Li if type(bi) is int else bi.numerator * (Li // bi.denominator)
     basis = list(range(n, n + m))
     cl, cost = _integer_row(c)
     T.append([0] * (m + 2))
@@ -173,5 +181,5 @@ def solve(
             x[bcol] = Fraction(T[r][-1], scale[r])
     obj = T[-1]
     D = scale[-1]
-    dual = [Fraction(L * y, D * cl) if y else zero for (L, _), y in zip(scaled, obj[1:])]
+    dual = [Fraction(Li * y, D * cl) if y else zero for Li, y in zip(L, obj[1:])]
     return LPResult(OPTIMAL, x=x, value=Fraction(obj[-1], D * cl), dual=dual)

@@ -140,6 +140,12 @@ def vertex_enum_max(c, A, b):
     return best
 
 
+def columns(A, n: int) -> list[list]:
+    """The n columns of the dense matrix A in `simplex.solve`'s form: per
+    column, its nonzero (row, value) pairs in row order."""
+    return [[(i, row[j]) for i, row in enumerate(A) if row[j]] for j in range(n)]
+
+
 def fraction_simplex(c, A, b):
     """Two-phase Bland simplex for max c.x, A x <= b, x >= 0 on a dense
     Fraction tableau: every row is divided by its pivot and every entry kept

@@ -553,6 +553,12 @@ def test_unparsable_vector_names_its_flag(capsys, argv, err):
       for variant in ("memory2", "injection5", "injection2")),
     # perfbench's r42 shape, layered_dag(3, 4, 4, 3, 1, 2): 33 rows, 46 columns, 21 pivots.
     (["rate", str(GOLDEN_INPUTS / "layered-r42.json"), "--direction", "1,1,1"], "rate-layered-r42", 0),
+    # The feasibility LP's vertex: fig1a's boundary lambda* = 3/2 with its scheme, r42's
+    # lambda* = 5/3 (a 10-flow vertex of a 33-row LP), and butterfly's dual-checked "no".
+    (["rate", "fig1a", "--rate", "3/2,3/2"], "rate-fig1a-boundary", 0),
+    (["rate", str(GOLDEN_INPUTS / "layered-r42.json"), "--rate", "5/3,5/3,5/3"],
+     "rate-layered-r42-feasible", 0),
+    (["rate", "butterfly", "--rate", "1,1"], "rate-butterfly-infeasible", 0),
 ])
 def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
     assert main(argv) == exit_code

@@ -5,6 +5,7 @@ import weakref
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import differential
-from oracles import fraction_simplex, random_network, vertex_enum_max
+from oracles import columns, fraction_simplex, random_network, vertex_enum_max
 
 from infodist import corpus, graph, rateregion, simplex
 from infodist.cli import main
@@ -122,7 +123,7 @@ def test_lp_duality_certificate(nets):
         net = nets[name]
         direction = [1] * net.num_sessions
         c, A, b = _lp_for_direction(net, direction)
-        res = simplex.solve(c, A, b)
+        res = simplex.solve(c, b, columns(A, len(c)))
         assert res.status == simplex.OPTIMAL
         y = res.dual
         assert all(v >= 0 for v in y)
@@ -182,11 +183,12 @@ def test_path_lp_keeps_one_row_per_maximal_column_set():
          ("v", "x", 0), ("x", "d", 0), ("v", "w", 0), ("s", "w", 0)],
         [("s", "d")],
     )
-    (paths,), c, A, b, kept = rateregion._path_lp(net, [Fraction(1)], True, 100)
+    (paths,), c, b, cols, kept = rateregion._path_lp(net, [Fraction(1)], True, 100)
     assert len(paths) == 4
     # Equal sets keep the least id (u-v, not s-u); rows follow ascending id.
     assert kept == [eid in (0, 2) for eid in range(8)]
-    assert A[1:] == [[int(eid in p) for p in paths] + [0] for eid in (0, 2)]
+    assert cols == [[(0, -1)] + [(row, 1) for row, eid in enumerate((0, 2), 1) if eid in p]
+                    for p in paths] + [[(0, Fraction(1))]]
     assert b[1:] == [1, 1]
     res = max_scaled_rate(net, [1])
     assert res.lam == 2
@@ -216,7 +218,7 @@ def _solve_matches_oracle(c, A, b):
     """Assert the integer tableau returns what the Fraction tableau returns,
     after the same number of pivots; give back (status, negative pivots)."""
     with _counted_pivots() as counts:
-        res = simplex.solve(c, A, b)
+        res = simplex.solve(c, b, columns(A, len(c)))
     assert (res.status, res.x, res.value, res.dual, counts["pivots"]) == fraction_simplex(c, A, b)
     for v in (res.x or []) + (res.dual or []) + ([res.value] if res.value is not None else []):
         assert type(v) is Fraction
@@ -247,7 +249,7 @@ def test_simplex_matches_fraction_oracle(lp):
     c, A, b = lp
     if any(v < 0 for v in b):
         with pytest.raises(ValueError):
-            simplex.solve(c, A, b)
+            simplex.solve(c, b, columns(A, len(c)))
     else:
         _solve_matches_oracle(c, A, b)
 
@@ -271,7 +273,7 @@ def test_simplex_oracle_cases_cover_every_branch():
         b = [entry() for _ in range(m)]
         if any(v < 0 for v in b):
             with pytest.raises(ValueError):
-                simplex.solve(c, A, b)
+                simplex.solve(c, b, columns(A, len(c)))
             continue
         status, negative = _solve_matches_oracle(c, A, b)
         assert negative == 0
@@ -279,7 +281,7 @@ def test_simplex_oracle_cases_cover_every_branch():
     assert seen == {simplex.OPTIMAL, simplex.UNBOUNDED}
     # x1 >= 1 and x1 <= 1 needs a phase 1, which solve does not have.
     with pytest.raises(ValueError):
-        simplex.solve([1], [[-1], [1]], [-1, 1])
+        simplex.solve([1], [-1, 1], columns([[-1], [1]], 1))
 
 
 def test_simplex_matches_fraction_oracle_on_corpus_lps(nets):
@@ -695,3 +697,83 @@ def test_integer_loads_match_a_fraction_sum(nets):
         assert got == _reference_verify(net, scheme, rates)
         seen.add(got.violation[0] if got.violation else "ok")
     assert seen == {"ok", "negative", "rate", "capacity"}
+
+
+_rate_value = st.one_of(
+    st.integers(0, 10**6),
+    st.fractions(min_value=0, max_value=10**3),
+    st.floats(min_value=0, max_value=10**6, allow_nan=False, allow_infinity=False),
+    st.sampled_from(["3/2", "0.25", "7", "0.1"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rate_value, max_size=4))
+@example([0, 1, Fraction(3, 2), "3/2", "0.25", 0.1, 2.5])
+def test_parse_rates_gives_the_fraction_of_each_string(values):
+    rates = rateregion.parse_rates(values)
+    assert rates == tuple(Fraction(str(v)) for v in values)
+    assert all(type(r) is Fraction for r in rates)
+
+
+def test_parse_rates_rejects_negative_rates_and_booleans():
+    assert rateregion.parse_rates([0.1]) == (Fraction(1, 10),)
+    for bad in ([1, -1], [Fraction(-1, 2)], ["-1/2"], [-0.25]):
+        with pytest.raises(ValueError, match="nonnegative"):
+            rateregion.parse_rates(bad)
+    with pytest.raises(ValueError):
+        rateregion.parse_rates([True])
+
+
+def _dual_case(draw_int, draw_from):
+    """(c, A, b, y, value) for a dense A of ints but for one Fraction
+    column, b with Fraction entries, and y with zeros, Fractions and
+    sometimes a negative entry.  Each c_j is y^T A_j, or 1/(2 den) above or
+    below it, and value is y^T b or 1/den off it (den the lcm of y's
+    denominators), so every check is tight or fails by the least margin."""
+    m, n = draw_int(1, 5), draw_int(1, 5)
+    frac = draw_int(0, n - 1)
+    A = [[Fraction(draw_int(-6, 6), draw_int(1, 4)) if j == frac else draw_from([0, 0, 1, -1, 2])
+          for j in range(n)] for _ in range(m)]
+    b = [Fraction(draw_int(0, 9), draw_int(1, 4)) if draw_int(0, 1) else draw_int(0, 3) for _ in range(m)]
+    y = [Fraction(draw_int(0, 9), draw_int(1, 6)) if draw_int(0, 2) else Fraction(0) for _ in range(m)]
+    if not draw_int(0, 3):
+        y[draw_int(0, m - 1)] = Fraction(-draw_int(1, 6), draw_int(1, 6))
+    den = lcm(*[v.denominator for v in y])
+    c = [sum(y[i] * A[i][j] for i in range(m)) + Fraction(draw_from([0, 0, 0, 1, -1]), 2 * den)
+         for j in range(n)]
+    value = sum(yi * bi for yi, bi in zip(y, b)) + Fraction(draw_from([0, 0, 0, 1, -1]), den)
+    return c, A, b, y, value
+
+
+def _reference_dual_check(c, A, b, y, value) -> bool:
+    """Weak duality in plain Fraction sums."""
+    return (all(v >= 0 for v in y)
+            and all(sum(y[i] * A[i][j] for i in range(len(A))) >= c[j] for j in range(len(c)))
+            and sum(yi * bi for yi, bi in zip(y, b)) == value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dual_check_matches_fraction_reference(data):
+    c, A, b, y, value = _dual_case(lambda lo, hi: data.draw(st.integers(lo, hi)),
+                                   lambda values: data.draw(st.sampled_from(values)))
+    got = rateregion._is_dual_certificate(c, b, columns(A, len(c)), y, value)
+    assert got == _reference_dual_check(c, A, b, y, value)
+
+
+def test_dual_check_cases_reach_both_outcomes():
+    """Seeded `_dual_case`s agree with the reference, and each outcome and
+    each way to fail occurs: a negative y, a column below c, y^T b off."""
+    rng = random.Random(28)
+    seen = set()
+    for _ in range(400):
+        c, A, b, y, value = _dual_case(rng.randint, rng.choice)
+        got = rateregion._is_dual_certificate(c, b, columns(A, len(c)), y, value)
+        assert got == _reference_dual_check(c, A, b, y, value)
+        positive = all(v >= 0 for v in y)
+        columns_ok = all(sum(y[i] * A[i][j] for i in range(len(A))) >= c[j] for j in range(len(c)))
+        rhs_ok = sum(yi * bi for yi, bi in zip(y, b)) == value
+        seen.add((got, positive, columns_ok, rhs_ok))
+    assert {(True, True, True, True), (False, False, True, True),
+            (False, True, False, True), (False, True, True, False)} <= seen

@@ -145,6 +145,29 @@ def test_find_permutation_sequence_absent_on_gadget():
     assert find_permutation_sequence(net, cuts) is None
 
 
+def test_search_goes_past_a_tuple_with_no_ordering(nets, monkeypatch):
+    """A tuple that reaches the ordering check and has no ordering is
+    skipped: the search goes on to a later tuple and its "yes" is
+    re-verified.  No small network is known to give such a tuple, so the
+    first ordering check is made to answer None."""
+    net = nets["fig1a"]
+    honest = decide_information_distributive(net)
+    checked = []
+
+    def first_fails(ordered_net, cuts, strict=False):
+        checked.append(cuts)
+        return None if len(checked) == 1 else find_permutation_sequence(ordered_net, cuts, strict)
+
+    monkeypatch.setattr(witnesses, "find_permutation_sequence", first_fails)
+    verdict = decide_information_distributive(net)
+    assert checked[0] == honest.witness.cuts
+    # A later tuple of the same session order, not the next order.
+    assert verdict.status == "yes" and verdict.witness.cuts == checked[-1] != checked[0]
+    assert (verdict.witness.session_order, verdict.stats.orders_tried) == (honest.witness.session_order, 1)
+    assert verify_witness(net, verdict.witness).ok
+    assert verdict.stats.permutation_checks == len(checked) == honest.stats.permutation_checks + 1
+
+
 def test_extendable_fig1a(nets):
     assert is_extendable(nets["fig1a"], FIG1A_CUTS, FIG1A_PATHS).ok
 
