@@ -212,7 +212,7 @@ def cmd_reduce_deadline(args) -> int:
         "canonical_paths": [list(p) for p in wit.paths[0]] if wit else None,
     }
     _emit(args, _envelope(args, "reduce-deadline", result))
-    return EXIT_OK if verdict and verdict.status == "yes" else EXIT_UNKNOWN
+    return EXIT_OK if verdict else EXIT_UNKNOWN
 
 
 def cmd_audit(args) -> int:

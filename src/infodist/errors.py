@@ -145,10 +145,8 @@ class NotACutset(InfodistError):
 
 
 class DeadlineTooSmall(InfodistError):
-    def __init__(self, tau, best):
-        msg = f"deadline {tau} below the fastest source-sink delay"
-        if best is not None:
-            msg += f" ({best})"
-        super().__init__(msg)
+    def __init__(self, tau, best):  # best is None when no source-sink path exists
+        super().__init__("the sink is not reachable from the source" if best is None
+                         else f"deadline {tau} below the fastest source-sink delay ({best})")
         self.tau = tau
         self.best = best

@@ -91,27 +91,6 @@ def _disjoint_paths(net: Network, paths: Sequence[Path], s: str, d: str) -> bool
     return True
 
 
-def validate_cut_sequence(
-    net: Network, cuts: CutSetSequence, paths: Optional[PathSetSequence] = None
-) -> frozenset[int]:
-    """Enforce the cut-set sequence invariants; raises ValueError on failure.
-
-    Each cut-set must be a minimum s_i -> d_i cut-set of its session's
-    routing domain.  A cut-set of min-cut size v that disconnects s_i from d_i
-    is one: a max flow has v edge-disjoint s_i -> d_i paths, each crosses
-    the cut-set, and it has only v edges, so every cut edge lies on one of
-    them and hence in the domain.  Only a cut-set failing that test pays for
-    the domain, to name the first invariant it breaks.
-
-    Given one path set per cut-set, a cut-set C that disconnects s_i from
-    d_i bounds the min-cut by |C|, and |C| valid edge-disjoint s_i -> d_i
-    paths in paths[i-1] bound it from below (Menger).  So such a C passes
-    with no max flow.  Returns the sessions so passed, whose paths are all
-    valid.  One :func:`~infodist.graph.reach_masks` pass tests disconnection.
-    """
-    return _validate_cuts(net, cuts, paths, _cut_reach(net, cuts))
-
-
 def _cut_reach(net: Network, cuts: CutSetSequence) -> dict[str, int]:
     """The reach_masks pass whose bit i-1 says whether a node reaches d_i
     around C_i; read by :func:`_validate_cuts` and :func:`_cumulative`."""
@@ -120,7 +99,23 @@ def _cut_reach(net: Network, cuts: CutSetSequence) -> dict[str, int]:
 
 def _validate_cuts(net: Network, cuts: CutSetSequence, paths: Optional[PathSetSequence],
                    reach: dict[str, int]) -> frozenset[int]:
-    """:func:`validate_cut_sequence` on the pass reach of :func:`_cut_reach`."""
+    """Enforce the cut-set sequence invariants on the pass reach of
+    :func:`_cut_reach`; raises ValueError on failure.
+
+    Each cut-set must be a minimum s_i -> d_i cut-set of its session's
+    routing domain.  A cut-set of min-cut size v that disconnects s_i from d_i
+    is one: a max flow has v edge-disjoint s_i -> d_i paths, each crosses
+    the cut-set, and it has only v edges, so every cut edge lies on one of
+    them and hence in the domain.  Only a cut-set failing that test pays for
+    the domain, to name the first invariant it breaks: no path, leaving the
+    domain, size, then disconnection.
+
+    Given one path set per cut-set, a cut-set C that disconnects s_i from
+    d_i bounds the min-cut by |C|, and |C| valid edge-disjoint s_i -> d_i
+    paths in paths[i-1] bound it from below (Menger).  So such a C passes
+    with no max flow.  Returns the sessions so passed, whose paths are all
+    valid.
+    """
     if len(cuts) != net.num_sessions:
         raise ValueError("one cut-set per session required")
     if paths is not None and len(paths) != len(cuts):
@@ -153,23 +148,15 @@ def cumulativity_breach(net: Network, i: int, cut: frozenset[int], j: int) -> Op
     return find_path(net, net.source(j), net.sink(i), removed=cut)
 
 
-def is_cumulative(net: Network, cuts: CutSetSequence) -> CheckResult:
+def _cumulative(net: Network, cuts: CutSetSequence, reach: dict[str, int]) -> CheckResult:
     """Every path from a later source s_j to an earlier sink d_i meets C_i.
 
-    One :func:`~infodist.graph.reach_masks` pass, with a bit per d_i (i < K)
-    and C_i removed, finds every later source that reaches d_i around C_i.
-    The violation, if any, is (j, i, path) for the least such i, then the
-    least j, with path the breadth-first s_j -> d_i path of
-    :func:`cumulativity_breach`.
+    reach is a pass whose bit i-1 is d_i around C_i for every i < K, as the
+    first K-1 bits of :func:`_cut_reach`'s are, so it finds every later
+    source that reaches d_i around C_i.  The violation, if any, is
+    (j, i, path) for the least such i, then the least j, with path the
+    breadth-first s_j -> d_i path of :func:`cumulativity_breach`.
     """
-    K = net.num_sessions
-    reach = reach_masks(net, [(net.sink(i), cuts[i - 1]) for i in range(1, K)])
-    return _cumulative(net, cuts, reach)
-
-
-def _cumulative(net: Network, cuts: CutSetSequence, reach: dict[str, int]) -> CheckResult:
-    """:func:`is_cumulative` on a pass whose bit i-1 is d_i around C_i for
-    every i < K, as the first K-1 bits of :func:`_cut_reach`'s are."""
     K = net.num_sessions
     for i in range(1, K):
         for j in range(i + 1, K + 1):

@@ -15,6 +15,12 @@ direction, `max_scaled_rate` (lambda*, scheme, dual), then
 `check_rate_feasible` at lambda*, lambda* + 1/1000 and lambda* - 1/1000
 times the direction (verdict and scheme; the last only when lambda* > 0).
 The counter is the number of `simplex._pivot` calls of each LP.
+
+Family "deadline": per seed, `reductions.search_deadline_certificate` on
+the time-extended network of `oracles.random_deadline` (even seeds) or
+`oracles.random_lane_deadline` (odd seeds), its printed verdict or None
+(or the diagnostic when the deadline is below the fastest delay).
+The counter is the number of `reductions._c0_ordering` calls of each search.
 """
 
 from __future__ import annotations
@@ -26,32 +32,36 @@ import random
 from contextlib import contextmanager
 from fractions import Fraction
 
-from oracles import random_network
+from oracles import random_deadline, random_lane_deadline, random_network
 
-from infodist import rateregion, simplex
+from infodist import rateregion, reductions, simplex
+from infodist.errors import DeadlineTooSmall
 
 STEP = Fraction(1, 1000)
 
 
 @contextmanager
-def _pivot_counts():
-    """A list that gets one `_pivot` call count per `simplex.solve` call."""
+def _calls_per(module, outer: str, inner: str):
+    """A list that gets, per call of `module.outer`, the number of
+    `module.inner` calls made until the next one."""
     counts: list[int] = []
-    pivot, solve = simplex._pivot, simplex.solve
+    real_outer, real_inner = getattr(module, outer), getattr(module, inner)
 
-    def counting_pivot(*args):
+    def counting_inner(*args):
         counts[-1] += 1
-        return pivot(*args)
+        return real_inner(*args)
 
-    def counting_solve(*args):
+    def counting_outer(*args):
         counts.append(0)
-        return solve(*args)
+        return real_outer(*args)
 
-    simplex._pivot, simplex.solve = counting_pivot, counting_solve
+    setattr(module, outer, counting_outer)
+    setattr(module, inner, counting_inner)
     try:
         yield counts
     finally:
-        simplex._pivot, simplex.solve = pivot, solve
+        setattr(module, outer, real_outer)
+        setattr(module, inner, real_inner)
 
 
 def _rate_answers(seed: int) -> dict:
@@ -72,17 +82,31 @@ def _rate_answers(seed: int) -> dict:
             "checks": checks}
 
 
-FAMILIES = {"rate": _rate_answers}
+def _deadline_answers(seed: int) -> dict:
+    make = random_lane_deadline if seed % 2 else random_deadline
+    try:
+        tnet = reductions.deadline_to_time_extended(make(random.Random(seed)))
+    except DeadlineTooSmall as exc:
+        return {"seed": seed, "error": str(exc)}
+    verdict = reductions.search_deadline_certificate(tnet)
+    return {"seed": seed, "verdict": verdict.to_json_dict() if verdict else None}
+
+
+# family -> (answers of one seed, counter name, (module, outer, inner) of _calls_per)
+FAMILIES = {
+    "rate": (_rate_answers, "pivots", (simplex, "solve", "_pivot")),
+    "deadline": (_deadline_answers, "c0_orderings",
+                 (reductions, "search_deadline_certificate", "_c0_ordering")),
+}
 
 
 def run(family: str, seeds: int) -> dict:
-    """{"answers": sha256, "pivots": sha256} of `family` on seeds 0..seeds-1."""
-    answers = []
-    with _pivot_counts() as counts:
-        for seed in range(seeds):
-            answers.append(FAMILIES[family](seed))
+    """{"answers": sha256, <counter>: sha256} of `family` on seeds 0..seeds-1."""
+    answer, counter, counted = FAMILIES[family]
+    with _calls_per(*counted) as counts:
+        answers = [answer(seed) for seed in range(seeds)]
     digest = {}
-    for key, value in (("answers", answers), ("pivots", counts)):
+    for key, value in (("answers", answers), (counter, counts)):
         text = json.dumps(value, sort_keys=True, separators=(",", ":"))
         digest[key] = hashlib.sha256(text.encode()).hexdigest()
     return digest

@@ -25,8 +25,9 @@ full-horizon grid, built with its own layout code.
 `Network` ran before it kept each node's head list; `domain_first_c0_check`
 is `reductions.check_c0_distributive` reading the routing domain before it
 tests disconnection.
-`stepwise_verify_witness` is `witnesses.verify_witness` as the public checks
-called one at a time, each with its own pass, in the order it names failures.
+`stepwise_verify_witness` is `witnesses.verify_witness` as separate checks
+called one at a time (the cut-sets by `domain_validate_cuts`, cumulativity by
+`scan_cumulative`), in the order it names failures.
 """
 
 from __future__ import annotations
@@ -62,10 +63,8 @@ from infodist.witnesses import (
     Witness,
     cumulativity_breach,
     forward_check,
-    is_cumulative,
     is_distributive,
     is_extendable,
-    validate_cut_sequence,
 )
 
 
@@ -234,8 +233,8 @@ def fraction_simplex(c, A, b):
 
 
 def scan_cumulative(net: Network, cuts) -> CheckResult:
-    """`witnesses.is_cumulative` as one s_j -> d_i path search per session
-    pair i < j, pairs in (i, j) order."""
+    """The cumulativity check of `witnesses.witness_checks` as one s_j -> d_i
+    path search per session pair i < j, pairs in (i, j) order."""
     K = net.num_sessions
     for i in range(1, K):
         for j in range(i + 1, K + 1):
@@ -246,9 +245,10 @@ def scan_cumulative(net: Network, cuts) -> CheckResult:
 
 
 def domain_validate_cuts(net: Network, cuts) -> None:
-    """`witnesses.validate_cut_sequence` checking each cut-set against its
-    session's routing domain: containment, then the min-cut size within the
-    domain, then disconnection.  Raises ValueError with the same messages."""
+    """The cut-set check of `witnesses.witness_checks`, with each cut-set
+    checked against its session's routing domain: containment, then the
+    min-cut size within the domain, then disconnection.  Raises ValueError
+    with the same messages."""
     if len(cuts) != net.num_sessions:
         raise ValueError("one cut-set per session required")
     for i, cut in enumerate(cuts, start=1):
@@ -364,17 +364,18 @@ def brute_decide(net: Network) -> bool:
 
 
 def stepwise_verify_witness(net: Network, wit: Witness, strict: bool = False) -> CheckResult:
-    """`witnesses.verify_witness` from the public checks, one at a time:
-    the cut-sets (given the paths), cumulativity, the orderings, the path
-    count and bijection, extendability, then every path of every session."""
+    """`witnesses.verify_witness` from separate checks, one at a time: the
+    cut-sets by their routing domains, cumulativity by a path search per
+    session pair, the orderings, the path count and bijection,
+    extendability, then every path of every session."""
     if sorted(wit.session_order) != list(range(1, net.num_sessions + 1)):
         return CheckResult(False, ("session_order", wit.session_order))
     ordered = net.reindex_sessions(wit.session_order)
     try:
-        validate_cut_sequence(ordered, wit.cuts, wit.paths)
+        domain_validate_cuts(ordered, wit.cuts)
     except ValueError as exc:
         return CheckResult(False, ("cuts", str(exc)))
-    cum = is_cumulative(ordered, wit.cuts)
+    cum = scan_cumulative(ordered, wit.cuts)
     if not cum:
         return CheckResult(False, ("cumulative", cum.violation))
     try:

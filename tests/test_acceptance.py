@@ -38,10 +38,10 @@ from infodist.reductions import (
     check_c0_distributive,
     check_p_extendable,
     deadline_to_time_extended,
-    deadline_verdict,
     decide_index_rawness,
     find_extendable_paths,
     index_to_network,
+    shifted_witness,
     side_information_graph,
 )
 from infodist.witnesses import (
@@ -163,12 +163,11 @@ def test_criterion_06_fig4_deadline_certificate_within_30s():
     from infodist.graph import has_path
 
     assert not has_path(tnet.net, "#s0", "#d0", removed=c0)
-    assert check_c0_distributive(tnet, c0) is not None
+    ordering = check_c0_distributive(tnet, c0)
+    assert ordering is not None
     paths = find_extendable_paths(tnet, c0)
     assert paths is not None and check_p_extendable(tnet, c0, paths).ok
-    verdict = deadline_verdict(tnet, c0, paths)
-    assert verdict.status == "yes"
-    assert all(verdict.generic.values()) and not verdict.lemma_discrepancies
+    assert verify_witness(tnet.net, shifted_witness(tnet, ordering, paths)).ok
     elapsed = time.monotonic() - t0
     assert elapsed < 30.0
     print(PASS.format(6, elapsed))

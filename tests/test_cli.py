@@ -559,6 +559,10 @@ def test_unparsable_vector_names_its_flag(capsys, argv, err):
     (["rate", str(GOLDEN_INPUTS / "layered-r42.json"), "--rate", "5/3,5/3,5/3"],
      "rate-layered-r42-feasible", 0),
     (["rate", "butterfly", "--rate", "1,1"], "rate-butterfly-infeasible", 0),
+    # The first base cut, e2[0], has a shifted witness that fails cumulativity;
+    # the search answers with the next one, e3[2].
+    (["reduce-deadline", str(GOLDEN_INPUTS / "deadline-memoryless-shortcut.json")],
+     "reduce-deadline-deadline-memoryless-shortcut", 0),
 ])
 def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
     assert main(argv) == exit_code
@@ -578,6 +582,20 @@ def test_non_json_input_names_its_file_exit_1(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"infodist: {bad}: Expecting value: line 1 column 1 (char 0)\n"
+
+
+@pytest.mark.parametrize("sink, delay, message", [
+    ("x", 1, "the sink is not reachable from the source"),
+    ("a", 2, "deadline 1 below the fastest source-sink delay (2)"),
+], ids=["unreachable", "too-slow"])
+def test_reduce_deadline_without_a_timely_path_exit_1(tmp_path, capsys, sink, delay, message):
+    inst = tmp_path / "deadline.json"
+    inst.write_text(json.dumps({"edges": [{"tail": "s", "head": "a", "delay": delay}],
+                                "source": "s", "sink": sink, "tau": 1}))
+    assert main(["reduce-deadline", str(inst)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"infodist: {message}\n"
 
 
 def test_reduce_deadline_truncated_paths_exit_20(monkeypatch, capsys):

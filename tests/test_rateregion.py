@@ -639,6 +639,15 @@ def test_rate_differential_matches_its_pinned_hashes():
     assert differential.run("rate", pinned["seeds"]) == {k: pinned[k] for k in ("answers", "pivots")}
 
 
+def test_deadline_differential_matches_its_pinned_hashes():
+    """tests/differential.py's deadline family on a small seed range: its
+    printed verdicts and `_c0_ordering` call counts hash to the pinned
+    values."""
+    pinned = json.loads((Path(__file__).parent / "golden" / "differential.json").read_text())["deadline"]
+    assert differential.run("deadline", pinned["seeds"]) == {
+        k: pinned[k] for k in ("answers", "c0_orderings")}
+
+
 def _reference_verify(net, scheme, rates):
     """verify_routing_scheme with its loads summed as Fractions."""
     for i, per_session in enumerate(scheme.flows, start=1):

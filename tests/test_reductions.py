@@ -21,14 +21,14 @@ from infodist.reductions import (
     check_c0_distributive,
     check_p_extendable,
     deadline_to_time_extended,
-    deadline_verdict,
     decide_index_rawness,
     find_extendable_paths,
     index_to_network,
     search_deadline_certificate,
+    shifted_witness,
     side_information_graph,
 )
-from infodist.witnesses import family_violation, is_cumulative, verify_witness
+from infodist.witnesses import family_violation, verify_witness
 
 FIG3 = IndexCodingInstance(4, 1, (frozenset(), frozenset({1}), frozenset({1, 2}), frozenset({2, 3})))
 MUTUAL = IndexCodingInstance(2, 1, (frozenset({2}), frozenset({1})))
@@ -61,7 +61,7 @@ def test_index_to_network_mutual_side_edges():
 
 def test_canonical_witness_fig3_verifies():
     net, wit = index_to_network(FIG3)
-    assert is_cumulative(net, wit.cuts).ok
+    assert oracles.scan_cumulative(net, wit.cuts).ok
     assert verify_witness(net, wit).ok
 
 
@@ -186,15 +186,17 @@ def test_fig4_paths_extendable_and_verdict_yes():
     paths = find_extendable_paths(tnet, c0)
     assert paths is not None
     assert check_p_extendable(tnet, c0, paths).ok
-    verdict = deadline_verdict(tnet, c0, paths)
+    assert verify_witness(tnet.net, shifted_witness(tnet, check_c0_distributive(tnet, c0), paths)).ok
+    verdict = search_deadline_certificate(tnet)
     assert verdict.status == "yes"
-    assert verdict.generic == {
+    printed = verdict.to_json_dict()
+    assert printed["generic"] == {
         "cut_invariants": True,
         "cumulative": True,
         "distributive": True,
         "extendable": True,
     }
-    assert not verdict.lemma_discrepancies
+    assert printed["lemma_discrepancies"] == []
     assert verify_witness(tnet.net, verdict.witness).ok
 
 
@@ -224,36 +226,33 @@ def _fails_cut_invariants(*_):
     raise ValueError("stub failure")
 
 
-# Per generic re-check of deadline_verdict: the function witness_checks
-# calls for it (the first two share one reach pass), a failing stand-in, the
-# key it sets in `generic`, and the discrepancy it reports.
+# Per generic re-check of a shifted witness, named by the check it once had
+# as a public function: the function witness_checks calls for it (the first
+# two share one reach pass), a failing stand-in, and the (tag, violation)
+# verify_witness names.
 FAILED_GENERIC = {
-    "validate_cut_sequence": ("_validate_cuts", _fails_cut_invariants, "cut_invariants",
-                              "cut invariants: stub failure"),
-    "is_cumulative": ("_cumulative", lambda *_: CheckResult(False, (2, 1, ())), "cumulative",
-                      "cumulative fails at (2, 1, ())"),
+    "validate_cut_sequence": ("_validate_cuts", _fails_cut_invariants, ("cuts", "stub failure")),
+    "is_cumulative": ("_cumulative", lambda *_: CheckResult(False, (2, 1, ())),
+                      ("cumulative", (2, 1, ()))),
     "is_distributive": ("is_distributive",
                         lambda *_, strict: CheckResult(False, (0, 1, 2, "eq20")),
-                        "distributive", "distributive fails at (0, 1, 2, 'eq20')"),
+                        ("distributive", (0, 1, 2, "eq20"))),
     "is_extendable": ("is_extendable", lambda *_: CheckResult(False, ((0,), (1,), 3)),
-                      "extendable", "extendable fails at ((0,), (1,), 3)"),
+                      ("extendable", ((0,), (1,), 3))),
 }
 
 
 @pytest.mark.parametrize("check", sorted(FAILED_GENERIC))
 def test_deadline_verdict_reports_a_failed_generic_check(monkeypatch, check):
+    # A shifted witness that fails a re-check is named by it and never
+    # answered: the search gives no verdict at all.
     tnet = deadline_to_time_extended(fig4())
     c0 = fig4_c0(tnet)
-    paths = find_extendable_paths(tnet, c0)
-    called, stand_in, key, message = FAILED_GENERIC[check]
+    wit = shifted_witness(tnet, check_c0_distributive(tnet, c0), find_extendable_paths(tnet, c0))
+    called, stand_in, failed = FAILED_GENERIC[check]
     monkeypatch.setattr(witnesses, called, stand_in)
-    verdict = deadline_verdict(tnet, c0, paths)
-    assert verdict.status == "unknown"
-    assert verdict.generic == {
-        "cut_invariants": True, "cumulative": True, "distributive": True, "extendable": True,
-        key: False,
-    }
-    assert verdict.lemma_discrepancies == [message]
+    assert verify_witness(tnet.net, wit) == CheckResult(False, failed)
+    assert search_deadline_certificate(tnet) is None
 
 
 def test_deadline_verdict_certifies_cuts_by_its_paths(monkeypatch):
@@ -262,16 +261,17 @@ def test_deadline_verdict_certifies_cuts_by_its_paths(monkeypatch):
     tnet = deadline_to_time_extended(fig4())
     c0 = fig4_c0(tnet)
     paths = find_extendable_paths(tnet, c0)
+    wit = shifted_witness(tnet, check_c0_distributive(tnet, c0), paths)
     calls, real_min_cut = [], witnesses.min_cut
     monkeypatch.setattr(witnesses, "min_cut",
                         lambda *args: calls.append(args) or real_min_cut(*args))
-    certified = deadline_verdict(tnet, c0, paths)
+    assert verify_witness(tnet.net, wit).ok
     searched = search_deadline_certificate(tnet)
     assert calls == []
     real_validate = witnesses._validate_cuts
     monkeypatch.setattr(witnesses, "_validate_cuts",
                         lambda net, cuts, paths, reach: real_validate(net, cuts, None, reach))
-    assert deadline_verdict(tnet, c0, paths).to_json_dict() == certified.to_json_dict()
+    assert verify_witness(tnet.net, wit).ok
     assert len(calls) == tnet.inst.horizon + 1
     assert search_deadline_certificate(tnet).to_json_dict() == searched.to_json_dict()
 
@@ -284,7 +284,7 @@ def test_deadline_verdict_answers_reach_questions_without_a_search(monkeypatch):
     paths = find_extendable_paths(tnet, c0)
     searches, real_bfs = [], graph._bfs
     monkeypatch.setattr(graph, "_bfs", lambda *args: searches.append(args) or real_bfs(*args))
-    assert deadline_verdict(tnet, c0, paths).status == "yes"
+    assert verify_witness(tnet.net, shifted_witness(tnet, check_c0_distributive(tnet, c0), paths)).ok
     assert searches == []
 
 
@@ -302,13 +302,13 @@ def test_deadline_verdict_shares_the_cut_pass_with_cumulativity(monkeypatch):
 
     monkeypatch.setattr(reductions, "reach_masks", counted)
     monkeypatch.setattr(witnesses, "reach_masks", counted)
-    assert deadline_verdict(tnet, c0, paths).status == "yes"
+    assert verify_witness(tnet.net, shifted_witness(tnet, check_c0_distributive(tnet, c0), paths)).ok
     assert len(passes) == 2
 
 
 def test_search_tests_and_orders_each_c0_once(monkeypatch):
     # The search orders each base cut once and hands that ordering to the
-    # verdict, whose one reach pass serves the shifted cut-sets and
+    # shifted witness, whose one reach pass serves the shifted cut-sets and
     # cumulativity; C[0]'s own cut-set test is not repeated.
     tnet = deadline_to_time_extended(fig4())
     passes, orderings = [], []
@@ -327,7 +327,7 @@ def test_reductions_imports_no_private_name_from_witnesses():
     names = [alias.name for node in ast.walk(tree)
              if isinstance(node, ast.ImportFrom) and node.module == "witnesses"
              for alias in node.names]
-    assert "witness_checks" in names
+    assert "verify_witness" in names
     assert [name for name in names if name.startswith("_")] == []
 
 
@@ -379,10 +379,11 @@ def test_c0_distinct_bases_trivially_distributive():
     tnet = deadline_to_time_extended(inst)
     assert tnet.mincut0 == 2
     c0 = frozenset({tnet.label_to_id[("base", 1, 1)], tnet.label_to_id[("base", 2, 0)]})
-    assert check_c0_distributive(tnet, c0) is not None
+    ordering = check_c0_distributive(tnet, c0)
+    assert ordering is not None
     paths = find_extendable_paths(tnet, c0)
     assert paths is not None
-    assert deadline_verdict(tnet, c0, paths).status == "yes"
+    assert verify_witness(tnet.net, shifted_witness(tnet, ordering, paths)).ok
 
 
 def test_adversarial_c0_fails_all_orderings():
@@ -429,7 +430,9 @@ def test_p_extendable_violation_on_mismatched_offsets():
         check_p_extendable(tnet, c0, paths)
 
 
-def test_deadline_verdict_unknown_when_c0_fails():
+def test_deadline_verdict_unknown_when_c0_fails(monkeypatch):
+    # {e4[2], e4[3]} has a shift-consistent path family but no ordering: the
+    # search passes over it before asking for its paths, and answers nothing.
     inst = DeadlineInstance(
         edges=(
             ("s", "x", 1),
@@ -444,30 +447,36 @@ def test_deadline_verdict_unknown_when_c0_fails():
     tnet = deadline_to_time_extended(inst)
     f2 = tnet.label_to_id[("base", 3, 2)]
     f3 = tnet.label_to_id[("base", 3, 3)]
-    paths = find_extendable_paths(tnet, frozenset({f2, f3}))
-    verdict = deadline_verdict(tnet, frozenset({f2, f3}), paths or ())
-    assert verdict.status == "unknown"
-    assert not verdict.c0_distributive
+    c0 = frozenset({f2, f3})
+    assert find_extendable_paths(tnet, c0) is not None
+    assert check_c0_distributive(tnet, c0) is None
+    asked, real = [], reductions.find_extendable_paths
+    monkeypatch.setattr(reductions, "find_extendable_paths",
+                        lambda tnet, cut: asked.append(frozenset(cut)) or real(tnet, cut))
+    assert search_deadline_certificate(tnet) is None
+    assert asked and c0 not in asked
 
 
 def test_memoryless_shortcut_breaks_cumulativity_and_is_reported():
     # With no memory a faster lane lets a later source hit an earlier sink
     # around the cut: the shift argument for cumulativity needs memory at the
-    # source, and the verdict reports the discrepancy instead of trusting it.
+    # source, so the re-check names the breach instead of trusting the shift,
+    # and the search goes on to a cut whose witness passes.
     inst = DeadlineInstance(
         edges=(("s", "a", 1), ("s", "a", 2), ("a", "d", 1)),
         source="s", sink="d", tau=3, horizon=2, memory=0,
     )
     tnet = deadline_to_time_extended(inst)
     assert tnet.mincut0 == 1
-    c0 = frozenset({tnet.label_to_id[("base", 1, 0)]})  # the delay-2 lane edge
+    c0 = frozenset({tnet.label_to_id[("base", 1, 0)]})  # e2[0], the delay-2 lane edge
     # singleton: recurrence conditions are vacuous
-    assert check_c0_distributive(tnet, c0) is not None
+    ordering = check_c0_distributive(tnet, c0)
+    assert ordering is not None
     paths = find_extendable_paths(tnet, c0)
-    verdict = deadline_verdict(tnet, c0, paths)
-    assert verdict.status == "unknown"
-    assert not verdict.generic["cumulative"]
-    assert verdict.lemma_discrepancies
+    res = verify_witness(tnet.net, shifted_witness(tnet, ordering, paths))
+    assert res.violation == ("cumulative", (2, 1, (16, 1, 11, 15)))
+    verdict = search_deadline_certificate(tnet)
+    assert verdict.witness.cuts[0] == {tnet.label_to_id[("base", 2, 2)]}  # e3[2]
 
 
 def test_lemma_implications_on_random_instances_with_memory():
@@ -492,13 +501,14 @@ def test_lemma_implications_on_random_instances_with_memory():
         for cut in sets:
             if any(tnet.labels[e][0] != "base" for e in cut):
                 continue
-            if check_c0_distributive(tnet, cut) is None:
+            ordering = check_c0_distributive(tnet, cut)
+            if ordering is None:
                 continue
             paths = find_extendable_paths(tnet, cut)
             if paths is None:
                 continue
-            verdict = deadline_verdict(tnet, cut, paths)
-            assert verdict.status == "yes", verdict.lemma_discrepancies
+            res = verify_witness(tnet.net, shifted_witness(tnet, ordering, paths))
+            assert res.ok, res.violation
             checked += 1
             break
     assert checked >= 10

@@ -37,14 +37,22 @@ from infodist.witnesses import (
     Witness,
     decide_information_distributive,
     find_permutation_sequence,
-    is_cumulative,
     is_distributive,
     is_extendable,
     representatives,
-    validate_cut_sequence,
     verify_witness,
     witness_from_json,
 )
+
+
+def cumulative(net, cuts):
+    """The cumulativity check of `witness_checks`, on its own cut-set pass."""
+    return witnesses._cumulative(net, cuts, witnesses._cut_reach(net, cuts))
+
+
+def validate_cuts(net, cuts, paths=None):
+    """The cut-set check of `witness_checks`, on its own pass."""
+    return witnesses._validate_cuts(net, cuts, paths, witnesses._cut_reach(net, cuts))
 
 
 def no_perm_gadget():
@@ -62,11 +70,11 @@ def no_perm_gadget():
 
 
 def test_cumulative_fig1a(nets):
-    assert is_cumulative(nets["fig1a"], FIG1A_CUTS).ok
+    assert cumulative(nets["fig1a"], FIG1A_CUTS).ok
 
 
 def test_cumulative_single_session_vacuous(nets):
-    assert is_cumulative(nets["parallel-m"], (frozenset({0, 1, 2}),)).ok
+    assert cumulative(nets["parallel-m"], (frozenset({0, 1, 2}),)).ok
 
 
 def test_cumulative_butterfly_bottleneck_cuts(nets):
@@ -74,7 +82,7 @@ def test_cumulative_butterfly_bottleneck_cuts(nets):
     # session-1 bottleneck, so the pair (1, 2) fails with that witness path.
     net = nets["butterfly"]
     cuts = (frozenset({4}), frozenset({4}))
-    res = is_cumulative(net, cuts)
+    res = cumulative(net, cuts)
     assert not res.ok
     j, i, path = res.violation
     assert (j, i) == (2, 1)
@@ -88,7 +96,7 @@ def test_distributive_fig1a_printed_orderings(nets):
 def test_distributive_vacuous_when_no_shared_edges(nets):
     net = nets["fig1b"]
     cuts = (frozenset({0, 2, 5}), frozenset({8, 10}), frozenset({12, 15}))
-    validate_cut_sequence(net, cuts)
+    oracles.domain_validate_cuts(net, cuts)
     for perms in [tuple(tuple(sorted(c)) for c in cuts)]:
         assert is_distributive(net, cuts, perms).ok
 
@@ -105,7 +113,7 @@ def test_distributive_fig5_printed_witness(nets):
         (FIG5["e3"], FIG5["e4"], FIG5["e5"]),
         (FIG5["e5"], FIG5["e6"], FIG5["e7"]),
     )
-    assert is_cumulative(net, cuts).ok
+    assert cumulative(net, cuts).ok
     assert is_distributive(net, cuts, perms).ok
 
 
@@ -140,8 +148,8 @@ def test_find_permutation_sequence_singletons_unique(nets):
 
 def test_find_permutation_sequence_absent_on_gadget():
     net, cuts = no_perm_gadget()
-    validate_cut_sequence(net, cuts)
-    assert is_cumulative(net, cuts).ok
+    oracles.domain_validate_cuts(net, cuts)
+    assert cumulative(net, cuts).ok
     assert find_permutation_sequence(net, cuts) is None
 
 
@@ -184,8 +192,8 @@ def test_extendable_fig5_counterexample(nets):
         frozenset({FIG5["e3"], FIG5["b4"]}),
         frozenset({FIG5["e5"], FIG5["b6"]}),
     )
-    validate_cut_sequence(net, cuts)
-    assert is_cumulative(net, cuts).ok
+    oracles.domain_validate_cuts(net, cuts)
+    assert cumulative(net, cuts).ok
     assert find_permutation_sequence(net, cuts) is not None
     p22 = (FIG5["a4"], FIG5["e5"], FIG5["b4"])
     p31 = (FIG5["a5"], FIG5["e5"], FIG5["b5"])
@@ -570,7 +578,7 @@ def test_validate_cut_sequence_matches_domain_oracle(seed, kind, path_kind):
     assume(paths is not None or path_kind is None)
     expected = _raised(oracles.domain_validate_cuts, net, cuts)
     assert (expected and next(m for m in MESSAGES if m in expected)) in EXPECTED_BREAK[kind]
-    assert _raised(partial(validate_cut_sequence, paths=paths), net, cuts) == expected
+    assert _raised(partial(validate_cuts, paths=paths), net, cuts) == expected
 
 
 def _found_witnesses(nets):
@@ -594,7 +602,7 @@ def test_verify_witness_runs_no_max_flow_on_valid_witnesses(nets, monkeypatch):
     assert calls == []
     # Without the paths every session pays for one flow.
     for net, wit in found:
-        validate_cut_sequence(net.reindex_sessions(wit.session_order), wit.cuts)
+        validate_cuts(net.reindex_sessions(wit.session_order), wit.cuts)
     assert len(calls) == sum(net.num_sessions for net, _ in found)
 
 
@@ -671,19 +679,20 @@ def test_is_cumulative_matches_pairwise_scan(seed, kind):
     assume(cuts is not None)
     for order in permutations(range(1, net.num_sessions + 1)):
         ordered, seq = net.reindex_sessions(order), tuple(cuts[i - 1] for i in order)
-        assert is_cumulative(ordered, seq) == oracles.scan_cumulative(ordered, seq)
+        assert cumulative(ordered, seq) == oracles.scan_cumulative(ordered, seq)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from(BREAKS))
 def test_cumulativity_on_the_cut_pass_matches_its_own_pass(seed, kind):
-    # The first K-1 bits of the cut-set pass are is_cumulative's own pass.
+    # Cumulativity reads only the first K-1 bits of the cut-set pass: a pass
+    # with one bit per earlier sink gives the same answer.
     rng = random.Random(seed)
     net = random_network(rng, max_internal=5, max_sessions=4, edge_prob=0.6)
     cuts = _cut_sequence(net, rng, kind)
     assume(cuts is not None)
-    reach = witnesses._cut_reach(net, cuts)
-    assert witnesses._cumulative(net, cuts, reach) == is_cumulative(net, cuts)
+    own = graph.reach_masks(net, [(net.sink(i), cuts[i - 1]) for i in range(1, net.num_sessions)])
+    assert cumulative(net, cuts) == witnesses._cumulative(net, cuts, own)
 
 
 def test_decide_with_backtracking_oracle_on_corpus(nets, monkeypatch):
@@ -861,7 +870,7 @@ def test_find_cumulative_order_is_first_cumulative_permutation(seed, pick):
     expected = next(
         (
             order for order in permutations(range(1, net.num_sessions + 1))
-            if is_cumulative(net.reindex_sessions(order), [cuts[i - 1] for i in order])
+            if oracles.scan_cumulative(net.reindex_sessions(order), [cuts[i - 1] for i in order])
         ),
         None,
     )
@@ -897,7 +906,7 @@ def test_strict_def5_flag_tightens_first_condition():
     )
     E, X, W = 1, 4, 9
     cuts = (frozenset({E, X}), frozenset({E, W}), frozenset({11}))
-    validate_cut_sequence(net, cuts)
+    oracles.domain_validate_cuts(net, cuts)
     perms = ((E, X), (W, E), (11,))
     assert is_distributive(net, cuts, perms, strict=False).ok
     res = is_distributive(net, cuts, perms, strict=True)
