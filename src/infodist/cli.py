@@ -198,8 +198,7 @@ def cmd_reduce_index(args) -> int:
 def cmd_reduce_deadline(args) -> int:
     from .reductions import DeadlineInstance, deadline_to_time_extended, search_deadline_certificate
 
-    inst = _read(args.instance, DeadlineInstance.from_json)
-    tnet = deadline_to_time_extended(inst)
+    tnet = _read(args.instance, lambda data: deadline_to_time_extended(DeadlineInstance.from_json(data)))
     verdict = search_deadline_certificate(tnet)
     wit = verdict.witness if verdict else None  # slot 0 holds C[0] and its paths
     result = {

@@ -10,12 +10,14 @@ built.  The rows are fraction-free (Bareiss, Math. Comp. 22, 1968): each
 constraint row is scaled by the positive lcm L_i of the denominators of
 its entries and of b_i that are not ints, read from the nonzeros in one
 pass (a zero entry has denominator 1, so L_i is that of the dense row),
-and its slack keeps coefficient 1.  Row r then holds its true values times
-its own positive scale[r].  `_pivot` leaves a row that is 0 in the pivot
-column as it is, and gives any other row exactly the integers the eager
-Bareiss step would store, at the common scale D.  A pivot is one exact
-integer division per cell of the rows it touches, instead of a Fraction
-gcd per cell of every row.
+and its slack keeps coefficient 1.  The same pass reads cl, that lcm for
+the entries of c, and the objective is cost = cl * c, an int row.  Row r
+then holds its true values times its own positive scale[r].  `_pivot`
+leaves a row whose entering cell is 0 as it is, gives any other row
+exactly the integers the eager Bareiss step would store, at the common
+scale D, and records the entering column in the basis.  A pivot is one
+exact integer division per cell of the rows it touches, instead of a
+Fraction gcd per cell of every row.
 
 The form is revised (Dantzig and Orchard-Hays, MTAC 8, 1954): of the
 tableau [L*A | I | L*b] with objective row [-cost | 0 | 0], only m + 1 rows
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
 from typing import Optional, Sequence
 
@@ -55,42 +57,27 @@ class LPResult:
     dual: Optional[list[Fraction]] = None
 
 
-def _integer_row(values) -> tuple[int, list[int]]:
-    """(L, L*values) for the least positive L that makes every entry integral.
+def _pivot(T, basis, prow, enter, scale):
+    """Pivot T (objective last) on row prow's entering cell T[prow][0] > 0,
+    updating row scales, and record column `enter` as basic in row prow.
 
-    A row of ints is returned as it is.  Otherwise only the entries that are
-    not ints become Fractions: L is the lcm of their denominators, and an
-    int entry is just multiplied by L."""
-    if {*map(type, values)} <= {int}:
-        return 1, list(values)
-    exact = {j: Fraction(v) for j, v in enumerate(values) if type(v) is not int}
-    L = lcm(*[v.denominator for v in exact.values()])
-    row = [v * L for v in values] if L > 1 else list(values)
-    for j, v in exact.items():
-        row[j] = v.numerator * (L // v.denominator)
-    return L, row
-
-
-def _pivot(T, basis, prow, pcol, scale):
-    """Pivot T (objective last) on T[prow][pcol] > 0, updating row scales.
-
-    With D = scale[-1], the eager Bareiss step stores a row r that is 0 in
-    pcol as v * piv // D and any other as (v * piv - f * p) // D, all at
-    scale D.  A row that is 0 in pcol keeps its values and its scale.  A row
-    at scale s != D stands for v * D // s at scale D, so its update is
+    With D = scale[-1], the eager Bareiss step stores a row r whose entering
+    cell is 0 as v * piv // D and any other as (v * piv - f * p) // D, all
+    at scale D.  A row with entering cell 0 keeps its values and its scale.
+    A row at scale s != D stands for v * D // s at scale D, so its update is
     (v * piv - f * p) // s: the same exact integers the eager step stores.
     """
     D = scale[-1]
     P = T[prow]
     if scale[prow] != D:
         P = T[prow] = [v * D // scale[prow] for v in P]
-    piv = P[pcol]
+    piv = P[0]
     if piv == D:
         # (v*D - f*p) // D == v - f*p // D, as f*p is then a multiple of D:
         # a row at scale D changes only in the pivot row's nonzero columns.
         support = [(j, p) for j, p in enumerate(P) if p]
     for r, row in enumerate(T):
-        f = row[pcol]
+        f = row[0]
         if not f or r == prow:
             continue
         s = scale[r]
@@ -101,7 +88,7 @@ def _pivot(T, basis, prow, pcol, scale):
             T[r] = [(v * piv - f * p) // s for v, p in zip(row, P)]
             scale[r] = piv
     scale[prow] = piv
-    basis[prow] = pcol
+    basis[prow] = enter
 
 
 def solve(c: Sequence, b: Sequence, cols: Sequence[Sequence]) -> LPResult:
@@ -114,11 +101,14 @@ def solve(c: Sequence, b: Sequence, cols: Sequence[Sequence]) -> LPResult:
     assert len(cols) == n
     if any(bi < 0 for bi in b):
         raise ValueError("simplex.solve needs b >= 0")
-    # L[i]: the lcm of the denominators of row i's entries that are not ints.
-    L = [1] * m
-    for i, v in chain(enumerate(b), *cols):
+    # L[i]: the lcm of the denominators of row i's entries that are not ints;
+    # L[m], read in the same pass, is that of c's entries (the objective's cl).
+    L = [1] * (m + 1)
+    for i, v in chain(enumerate(b), *cols, zip(repeat(m), c)):
         if type(v) is not int:
             L[i] = lcm(L[i], v.denominator)
+    cl = L.pop()
+    cost = [v * cl if type(v) is int else v.numerator * (cl // v.denominator) for v in c]
     # cols[j]: the nonzero (k, L_i * A_ij) of column j, where k = 1 + i is
     # slack i's cell in a row [entering cell | slack part | rhs].
     cols = [[(i + 1, v * L[i] if type(v) is int else v.numerator * (L[i] // v.denominator))
@@ -129,7 +119,6 @@ def solve(c: Sequence, b: Sequence, cols: Sequence[Sequence]) -> LPResult:
         T[-1][k] = 1
         T[-1][-1] = bi * Li if type(bi) is int else bi.numerator * (Li // bi.denominator)
     basis = list(range(n, n + m))
-    cl, cost = _integer_row(c)
     T.append([0] * (m + 2))
     scale = [1] * (m + 1)
     basic = [False] * (n + m)
@@ -171,9 +160,7 @@ def solve(c: Sequence, b: Sequence, cols: Sequence[Sequence]) -> LPResult:
             return LPResult(UNBOUNDED)
         basic[basis[leave]] = False
         basic[enter] = True
-        # Column 0 holds the entering cell; the basis keeps column indices.
-        _pivot(T, basis, leave, 0, scale)
-        basis[leave] = enter
+        _pivot(T, basis, leave, enter, scale)
     zero = Fraction(0)
     x = [zero] * n
     for r, bcol in enumerate(basis):

@@ -21,6 +21,17 @@ the time-extended network of `oracles.random_deadline` (even seeds) or
 `oracles.random_lane_deadline` (odd seeds), its printed verdict or None
 (or the diagnostic when the deadline is below the fastest delay).
 The counter is the number of `reductions._c0_ordering` calls of each search.
+
+Family "search": per `oracles.random_network` seed,
+`decide_information_distributive` with `strict_def5` False and then True:
+the status, witness and representatives of each.  The counters are the
+`search_stats` of each search, read from the verdicts themselves.
+
+Family "sampler": seed s runs `codes.random_decodable_code` on corpus
+network (fig1a, fig1b, butterfly)[s % 3] over GF((2, 3, 5)[s // 3 % 3]),
+all rates 1, with `random.Random(s)`: the local table (or None) and the
+rng's next `random()`, which pins the stream.  The counter is the number
+of `codes._compose` calls (samples drawn) of each call.
 """
 
 from __future__ import annotations
@@ -34,8 +45,10 @@ from fractions import Fraction
 
 from oracles import random_deadline, random_lane_deadline, random_network
 
-from infodist import rateregion, reductions, simplex
+from infodist import codes, corpus, rateregion, reductions, simplex
 from infodist.errors import DeadlineTooSmall
+from infodist.graph import validate_network
+from infodist.witnesses import SearchBudget, decide_information_distributive
 
 STEP = Fraction(1, 1000)
 
@@ -47,13 +60,13 @@ def _calls_per(module, outer: str, inner: str):
     counts: list[int] = []
     real_outer, real_inner = getattr(module, outer), getattr(module, inner)
 
-    def counting_inner(*args):
+    def counting_inner(*args, **kwargs):
         counts[-1] += 1
-        return real_inner(*args)
+        return real_inner(*args, **kwargs)
 
-    def counting_outer(*args):
+    def counting_outer(*args, **kwargs):
         counts.append(0)
-        return real_outer(*args)
+        return real_outer(*args, **kwargs)
 
     setattr(module, outer, counting_outer)
     setattr(module, inner, counting_inner)
@@ -92,19 +105,49 @@ def _deadline_answers(seed: int) -> dict:
     return {"seed": seed, "verdict": verdict.to_json_dict() if verdict else None}
 
 
-# family -> (answers of one seed, counter name, (module, outer, inner) of _calls_per)
+def _search_answers(seed: int) -> tuple[dict, list]:
+    net = random_network(random.Random(seed), max_internal=6, max_sessions=4)
+    runs, stats = [], []
+    for strict in (False, True):
+        verdict = decide_information_distributive(net, SearchBudget(strict_def5=strict))
+        runs.append({"status": verdict.status,
+                     "witness": verdict.witness.to_json_dict() if verdict.witness else None,
+                     "representatives": sorted(verdict.representative_map.items())})
+        stats.append(verdict.stats.to_json_dict())
+    return {"seed": seed, "runs": runs}, stats
+
+
+_SAMPLER_NETS = [validate_network(corpus.load(name)) for name in ("fig1a", "fig1b", "butterfly")]
+
+
+def _sampler_answers(seed: int) -> dict:
+    net, q = _SAMPLER_NETS[seed % 3], (2, 3, 5)[seed // 3 % 3]
+    rng = random.Random(seed)
+    found = codes.random_decodable_code(net, [1] * net.num_sessions, q, rng, attempts=200)
+    return {"seed": seed, "table": codes.locals_to_json(found[1]) if found else None,
+            "next": rng.random()}
+
+
+# family -> (answers of one seed, counter name, (module, outer, inner) of
+# _calls_per, or None when the seed's function returns (answers, counters))
 FAMILIES = {
     "rate": (_rate_answers, "pivots", (simplex, "solve", "_pivot")),
     "deadline": (_deadline_answers, "c0_orderings",
                  (reductions, "search_deadline_certificate", "_c0_ordering")),
+    "search": (_search_answers, "search_stats", None),
+    "sampler": (_sampler_answers, "samples", (codes, "random_decodable_code", "_compose")),
 }
 
 
 def run(family: str, seeds: int) -> dict:
     """{"answers": sha256, <counter>: sha256} of `family` on seeds 0..seeds-1."""
     answer, counter, counted = FAMILIES[family]
-    with _calls_per(*counted) as counts:
-        answers = [answer(seed) for seed in range(seeds)]
+    if counted is None:
+        pairs = [answer(seed) for seed in range(seeds)]
+        answers, counts = [a for a, _ in pairs], [c for _, c in pairs]
+    else:
+        with _calls_per(*counted) as counts:
+            answers = [answer(seed) for seed in range(seeds)]
     digest = {}
     for key, value in (("answers", answers), (counter, counts)):
         text = json.dumps(value, sort_keys=True, separators=(",", ":"))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import SHARED_CHAIN
+from golden_cases import GOLDEN, GOLDEN_CASES, GOLDEN_INPUTS
 from infodist import corpus, reductions
 from infodist.cli import main
 
@@ -418,10 +419,6 @@ def test_field_of_2_64_or_more_rejected(capsys):
     assert main(argv + [str(2**61 - 1)]) == 0
 
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
-GOLDEN_INPUTS = GOLDEN / "inputs"
-
-
 def _fresh_python(program: str, *args: str) -> str:
     """Stdout of `program` run by a new interpreter that imports infodist from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -537,33 +534,7 @@ def test_unparsable_vector_names_its_flag(capsys, argv, err):
     assert captured.err == err
 
 
-@pytest.mark.parametrize("argv, name, exit_code", [
-    *((["check", net], f"check-{net}", 10 if net in ("fig5", "butterfly") else 0)
-      for net in ("fig1a", "fig1b", "fig5", "butterfly", "single-edge", "parallel-m")),
-    (["reduce-index", "fig3-index"], "reduce-index-fig3-index", 0),
-    (["reduce-deadline", "fig4-deadline"], "reduce-deadline-fig4-deadline", 0),
-    (["rate", "--direction", "1,1", "fig1a"], "rate-fig1a", 0),
-    (["gen-code", "fig1a", "--rates", "1,1", "--field", "5", "--seed", "0", "--decodable"],
-     "gen-code-fig1a", 0),
-    (["audit", "fig1a", "--code", str(GOLDEN_INPUTS / "fig1a-code.json"),
-      "--witness", str(GOLDEN_INPUTS / "fig1a-witness.json"),
-      "--seed", "0", "--prop-samples", "200"], "audit-fig1a", 0),
-    *((["reduce-deadline", str(GOLDEN_INPUTS / f"fig4-deadline-{variant}.json")],
-       f"reduce-deadline-fig4-deadline-{variant}", 20 if variant == "injection2" else 0)
-      for variant in ("memory2", "injection5", "injection2")),
-    # perfbench's r42 shape, layered_dag(3, 4, 4, 3, 1, 2): 33 rows, 46 columns, 21 pivots.
-    (["rate", str(GOLDEN_INPUTS / "layered-r42.json"), "--direction", "1,1,1"], "rate-layered-r42", 0),
-    # The feasibility LP's vertex: fig1a's boundary lambda* = 3/2 with its scheme, r42's
-    # lambda* = 5/3 (a 10-flow vertex of a 33-row LP), and butterfly's dual-checked "no".
-    (["rate", "fig1a", "--rate", "3/2,3/2"], "rate-fig1a-boundary", 0),
-    (["rate", str(GOLDEN_INPUTS / "layered-r42.json"), "--rate", "5/3,5/3,5/3"],
-     "rate-layered-r42-feasible", 0),
-    (["rate", "butterfly", "--rate", "1,1"], "rate-butterfly-infeasible", 0),
-    # The first base cut, e2[0], has a shifted witness that fails cumulativity;
-    # the search answers with the next one, e3[2].
-    (["reduce-deadline", str(GOLDEN_INPUTS / "deadline-memoryless-shortcut.json")],
-     "reduce-deadline-deadline-memoryless-shortcut", 0),
-])
+@pytest.mark.parametrize("argv, name, exit_code", GOLDEN_CASES)
 def test_stdout_matches_golden_file(capsys, argv, name, exit_code):
     assert main(argv) == exit_code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
@@ -595,7 +566,7 @@ def test_reduce_deadline_without_a_timely_path_exit_1(tmp_path, capsys, sink, de
     assert main(["reduce-deadline", str(inst)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"infodist: {message}\n"
+    assert captured.err == f"infodist: {inst}: {message}\n"
 
 
 def test_reduce_deadline_truncated_paths_exit_20(monkeypatch, capsys):

@@ -202,10 +202,10 @@ def _counted_pivots():
     counts = {"pivots": 0, "negative": 0}
     original = simplex._pivot
 
-    def counting(T, basis, prow, pcol, D):
+    def counting(T, basis, prow, enter, scale):
         counts["pivots"] += 1
-        counts["negative"] += T[prow][pcol] < 0
-        return original(T, basis, prow, pcol, D)
+        counts["negative"] += T[prow][0] < 0  # the entering cell
+        return original(T, basis, prow, enter, scale)
 
     simplex._pivot = counting
     try:
@@ -519,40 +519,68 @@ def test_memo_entry_dies_with_its_network():
 
 
 def test_pivot_leaves_rows_that_are_zero_in_the_pivot_column_alone():
-    # max x0 + x1 + x2 with 2 x0 + x1 <= 4, 3 x1 + x2 <= 3, x1 + 2 x2 <= 2.
-    T = [[2, 1, 0, 1, 0, 0, 4], [0, 3, 1, 0, 1, 0, 3], [0, 1, 2, 0, 0, 1, 2],
-         [-1, -1, -1, 0, 0, 0, 0]]
-    F = [[Fraction(v) for v in row] for row in T]  # the plain Fraction tableau
+    # max x0 + x1 + x2 with 2 x0 + x1 <= 4, 3 x1 + x2 <= 3, x1 + 2 x2 <= 2,
+    # in revised rows [entering cell | slack part | rhs], objective last.
+    A, c = [[2, 1, 0], [0, 3, 1], [0, 1, 2]], [1, 1, 1]
+    T = [[0, 1, 0, 0, 4], [0, 0, 1, 0, 3], [0, 0, 0, 1, 2], [0, 0, 0, 0, 0]]
+    # The plain Fraction tableau [A | I | b] with objective row [-c | 0 | 0].
+    F = [[Fraction(v) for v in row] for row in
+         [[2, 1, 0, 1, 0, 0, 4], [0, 3, 1, 0, 1, 0, 3], [0, 1, 2, 0, 0, 1, 2], [-1, -1, -1, 0, 0, 0, 0]]]
     scale, basis = [1] * 4, [3, 4, 5]
 
-    def pivot(prow, pcol):
-        F[prow] = [v / F[prow][pcol] for v in F[prow]]
+    def pivot(prow, enter):
+        # Each row's entering cell first, as solve fills it: its slack part
+        # times column `enter` of A, less D * c_enter in the objective row.
+        for row in T:
+            row[0] = sum(y * a[enter] for y, a in zip(row[1:4], A))
+        T[3][0] -= scale[3] * c[enter]
+        assert [Fraction(row[0], s) for row, s in zip(T, scale)] == [row[enter] for row in F]
+        F[prow] = [v / F[prow][enter] for v in F[prow]]
         for r, row in enumerate(F):
             if r != prow:
-                F[r] = [v - row[pcol] * p for v, p in zip(row, F[prow])]
-        simplex._pivot(T, basis, prow, pcol, scale)
-        assert [[Fraction(v, s) for v in row] for row, s in zip(T, scale)] == F
+                F[r] = [v - row[enter] * p for v, p in zip(row, F[prow])]
+        simplex._pivot(T, basis, prow, enter, scale)
+        assert [[Fraction(v, s) for v in row] for row, s in zip(T, scale)] == [
+            [row[enter], *row[3:]] for row in F]
 
-    # Rows 1 and 2 are 0 in column 0: they keep their values and scale 1.
-    rows = T[1], T[2]
+    # Rows 1 and 2 are 0 in x0's column: they keep their values and scale 1.
+    rows, values = (T[1], T[2]), (T[1][:], T[2][:])
     pivot(0, 0)
-    assert (T[1], T[2]) == rows and T[1] is rows[0] and T[2] is rows[1]
+    assert (T[1], T[2]) == values and T[1] is rows[0] and T[2] is rows[1]
     assert scale == [2, 1, 1, 2]
     # Row 1 is brought to scale 2 before it pivots; row 2, still at scale
     # 1, gets exactly the integers the eager step stores at the new scale 6.
     pivot(1, 1)
     assert scale == [6, 6, 6, 6]
-    assert T[2] == [0, 0, 10, 0, -2, 6, 6]
+    assert T[2] == [0, 0, -2, 6, 6]
     pivot(2, 2)
     assert basis == [0, 1, 2] and scale[-1] == scale[2]
 
 
-def test_integer_row_returns_an_int_row_as_it_is():
-    values = [0, 1, -1, 7]
-    L, row = simplex._integer_row(values)
-    assert (L, row) == (1, values) and row is not values
-    assert simplex._integer_row([]) == (1, [])
-    assert simplex._integer_row([1, Fraction(1, 2), 3]) == (2, [2, 1, 6])
+@pytest.mark.parametrize("c, cl", [
+    ([0, 1, -1, 7], 1),
+    ([], 1),
+    ([Fraction(1, 2), 1, Fraction(2, 3), Fraction(3)], 6),
+], ids=["int", "empty", "halves-and-thirds"])
+def test_solve_scales_the_objective_in_the_rows_pass(monkeypatch, c, cl):
+    """solve reads c's scale cl in the pass that scales b and A: an int c,
+    an empty c, and a c whose non-int entries have denominators 2, 3 and 1
+    each give the Fraction oracle's answer, and at the first pivot (scale
+    1, slack part 0) the objective row's entering cell is -cl * c_enter."""
+    n = len(c)
+    A = [[1] * n, [j % 2 for j in range(n)], [Fraction(1, 3)] * n]
+    b = [3, Fraction(5, 2), 2]
+    entered, original = [], simplex._pivot
+
+    def recording(T, basis, prow, enter, scale):
+        entered.append((enter, T[-1][0]))
+        original(T, basis, prow, enter, scale)
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    assert _solve_matches_oracle(c, A, b)[0] == simplex.OPTIMAL
+    assert bool(entered) == bool(c)
+    for enter, cell in entered[:1]:
+        assert cell == -cl * c[enter]
 
 
 @st.composite
@@ -646,6 +674,24 @@ def test_deadline_differential_matches_its_pinned_hashes():
     pinned = json.loads((Path(__file__).parent / "golden" / "differential.json").read_text())["deadline"]
     assert differential.run("deadline", pinned["seeds"]) == {
         k: pinned[k] for k in ("answers", "c0_orderings")}
+
+
+def test_search_differential_matches_its_pinned_hashes():
+    """tests/differential.py's search family on a small seed range: its
+    verdicts, witnesses and representatives under both `strict_def5`
+    settings, and their `search_stats`, hash to the pinned values."""
+    pinned = json.loads((Path(__file__).parent / "golden" / "differential.json").read_text())["search"]
+    assert differential.run("search", pinned["seeds"]) == {
+        k: pinned[k] for k in ("answers", "search_stats")}
+
+
+def test_sampler_differential_matches_its_pinned_hashes():
+    """tests/differential.py's sampler family on a small seed range: its
+    local tables, rng states and samples drawn per call hash to the pinned
+    values."""
+    pinned = json.loads((Path(__file__).parent / "golden" / "differential.json").read_text())["sampler"]
+    assert differential.run("sampler", pinned["seeds"]) == {
+        k: pinned[k] for k in ("answers", "samples")}
 
 
 def _reference_verify(net, scheme, rates):
