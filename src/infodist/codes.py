@@ -23,8 +23,8 @@ if TYPE_CHECKING:
     from .rateregion import RoutingScheme
     from .witnesses import Witness
 
-# Variable references: ("edge", edge id), ("session", session index 1..K),
-# or ("rows", tuple of rows): a function of variables, given by its rows.
+# Variable references: ("edge", edge id 0..|E|-1), ("session", index 1..K), or
+# ("rows", tuple of rows of dim ints), a function of variables.  Ids are ints, not bools.
 VarRef = tuple[str, object]
 
 
@@ -49,25 +49,26 @@ class LinearCode:
     net: Network
     q: int
     rates: tuple[int, ...]
-    rows: tuple[Row, ...]  # row e is G_e, one entry per source symbol
-    # The memo: frozenset of refs -> echelon basis of their stacked rows.  Its
-    # length, the rank, ignores row order and repeats, and rows never change,
-    # so entries never go stale.
+    rows: tuple[Row, ...]  # row e is G_e, one entry in 0..q-1 per source symbol
+    # The memo: bit-set of rows of the stack -> echelon basis of those rows.
+    # Its length, the rank, ignores row order and repeats, and stacked rows
+    # never change, so entries never go stale.
     _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def dim(self) -> int:
-        return sum(self.rates)
+    def __post_init__(self) -> None:
+        self.dim = dim = sum(self.rates)
+        # The rows rank queries read, reduced mod q: the dim source-symbol
+        # unit rows, the edge rows, then the rows of each ("rows", ...) ref
+        # in the order first asked.  Bit k of a query's key stands for row k.
+        self._stack = _unit_rows(dim) + list(self.rows)
+        # Per session index 1..K (0 unused), the bits of its symbols' unit rows.
+        self._session_bits = [0] + [((1 << r) - 1) << sum(self.rates[:i])
+                                    for i, r in enumerate(self.rates)]
+        self._interned: dict = {}  # ("rows", ...) ref -> the bits of its rows
 
-    def offset(self, i: int) -> int:
-        return sum(self.rates[: i - 1])
 
-    def session_rows(self, i: int) -> list[Row]:
-        start = self.offset(i)
-        return [
-            (0,) * p + (1,) + (0,) * (self.dim - p - 1)
-            for p in range(start, start + self.rates[i - 1])
-        ]
+def _unit_rows(dim: int) -> list[Row]:
+    return [(0,) * p + (1,) + (0,) * (dim - p - 1) for p in range(dim)]
 
 
 def _checked_sources(net: Network, rates: Sequence[int], q: int) -> tuple[tuple, dict]:
@@ -100,8 +101,7 @@ def _compose(net: Network, q: int, dim: int, index, coeffs) -> tuple[Row, ...]:
     stack of the dim source-symbol unit rows and then the edge rows, mod q.
     """
     zero = (0,) * dim
-    rows: list = [(0,) * p + (1,) + (0,) * (dim - p - 1) for p in range(dim)]
-    rows += [zero] * len(net.edges)
+    rows = _unit_rows(dim) + [zero] * len(net.edges)
     for v in net.topo_order:
         for eid in net.out_edges[v]:
             acc = zero
@@ -204,49 +204,78 @@ def code_from_json(net: Network, data) -> LinearCode:
                      json_int(json_key(data, "field"), "field"))
 
 
-def _collect(code: LinearCode, refs: Iterable[VarRef]) -> list[Row]:
-    mat: list[Row] = []
-    for kind, idx in refs:
-        if kind == "edge":
-            mat.append(code.rows[idx])
-        elif kind == "session":
-            mat += code.session_rows(idx)
+def _bits(code: LinearCode, refs: Iterable[VarRef]) -> int:
+    """The bit-set of the stack rows of refs: ("edge", e) is bit dim + e,
+    ("session", i) its symbols' bits, ("rows", ...) the bits its rows were
+    interned at.  Raises ValueError for a ref that names no variable."""
+    key, dim, edges = 0, code.dim, len(code.rows)
+    for ref in refs:
+        try:
+            kind, idx = ref
+        except (TypeError, ValueError):
+            raise ValueError(f"variable ref {ref!r} is not a (kind, id) pair") from None
+        if kind == "edge" and type(idx) is int and 0 <= idx < edges:
+            key |= 1 << (dim + idx)
+        elif kind == "session" and type(idx) is int and 0 < idx <= len(code.rates):
+            key |= code._session_bits[idx]
         elif kind == "rows":
-            mat += idx
+            bits = code._interned.get(ref)
+            key |= _intern(code, ref, _reduced(code, ref)) if bits is None else bits
+        elif kind in ("edge", "session"):
+            raise ValueError(f"variable ref {ref!r} names no {kind} of the code")
         else:
-            raise ValueError(f"unknown variable kind {kind!r}")
-    return mat
+            raise ValueError(f"unknown variable kind {kind!r} in {ref!r}")
+    return key
 
 
-def _basis(code: LinearCode, refs: frozenset) -> gfmatrix.Basis:
-    """The echelon basis of the stacked rows of refs, memoized per code."""
-    basis = code._bases.get(refs)
+def _reduced(code: LinearCode, ref: VarRef) -> list[Row]:
+    """The rows of a ("rows", ...) ref, reduced mod q."""
+    rows = ref[1]
+    if not (isinstance(rows, tuple) and all(
+            isinstance(row, tuple) and len(row) == code.dim and all(isinstance(v, int) for v in row)
+            for row in rows)):
+        raise ValueError(f"variable ref {ref!r} is not a tuple of rows of {code.dim} ints")
+    return [tuple(v % code.q for v in row) for row in rows]
+
+
+def _intern(code: LinearCode, ref: VarRef, rows: list[Row]) -> int:
+    """Append ref's reduced rows to the stack; return their bits."""
+    bits = code._interned[ref] = ((1 << len(rows)) - 1) << len(code._stack)
+    code._stack += rows
+    return bits
+
+
+def _rows(code: LinearCode, bits: int) -> list[Row]:
+    """The stack rows of a bit-set, lowest bit first."""
+    stack, rows = code._stack, []
+    while bits:
+        low = bits & -bits
+        rows.append(stack[low.bit_length() - 1])
+        bits ^= low
+    return rows
+
+
+def _basis(code: LinearCode, key: int, base: int = 0,
+           grown: gfmatrix.Basis = ()) -> gfmatrix.Basis:
+    """The echelon basis of the stack rows of key, memoized per code.  On a
+    miss, `grown`, the basis of base (a subset of key), is grown by the rows
+    of key not in base, so base's rows are not eliminated again."""
+    basis = code._bases.get(key)
     if basis is None:
-        basis = code._bases[refs] = gfmatrix.echelon(_collect(code, refs), code.q)
+        basis = code._bases[key] = gfmatrix.grow(_rows(code, key & ~base), code.q, grown)
     return basis
-
-
-def _extend(code: LinearCode, base: frozenset, basis: gfmatrix.Basis,
-            more: Iterable[VarRef]) -> tuple[frozenset, gfmatrix.Basis]:
-    """The set base | more and its basis, memoized per code: on a miss,
-    base's basis grown by the rows of the refs of more not in base."""
-    key = base.union(more)
-    grown = code._bases.get(key)
-    if grown is None:
-        grown = code._bases[key] = gfmatrix.echelon(_collect(code, key - base), code.q, basis)
-    return key, grown
 
 
 def entropy(code: LinearCode, refs: Iterable[VarRef]) -> int:
     """H(refs) in field symbols = rank of the stacked rows."""
-    return len(_basis(code, frozenset(refs)))
+    return len(_basis(code, _bits(code, refs)))
 
 
 def cond_entropy(code: LinearCode, a: Iterable[VarRef], given: Iterable[VarRef] = ()) -> int:
     """H(a | given) = rk(a,c) - rk(c), with the (a, c) basis grown from c's."""
-    c = frozenset(given)
+    c = _bits(code, given)
     c_basis = _basis(code, c)
-    return len(_extend(code, c, c_basis, a)[1]) - len(c_basis)
+    return len(_basis(code, c | _bits(code, a), c, c_basis)) - len(c_basis)
 
 
 def cond_mutual_info(
@@ -260,13 +289,12 @@ def cond_mutual_info(
     The (a, c) and (b, c) bases grow c's, and the (a, b, c) basis grows
     (a, c)'s, so c's rows are eliminated once.
     """
-    b = tuple(b)
-    c = frozenset(given)
+    c = _bits(code, given)
     c_basis = _basis(code, c)
-    ac, ac_basis = _extend(code, c, c_basis, a)
-    _, bc_basis = _extend(code, c, c_basis, b)
-    _, abc_basis = _extend(code, ac, ac_basis, b)
-    return len(ac_basis) + len(bc_basis) - len(abc_basis) - len(c_basis)
+    ac, b = c | _bits(code, a), _bits(code, b)
+    ac_basis = _basis(code, ac, c, c_basis)
+    return (len(ac_basis) + len(_basis(code, c | b, c, c_basis))
+            - len(_basis(code, ac | b, ac, ac_basis)) - len(c_basis))
 
 
 def _decodes(code: LinearCode, i: int) -> bool:
@@ -344,13 +372,19 @@ def _random_refs(rng: random.Random, pool: list[VarRef], k: int) -> tuple[VarRef
 
 def _random_function_of(rng: random.Random, code: LinearCode, refs) -> tuple[VarRef, ...]:
     """A ("rows", ...) ref to one random row in the row space of the stacked
-    refs (no ref if they stack no rows)."""
-    mat = _collect(code, refs)
+    refs (no ref if they stack no rows): one coefficient per row, in ref
+    order, repeats included."""
+    mat = [row for ref in refs for row in _rows(code, _bits(code, (ref,)))]
     if not mat:
         return ()
-    coeffs = [rng.randrange(code.q) for _ in mat]
-    row = tuple(sum(c * v for c, v in zip(coeffs, col)) % code.q for col in zip(*mat))
-    return (("rows", (row,)),)
+    acc = [0] * code.dim
+    for row in mat:
+        c = rng.randrange(code.q)
+        acc = [a + c * v for a, v in zip(acc, row)]
+    ref = ("rows", (tuple(a % code.q for a in acc),))
+    if ref not in code._interned:  # its rows are reduced already
+        _intern(code, ref, list(ref[1]))
+    return (ref,)
 
 
 def audit(

@@ -8,7 +8,7 @@ everything downstream is exact integer arithmetic.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Matrix = Sequence[Sequence[int]]
 # An echelon basis: (pivot column, row scaled to 1 at the pivot) per row,
@@ -54,20 +54,30 @@ def echelon(rows: Matrix, p: int, basis: Basis = ()) -> Basis:
     callers can share it.  Every echelon basis of a row space has the same
     length, its rank, whatever order the rows arrived in.
     """
+    return grow(([v % p for v in row] for row in rows), p, basis)
+
+
+def grow(rows: Iterable[Sequence[int]], p: int, basis: Basis = ()) -> Basis:
+    """:func:`echelon` of rows whose entries are already in 0..p-1.
+
+    A row that is 1 at its pivot is kept as it is, not rescaled.
+    """
     pivots = list(basis)
     for row in rows:
         if len(pivots) == len(row):  # a pivot in every column: no row can add one
             break
-        row = [v % p for v in row]
         for c, prow in pivots:
             f = row[c]
             if f:
                 row = [(a - f * b) % p for a, b in zip(row, prow)]
-        for c, v in enumerate(row):
-            if v:
-                inv = pow(v, -1, p)
-                pivots.append((c, [x * inv % p for x in row]))
-                break
+        if any(row):
+            c = 0
+            while not row[c]:
+                c += 1
+            if row[c] != 1:
+                inv = pow(row[c], -1, p)
+                row = [x * inv % p for x in row]
+            pivots.append((c, row))
     return basis if len(pivots) == len(basis) else tuple(pivots)
 
 

@@ -32,6 +32,13 @@ network (fig1a, fig1b, butterfly)[s % 3] over GF((2, 3, 5)[s // 3 % 3]),
 all rates 1, with `random.Random(s)`: the local table (or None) and the
 rng's next `random()`, which pins the stream.  The counter is the number
 of `codes._compose` calls (samples drawn) of each call.
+
+Family "audit": per `oracles.random_network` seed, rates in 0..2 and
+q = (2, 3, 5, 1000003, 2^61 - 1)[seed % 5], the code `codes.propagate`
+makes of `codes.random_local_table`: `check_decodable`, ten
+`cond_mutual_info` queries on random ref samples, and on networks whose
+search says "yes", `extract_routing` and `audit(seed=seed)` of the witness.
+The counter is the number of echelon bases the code memoizes.
 """
 
 from __future__ import annotations
@@ -128,6 +135,29 @@ def _sampler_answers(seed: int) -> dict:
             "next": rng.random()}
 
 
+_AUDIT_FIELDS = (2, 3, 5, 1000003, 2**61 - 1)
+
+
+def _audit_answers(seed: int) -> tuple[dict, int]:
+    rng = random.Random(seed)
+    net = random_network(rng, max_internal=6, max_sessions=3)
+    rates, q = [rng.randint(0, 2) for _ in net.sessions], _AUDIT_FIELDS[seed % 5]
+    code = codes.propagate(net, rates, codes.random_local_table(net, rates, q, rng), q)
+    pool = [codes.edge_var(e) for e in range(len(net.edges))] + [
+        codes.session_var(i) for i in range(1, net.num_sessions + 1)]
+
+    def refs(least: int) -> list:
+        return [rng.choice(pool) for _ in range(rng.randint(least, 3))]  # repeats allowed
+
+    infos = [codes.cond_mutual_info(code, refs(1), refs(1), refs(0)) for _ in range(10)]
+    out = {"seed": seed, "decodable": codes.check_decodable(code), "infos": infos}
+    wit = decide_information_distributive(net).witness
+    if wit is not None:
+        out["scheme"] = codes.extract_routing(code, wit).to_json_dict()
+        out["audit"] = codes.audit(code, wit, seed=seed).to_json_dict()
+    return out, len(code._bases)
+
+
 # family -> (answers of one seed, counter name, (module, outer, inner) of
 # _calls_per, or None when the seed's function returns (answers, counters))
 FAMILIES = {
@@ -136,6 +166,7 @@ FAMILIES = {
                  (reductions, "search_deadline_certificate", "_c0_ordering")),
     "search": (_search_answers, "search_stats", None),
     "sampler": (_sampler_answers, "samples", (codes, "random_decodable_code", "_compose")),
+    "audit": (_audit_answers, "bases", None),
 }
 
 

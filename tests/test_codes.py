@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -89,6 +90,35 @@ def test_entropy_rejects_unknown_ref_kind():
     code = propagate(chain_network(), (1,), {0: [("session", 1, 0, 1)], 1: [("edge", 0, 1)]}, 2)
     with pytest.raises(ValueError, match="unknown variable kind 'node'"):
         entropy(code, [("node", 0)])
+
+
+# Refs that name no variable of fig1a's code (dim 2, 14 edges, 2 sessions).
+# Each once read another variable's rows, a truncated row or past the end,
+# or raised an error that did not name the ref.
+BAD_REFS = {
+    "session-0": ("session", 0),
+    "session-minus-1": ("session", -1),
+    "session-3": ("session", 3),
+    "edge-minus-1": ("edge", -1),
+    "edge-True": ("edge", True),
+    "edge-99": ("edge", 99),
+    "rows-too-long": ("rows", ((0, 0, 1),)),
+    "rows-one-too-short": ("rows", ((1, 0), (1,))),
+    "edge-float": ("edge", 1.0),
+    "not-a-pair": ("edge",),
+}
+
+
+@pytest.mark.parametrize("ref", BAD_REFS.values(), ids=BAD_REFS.keys())
+def test_refs_that_name_no_variable_raise_value_error(nets, ref):
+    net = nets["fig1a"]
+    code = propagate(net, (1, 1), random_local_table(net, (1, 1), 5, random.Random(0)), 5)
+    good = [session_var(2)]
+    for measure in (lambda: entropy(code, [ref]), lambda: cond_entropy(code, good, [ref]),
+                    lambda: cond_entropy(code, [ref], good),
+                    lambda: cond_mutual_info(code, good, [edge_var(0)], [ref])):
+        with pytest.raises(ValueError, match=re.escape(repr(ref))):
+            measure()
 
 
 def test_source_edges_touch_only_their_session_block(nets):
@@ -363,7 +393,9 @@ def _reference_entropy(code, refs, extra=()):
         if kind == "edge":
             mat.append(code.rows[idx])
         elif kind == "session":
-            mat += code.session_rows(idx)
+            start = sum(code.rates[: idx - 1])
+            mat += [[int(k == j) for j in range(code.dim)]
+                    for k in range(start, start + code.rates[idx - 1])]
         else:
             mat += idx
     return gf_rank(mat + list(extra), code.q)
@@ -435,6 +467,41 @@ def test_memoized_entropy_matches_reference_rank(q, seed):
             assert cond_mutual_info(fresh, b, a, c) == want[0] + want[1] - want[2] - want[3]
             assert cond_entropy(fresh, a, c) == want[0] - want[3]
             assert [entropy(fresh, x) for x in sets] == want
+
+
+@pytest.mark.parametrize("q", [2, 3, 1000003, 2**61 - 1])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rows_refs_are_reduced_on_entry(q, data):
+    """("rows", ...) refs with entries below 0 and at or above q, asked next
+    to their reductions, repeats and edge rows they equal mod q, rank as the
+    reference ranks their unreduced rows."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    net = random_network(rng)
+    rates = [rng.randint(0, 2) for _ in net.sessions]
+    code = propagate(net, rates, random_local_table(net, rates, q, rng), q)
+    shift = st.integers(-2, 2).map(lambda k: k * q)
+
+    def unreduced(row):
+        return tuple(v + data.draw(shift) for v in row)
+
+    entry = st.integers(-2 * q, 2 * q) | st.sampled_from([-q, -1, q - 1, q, q + 1])
+    drawn = data.draw(st.lists(st.tuples(*[entry] * code.dim), min_size=1, max_size=3))
+    pool = [edge_var(e) for e in range(len(net.edges))] + [
+        session_var(i) for i in range(1, net.num_sessions + 1)]
+    for row in drawn:
+        pool += [("rows", (row,)), ("rows", (tuple(v % q for v in row),)),
+                 ("rows", (row, unreduced(row), row))]
+    for e in data.draw(st.lists(st.integers(0, len(net.edges) - 1), max_size=3)):
+        pool.append(("rows", (unreduced(code.rows[e]),)))
+    pool.append(("rows", (unreduced((0,) * code.dim),)))  # zero mod q
+    refs = st.lists(st.sampled_from(pool), max_size=4)
+    for _ in range(10):
+        a, b, c = data.draw(refs), data.draw(refs), data.draw(refs)
+        want = [_reference_entropy(code, x) for x in (a + c, b + c, a + b + c, c)]
+        assert entropy(code, a + c) == want[0]
+        assert cond_entropy(code, b, c) == want[1] - want[3]
+        assert cond_mutual_info(code, a, b, c) == want[0] + want[1] - want[2] - want[3]
 
 
 ECHELON_PRIMES = [2, 3, 1000003, 2**61 - 1]

@@ -694,6 +694,14 @@ def test_sampler_differential_matches_its_pinned_hashes():
         k: pinned[k] for k in ("answers", "samples")}
 
 
+def test_audit_differential_matches_its_pinned_hashes():
+    """tests/differential.py's audit family on a small seed range: its
+    decodability flags, rank queries, extracted schemes and audit reports,
+    and the bases each code memoizes, hash to the pinned values."""
+    pinned = json.loads((Path(__file__).parent / "golden" / "differential.json").read_text())["audit"]
+    assert differential.run("audit", pinned["seeds"]) == {k: pinned[k] for k in ("answers", "bases")}
+
+
 def _reference_verify(net, scheme, rates):
     """verify_routing_scheme with its loads summed as Fractions."""
     for i, per_session in enumerate(scheme.flows, start=1):
