@@ -219,7 +219,10 @@ def _bits(code: LinearCode, refs: Iterable[VarRef]) -> int:
         elif kind == "session" and type(idx) is int and 0 < idx <= len(code.rates):
             key |= code._session_bits[idx]
         elif kind == "rows":
-            bits = code._interned.get(ref)
+            try:
+                bits = code._interned.get(ref)
+            except TypeError:  # unhashable: a list where `_reduced` wants a tuple
+                bits = None
             key |= _intern(code, ref, _reduced(code, ref)) if bits is None else bits
         elif kind in ("edge", "session"):
             raise ValueError(f"variable ref {ref!r} names no {kind} of the code")
@@ -231,7 +234,7 @@ def _bits(code: LinearCode, refs: Iterable[VarRef]) -> int:
 def _reduced(code: LinearCode, ref: VarRef) -> list[Row]:
     """The rows of a ("rows", ...) ref, reduced mod q."""
     rows = ref[1]
-    if not (isinstance(rows, tuple) and all(
+    if not (isinstance(ref, tuple) and isinstance(rows, tuple) and all(
             isinstance(row, tuple) and len(row) == code.dim and all(isinstance(v, int) for v in row)
             for row in rows)):
         raise ValueError(f"variable ref {ref!r} is not a tuple of rows of {code.dim} ints")

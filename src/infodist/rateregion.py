@@ -5,6 +5,11 @@ routing model imposes: per-session delivered traffic, and per-edge total
 load at most the unit capacity.  All arithmetic is Fraction-exact, and every
 LP answer is re-checked outside the solver: a "feasible" verdict by its
 witness scheme, an "infeasible" one by the LP dual, and lambda* by both.
+
+A network object keeps the lambda* dual its last `max_scaled_rate` call
+verified, so an "infeasible" verdict comes either from the LP dual or from
+that stored dual, when the rates exceed the bound it proves; the second
+solves no LP.
 """
 
 from __future__ import annotations
@@ -70,8 +75,20 @@ def parse_rates(values: Sequence) -> RateVector:
     return rates
 
 
-# Per network and path limit, the demand-free part of the path LP that
-# `_skeleton` derives.  Keyed weakly, so an entry dies with its network.
+class _Memo:
+    """What the rate LPs learn about one network object: per path limit,
+    the demand-free part of the path LP that `_skeleton` derives, and the
+    last lambda* dual `max_scaled_rate` verified, as (y, lambda*) with y
+    the dual of each session's row, 0 for a session with no row."""
+
+    __slots__ = ("skeletons", "bound")
+
+    def __init__(self):
+        self.skeletons: dict = {}
+        self.bound: Optional[tuple[tuple[Fraction, ...], Fraction]] = None
+
+
+# Keyed weakly, so an entry dies with its network.
 _SKELETONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -88,8 +105,8 @@ def _skeleton(net: Network, path_limit: int):
     more after 14,400 `rate-lp` ops).  PathEnumerationTruncated is never
     cached: each call over the limit raises it again.
     """
-    memo = _SKELETONS.setdefault(net, {})
-    skeleton = memo.get(path_limit)
+    memo = _SKELETONS.setdefault(net, _Memo())
+    skeleton = memo.skeletons.get(path_limit)
     if skeleton is None:
         session_paths = tuple(
             tuple(require_paths(net, s, d, limit=path_limit)) for s, d in net.sessions
@@ -103,7 +120,7 @@ def _skeleton(net: Network, path_limit: int):
                 col += 1
         used = sorted(edge_cols)
         kept = _maximal_edges(used, edge_cols)
-        skeleton = memo[path_limit] = (
+        skeleton = memo.skeletons[path_limit] = (
             session_paths,
             [edge_cols[eid] for eid in used if eid in kept],
             [eid in kept for eid in used],
@@ -210,12 +227,24 @@ def check_rate_feasible(
     "infeasible" by the LP dual, which bounds the total flow below the sum
     of the rates; a failed check raises CertificateInvalid.
 
+    Before any LP, the rates are tested against the lambda* dual that
+    `max_scaled_rate` last verified on this network object, if any: with
+    w that dual on the capacity rows and y_i on session i's row, every
+    s_i -> d_i path is at least y_i long under w, so a routing of the rates
+    has sum(r_i * y_i) <= sum over edges of w_e * load_e <= sum(w) =
+    lambda* (Iri 1971; Onaga and Kakusho 1971).  Rates above that bound
+    are infeasible, and no LP is solved.
+
     Raises PathEnumerationTruncated when the path cap was hit (result would
     be indeterminate).
     """
     rates = parse_rates(rates)
     if len(rates) != net.num_sessions:
         raise ValueError("one rate per session required")
+    _skeleton(net, path_limit)  # PathEnumerationTruncated before any verdict
+    bound = _SKELETONS[net].bound
+    if bound is not None and sum(r * y for r, y in zip(rates, bound[0])) > bound[1]:
+        return FeasibilityResult(False)
     session_paths, c, b, cols, _ = _path_lp(net, rates, False, path_limit)
     result = simplex.solve(c, b, cols)
     assert result.status == simplex.OPTIMAL, result.status
@@ -258,6 +287,8 @@ def max_scaled_rate(
         net, scheme, [lam * d for d in direction],
         f"lambda* = {lam} times the direction",
     )
+    rows = iter(result.dual)
+    _SKELETONS[net].bound = (tuple(next(rows) if d else Fraction(0) for d in direction), lam)
     return ScalingResult(lam, scheme, _zero_extend(result.dual, kept))
 
 

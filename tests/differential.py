@@ -14,7 +14,9 @@ Family "rate": per `oracles.random_network` seed, with a random nonzero
 direction, `max_scaled_rate` (lambda*, scheme, dual), then
 `check_rate_feasible` at lambda*, lambda* + 1/1000 and lambda* - 1/1000
 times the direction (verdict and scheme; the last only when lambda* > 0).
-The counter is the number of `simplex._pivot` calls of each LP.
+The counter is the number of `simplex._pivot` calls of each LP solved; the
+check at lambda* + 1/1000 is refuted by the lambda* dual the network keeps
+from `max_scaled_rate`, and solves none.
 
 Family "deadline": per seed, `reductions.search_deadline_certificate` on
 the time-extended network of `oracles.random_deadline` (even seeds) or

@@ -104,6 +104,9 @@ BAD_REFS = {
     "edge-99": ("edge", 99),
     "rows-too-long": ("rows", ((0, 0, 1),)),
     "rows-one-too-short": ("rows", ((1, 0), (1,))),
+    "rows-a-list-row": ("rows", ([1, 0],)),
+    "rows-a-list-of-rows": ("rows", [(1, 0)]),
+    "rows-in-a-list": ["rows", ((1, 0),)],
     "edge-float": ("edge", 1.0),
     "not-a-pair": ("edge",),
 }

@@ -394,11 +394,13 @@ def _tamper_zero_dual(res):
 
 
 @pytest.mark.parametrize("tamper", [_tamper_lower_value, _tamper_zero_dual])
-def test_check_rate_feasible_rejects_tampered_infeasible_answer(nets, monkeypatch, capsys, tamper):
+def test_check_rate_feasible_rejects_tampered_infeasible_answer(monkeypatch, capsys, tamper):
     honest = simplex.solve
     monkeypatch.setattr(simplex, "solve", lambda c, A, b: tamper(honest(c, A, b)))
+    # A fresh network object: one `max_scaled_rate` has run on would refute
+    # (1, 1) by its stored lambda* dual, and no LP answer would be checked.
     with pytest.raises(CertificateInvalid):
-        check_rate_feasible(nets["butterfly"], [1, 1])
+        check_rate_feasible(validate_network(corpus.load("butterfly")), [1, 1])
     assert main(["rate", "butterfly", "--rate", "1,1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -516,6 +518,74 @@ def test_memo_entry_dies_with_its_network():
     gc.collect()
     assert ref() is None
     assert len(rateregion._SKELETONS) == before - 1
+
+
+@contextmanager
+def _solve_calls():
+    """The simplex.solve calls made while the block runs."""
+    calls = []
+    real = simplex.solve
+    simplex.solve = lambda *args: calls.append(args) or real(*args)
+    try:
+        yield calls
+    finally:
+        simplex.solve = real
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**6), data=st.data())
+def test_stored_lambda_dual_gives_the_verdicts_of_a_fresh_network(seed, data):
+    """After `max_scaled_rate`, the network's stored lambda* dual refutes
+    lambda* (1 + 1/1000) times the direction without an LP, and every
+    verdict and scheme equals that of a network object with no stored dual."""
+    net = random_network(random.Random(seed))
+    K = net.num_sessions
+    direction = data.draw(st.lists(_direction_entry, min_size=K, max_size=K).filter(any))
+    lam = max_scaled_rate(net, direction).lam
+    step = Fraction(1, 1000)
+    above, below = ([lam * (1 + t) * d for d in direction] for t in (step, -step))
+    if lam:  # lambda* = 0 makes `above` all zeros, which the LP routes
+        with _solve_calls() as calls:
+            assert not check_rate_feasible(net, above).feasible
+        assert calls == []
+    fresh = random_network(random.Random(seed))
+    for rates in [above, below] + data.draw(
+            st.lists(st.lists(_direction_entry, min_size=K, max_size=K), max_size=4)):
+        got, want = check_rate_feasible(net, rates), check_rate_feasible(fresh, rates)
+        assert (got.feasible, got.scheme) == (want.feasible, want.scheme)
+    assert rateregion._SKELETONS[fresh].bound is None
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_tamper_value, _tamper_dual, _tamper_dual_infeasible, _tamper_overload, _tamper_underdeliver],
+)
+def test_rejected_lambda_answer_stores_no_dual(monkeypatch, tamper):
+    net = validate_network(corpus.load("fig1a"))
+    honest = simplex.solve
+    monkeypatch.setattr(simplex, "solve", lambda c, A, b: tamper(honest(c, A, b)))
+    with pytest.raises(CertificateInvalid):
+        max_scaled_rate(net, [1, 1])
+    monkeypatch.setattr(simplex, "solve", honest)
+    assert rateregion._SKELETONS[net].bound is None
+    # So (2, 2), above lambda* = 3/2, is refuted by an LP.
+    with _solve_calls() as calls:
+        assert not check_rate_feasible(net, [2, 2]).feasible
+    assert len(calls) == 1
+
+
+def test_stored_dual_keeps_the_errors_and_is_replaced_by_the_next_lambda():
+    net = validate_network(corpus.load("fig1a"))
+    max_scaled_rate(net, [1, 1])
+    with pytest.raises(PathEnumerationTruncated):
+        check_rate_feasible(net, [2, 2], path_limit=1)
+    with pytest.raises(ValueError, match="one rate per session required"):
+        check_rate_feasible(net, [2])
+    with pytest.raises(ValueError, match="rates must be nonnegative"):
+        check_rate_feasible(net, [2, -1])
+    # Session 2 has no row when its direction entry is 0: its dual is 0.
+    best = max_scaled_rate(net, [1, 0])
+    assert rateregion._SKELETONS[net].bound == ((best.dual[0], Fraction(0)), best.lam)
 
 
 def test_pivot_leaves_rows_that_are_zero_in_the_pivot_column_alone():
