@@ -10,9 +10,8 @@ information inequality here checkable exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from . import gfmatrix
 from .errors import (FieldTooSmall, MissingEncoder, NetworkFormatError, WitnessInvalid,
@@ -44,26 +43,24 @@ LocalTable = dict[int, list[LocalTerm]]
 Row = tuple[int, ...]
 
 
-@dataclass
 class LinearCode:
-    net: Network
-    q: int
-    rates: tuple[int, ...]
-    rows: tuple[Row, ...]  # row e is G_e, one entry in 0..q-1 per source symbol
-    # The memo: bit-set of rows of the stack -> echelon basis of those rows.
-    # Its length, the rank, ignores row order and repeats, and stacked rows
-    # never change, so entries never go stale.
-    _bases: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.dim = dim = sum(self.rates)
+    def __init__(self, net: Network, q: int, rates: tuple[int, ...], rows: tuple[Row, ...]):
+        self.net = net
+        self.q = q
+        self.rates = rates
+        self.rows = rows  # row e is G_e, one entry in 0..q-1 per source symbol
+        self.dim = dim = sum(rates)
+        # The memo: bit-set of rows of the stack -> echelon basis of those rows.
+        # Its length, the rank, ignores row order and repeats, and stacked rows
+        # never change, so entries never go stale.
+        self._bases: dict = {}
         # The rows rank queries read, reduced mod q: the dim source-symbol
         # unit rows, the edge rows, then the rows of each ("rows", ...) ref
         # in the order first asked.  Bit k of a query's key stands for row k.
-        self._stack = _unit_rows(dim) + list(self.rows)
+        self._stack = _unit_rows(dim) + list(rows)
         # Per session index 1..K (0 unused), the bits of its symbols' unit rows.
-        self._session_bits = [0] + [((1 << r) - 1) << sum(self.rates[:i])
-                                    for i, r in enumerate(self.rates)]
+        self._session_bits = [0] + [((1 << r) - 1) << sum(rates[:i])
+                                    for i, r in enumerate(rates)]
         self._interned: dict = {}  # ("rows", ...) ref -> the bits of its rows
 
 
@@ -342,8 +339,7 @@ def extract_routing(code: LinearCode, wit: Witness, strict: bool = False) -> Rou
     return RoutingScheme(tuple(flows))
 
 
-@dataclass
-class AuditEntry:
+class AuditEntry(NamedTuple):
     check: str
     lhs: int
     rhs: int
@@ -354,11 +350,10 @@ class AuditEntry:
         return self.lhs <= self.rhs if self.relation == "<=" else self.lhs == self.rhs
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
+        return {**self._asdict(), "ok": self.ok}
 
 
-@dataclass
-class AuditReport:
+class AuditReport(NamedTuple):
     entries: list[AuditEntry]
 
     @property

@@ -15,10 +15,9 @@ solves no LP.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import simplex
 from .errors import (CertificateInvalid, NetworkFormatError, UnknownPath, json_int, json_key,
@@ -28,8 +27,7 @@ from .graph import DEFAULT_PATH_LIMIT, CheckResult, Network, Path, require_paths
 RateVector = tuple[Fraction, ...]
 
 
-@dataclass
-class RoutingScheme:
+class RoutingScheme(NamedTuple):
     """Per-session map from path (edge-id tuple) to nonnegative flow."""
 
     flows: tuple[dict[Path, Fraction], ...]
@@ -201,8 +199,7 @@ def _zero_extend(dual: list[Fraction], kept: list[bool]) -> list[Fraction]:
     return dual[:head] + [next(rest) if k else Fraction(0) for k in kept]
 
 
-@dataclass
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     scheme: Optional[RoutingScheme] = None
 
@@ -258,8 +255,7 @@ def check_rate_feasible(
     return FeasibilityResult(True, scheme)
 
 
-@dataclass
-class ScalingResult:
+class ScalingResult(NamedTuple):
     lam: Fraction
     scheme: RoutingScheme
     # One entry per row of the full LP: session rows, then every used edge

@@ -11,9 +11,8 @@ copies of one cut-set and path family.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DeadlineTooSmall, NotACutset, json_int, json_key, json_list, json_object
 from .graph import (
@@ -35,24 +34,31 @@ from .witnesses import Witness, family_slots, family_violation, find_family, ver
 # Index coding
 
 
-@dataclass(frozen=True)
-class IndexCodingInstance:
+class _Frozen:
+    """A record whose __init__ sets its fields through vars(self); assigning
+    or deleting one afterwards raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IndexCodingInstance(_Frozen):
     """K terminals, m symbols per message, side sets H_i (1-based ids)."""
 
-    K: int
-    m: int
-    side_sets: tuple[frozenset[int], ...]
-
-    def __post_init__(self):
-        if self.K < 1 or self.m < 1:
+    def __init__(self, K: int, m: int, side_sets: tuple[frozenset[int], ...]):
+        if K < 1 or m < 1:
             raise ValueError("K and m must be positive")
-        if len(self.side_sets) != self.K:
+        if len(side_sets) != K:
             raise ValueError("one side set per terminal required")
-        for i, h in enumerate(self.side_sets, start=1):
+        for i, h in enumerate(side_sets, start=1):
             if i in h:
                 raise ValueError(f"terminal {i} already holds its own message")
-            if any(not 1 <= j <= self.K for j in h):
+            if any(not 1 <= j <= K for j in h):
                 raise ValueError(f"side set of terminal {i} references unknown message")
+        vars(self).update(K=K, m=m, side_sets=side_sets)
 
     @classmethod
     def from_json(cls, data) -> "IndexCodingInstance":
@@ -108,8 +114,7 @@ def side_information_graph(inst: IndexCodingInstance) -> dict[int, tuple[int, ..
     return {j: tuple(ts) for j, ts in adj.items()}
 
 
-@dataclass(frozen=True)
-class ReindexResult:
+class ReindexResult(NamedTuple):
     order: Optional[tuple[int, ...]]  # node listing; every edge goes forward
     cycle: Optional[tuple[int, ...]]
 
@@ -153,8 +158,7 @@ def acyclic_reindex(graph: dict[int, tuple[int, ...]]) -> ReindexResult:
     return ReindexResult(None, walk_back(pred, min(leftover)))
 
 
-@dataclass(frozen=True)
-class RawnessReport:
+class RawnessReport(NamedTuple):
     raw: bool
     l_min: Optional[int]  # exact value when raw; None (strictly below m*K) otherwise
     m: int
@@ -187,29 +191,26 @@ PATH_LIMIT = 10**4
 CUTSET_LIMIT = 10**4
 
 
-@dataclass(frozen=True)
-class DeadlineInstance:
-    """Base graph with integer edge delays, one unicast, deadline tau."""
+class DeadlineInstance(_Frozen):
+    """Base graph with integer edge delays, one unicast, deadline tau; each
+    edge is a (tail, head, delay) triple."""
 
-    edges: tuple[tuple[str, str, int], ...]  # (tail, head, delay)
-    source: str
-    sink: str
-    tau: int
-    horizon: int
-    memory: int = 0
-    injection: Optional[int] = None
-
-    def __post_init__(self):
-        if self.tau < 1 or self.horizon < 0 or self.memory < 0:
+    def __init__(self, edges: tuple[tuple[str, str, int], ...], source: str, sink: str,
+                 tau: int, horizon: int, memory: int = 0, injection: Optional[int] = None):
+        if tau < 1 or horizon < 0 or memory < 0:
             raise ValueError("tau must be >= 1, horizon and memory >= 0")
-        if self.injection is not None and self.injection < 1:
+        if injection is not None and injection < 1:
             raise ValueError("injection width must be >= 1")
-        for tail, head, delay in self.edges:
+        if source == sink:
+            raise ValueError(f"source and sink are both {source!r}")
+        for tail, head, delay in edges:
             if delay < 1:
                 raise ValueError(f"edge ({tail},{head}) needs a positive delay")
             for name in (tail, head):
                 if "@" in name or "#" in name:
                     raise ValueError(f"node name {name!r} may not contain '@' or '#'")
+        vars(self).update(edges=edges, source=source, sink=sink, tau=tau, horizon=horizon,
+                          memory=memory, injection=injection)
 
     @cached_property
     def base_nodes(self) -> tuple[str, ...]:
@@ -245,15 +246,17 @@ class DeadlineInstance:
 Label = tuple
 
 
-@dataclass
 class TimeExtendedNetwork:
-    net: Network
-    inst: DeadlineInstance
-    J: int
-    labels: tuple[Label, ...]
-    label_to_id: dict[Label, int]
-    delta_node: dict[str, Optional[int]]
-    mincut0: int
+    def __init__(self, net: Network, inst: DeadlineInstance, J: int, labels: tuple[Label, ...],
+                 label_to_id: dict[Label, int], delta_node: dict[str, Optional[int]],
+                 mincut0: int):
+        self.net = net
+        self.inst = inst
+        self.J = J
+        self.labels = labels
+        self.label_to_id = label_to_id
+        self.delta_node = delta_node
+        self.mincut0 = mincut0
 
     def delta(self, base_eid: int) -> Optional[int]:
         return self.delta_node[self.inst.edges[base_eid][0]]
@@ -368,7 +371,8 @@ def deadline_to_time_extended(inst: DeadlineInstance) -> TimeExtendedNetwork:
         width = max(len(inst.edges) * (inst.tau + 1), 1)
     else:
         width = int(inst.injection)
-    inner, _ = _build_grid(replace(inst, horizon=0), 0)
+    inner, _ = _build_grid(DeadlineInstance(inst.edges, inst.source, inst.sink, inst.tau, 0,
+                                            inst.memory, inst.injection), 0)
     value = min(min_cut(inner, f"{inst.source}@0", f"{inst.sink}@{inst.tau}"), width)
     J = width if inst.injection is not None else max(value, 1)
     net, labels = _build_grid(inst, J)
@@ -483,8 +487,7 @@ def find_extendable_paths(tnet: TimeExtendedNetwork, c0) -> Optional[tuple[Path,
     return None if chosen is None else tuple(chosen)
 
 
-@dataclass(frozen=True)
-class DeadlineVerdict:
+class DeadlineVerdict(NamedTuple):
     """A shifted witness that passed :func:`check_p_extendable` and
     :func:`~infodist.witnesses.verify_witness`: the answer "yes"."""
 

@@ -39,18 +39,16 @@ Fraction tableau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str
     x: Optional[list[Fraction]] = None
     value: Optional[Fraction] = None

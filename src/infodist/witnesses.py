@@ -10,10 +10,9 @@ only reports "no" when the whole candidate space was covered.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import combinations, permutations
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (BijectionViolated, NotExtendable, PermutationMismatch, json_int, json_key,
                      json_list)
@@ -37,8 +36,7 @@ PermutationSequence = tuple[tuple[int, ...], ...]
 PathSetSequence = tuple[tuple[Path, ...], ...]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A full certificate, interpreted against sessions in ``session_order``.
 
     Position p of cuts/perms/paths belongs to original session
@@ -382,33 +380,36 @@ PATH_LIMIT = 10**5
 CUTSET_LIMIT = 10**5
 
 
-@dataclass
 class SearchBudget:
-    max_candidates: int = 10**6
-    max_seconds: Optional[float] = None
-    reindex_sessions: bool = True
-    strict_def5: bool = False
+    def __init__(self, max_candidates: int = 10**6, max_seconds: Optional[float] = None,
+                 reindex_sessions: bool = True, strict_def5: bool = False):
+        self.max_candidates = max_candidates
+        self.max_seconds = max_seconds
+        self.reindex_sessions = reindex_sessions
+        self.strict_def5 = strict_def5
 
 
-@dataclass
 class SearchStats:
-    orders_tried: int = 0
-    candidates: int = 0
-    permutation_checks: int = 0
-    path_assignments: int = 0
-    truncated: bool = False
-    exhausted: bool = False
+    def __init__(self, orders_tried: int = 0, candidates: int = 0, permutation_checks: int = 0,
+                 path_assignments: int = 0, truncated: bool = False, exhausted: bool = False):
+        self.orders_tried = orders_tried
+        self.candidates = candidates
+        self.permutation_checks = permutation_checks
+        self.path_assignments = path_assignments
+        self.truncated = truncated
+        self.exhausted = exhausted
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
-@dataclass
 class Verdict:
-    status: str  # "yes" | "no" | "unknown"
-    witness: Optional[Witness]
-    stats: SearchStats
-    representative_map: dict[int, int] = field(default_factory=dict)
+    def __init__(self, status: str, witness: Optional[Witness], stats: SearchStats,
+                 representative_map: Optional[dict[int, int]] = None):
+        self.status = status  # "yes" | "no" | "unknown"
+        self.witness = witness
+        self.stats = stats
+        self.representative_map = {} if representative_map is None else representative_map
 
 
 class _BudgetExceeded(Exception):

@@ -18,6 +18,14 @@ The counter is the number of `simplex._pivot` calls of each LP solved; the
 check at lambda* + 1/1000 is refuted by the lambda* dual the network keeps
 from `max_scaled_rate`, and solves none.
 
+Family "rate-fresh": per rate seed, the same network and direction, and
+lambda* from `max_scaled_rate`; then `check_rate_feasible` at lambda* +
+1/1000 and lambda* - 1/1000 times the direction (verdict and scheme; the
+last only when lambda* > 0) on `validate_network(net.to_json_dict())`, a
+new network object that keeps no lambda* dual, so lambda* + 1/1000 is
+refuted by the LP dual of the capped-flow LP.  The counter is the number
+of `simplex._pivot` calls of each LP solved, the lambda* LP included.
+
 Family "deadline": per seed, `reductions.search_deadline_certificate` on
 the time-extended network of `oracles.random_deadline` (even seeds) or
 `oracles.random_lane_deadline` (odd seeds), its printed verdict or None
@@ -86,22 +94,43 @@ def _calls_per(module, outer: str, inner: str):
         setattr(module, inner, real_inner)
 
 
-def _rate_answers(seed: int) -> dict:
+def _rate_instance(seed: int) -> tuple:
+    """The random network and nonzero direction of a rate seed."""
     rng = random.Random(seed)
     net = random_network(rng, max_internal=6, max_sessions=3)
     direction = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in net.sessions]
     if not any(direction):
         direction[0] = Fraction(1)
-    best = rateregion.max_scaled_rate(net, direction)
+    return net, direction
+
+
+def _rate_checks(net, direction, scales) -> list:
+    """Verdict and scheme of `check_rate_feasible` at each nonnegative
+    scale of the direction."""
     checks = []
-    for t in (best.lam, best.lam + STEP, best.lam - STEP):
+    for t in scales:
         if t >= 0:
             res = rateregion.check_rate_feasible(net, [t * d for d in direction])
             checks.append({"feasible": res.feasible,
                            "scheme": res.scheme.to_json_dict() if res.scheme else None})
+    return checks
+
+
+def _rate_answers(seed: int) -> dict:
+    net, direction = _rate_instance(seed)
+    best = rateregion.max_scaled_rate(net, direction)
+    checks = _rate_checks(net, direction, (best.lam, best.lam + STEP, best.lam - STEP))
     return {"seed": seed, "direction": [str(d) for d in direction], "lambda": str(best.lam),
             "scheme": best.scheme.to_json_dict(), "dual": [str(v) for v in best.dual],
             "checks": checks}
+
+
+def _fresh_rate_answers(seed: int) -> dict:
+    net, direction = _rate_instance(seed)
+    lam = rateregion.max_scaled_rate(net, direction).lam
+    fresh = validate_network(net.to_json_dict())  # keeps no lambda* dual
+    return {"seed": seed, "lambda": str(lam),
+            "checks": _rate_checks(fresh, direction, (lam + STEP, lam - STEP))}
 
 
 def _deadline_answers(seed: int) -> dict:
@@ -164,6 +193,7 @@ def _audit_answers(seed: int) -> tuple[dict, int]:
 # _calls_per, or None when the seed's function returns (answers, counters))
 FAMILIES = {
     "rate": (_rate_answers, "pivots", (simplex, "solve", "_pivot")),
+    "rate-fresh": (_fresh_rate_answers, "pivots", (simplex, "solve", "_pivot")),
     "deadline": (_deadline_answers, "c0_orderings",
                  (reductions, "search_deadline_certificate", "_c0_ordering")),
     "search": (_search_answers, "search_stats", None),

@@ -431,6 +431,18 @@ def test_cli_import_does_not_load_numpy():
     assert _fresh_python("import infodist.cli, sys; print('numpy' in sys.modules)").strip() == "False"
 
 
+def test_library_import_loads_neither_dataclasses_nor_inspect():
+    """The modules that importing the library adds to what the interpreter
+    had already loaded include neither: each costs every CLI call start-up."""
+    added = _fresh_python(
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import infodist.cli, infodist.witnesses, infodist.rateregion, infodist.reductions\n"
+        "import infodist.codes, infodist.simplex, infodist.gfmatrix\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    assert added.strip() == "[]"
+
+
 BASE_LAYERS = {"infodist", "infodist.cli", "infodist.corpus", "infodist.errors", "infodist.graph"}
 CODE_LAYERS = {"infodist.codes", "infodist.gfmatrix", "infodist.rateregion", "infodist.simplex",
                "infodist.witnesses"}
@@ -761,6 +773,9 @@ BAD_VALUES = {
         dl, "edges", lambda e: {**e, "head": "v@1"}), "node name 'v@1' may not contain '@'"),
     "deadline-injection-zero": ("reduce-deadline", "instance", lambda dl: {
         **dl, "injection": 0}, "injection width must be >= 1"),
+    "deadline-source-is-sink": ("reduce-deadline", "instance", lambda _: {
+        "edges": [{"tail": "a", "head": "b", "delay": 1}], "source": "a", "sink": "a", "tau": 1},
+        "source and sink are both 'a'"),
     "check-session-no-sink": ("check", "network", lambda net: _with_first(
         net, "sessions", lambda ses: _without(ses, "sink")), "session 0 missing 'sink'"),
     "check-session-sink": ("check", "network", lambda net: _with_first(

@@ -3,7 +3,6 @@ import json
 import random
 import weakref
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -292,29 +291,29 @@ def test_simplex_matches_fraction_oracle_on_corpus_lps(nets):
 
 
 def _tamper_value(res):
-    return replace(res, value=res.value + Fraction(1, 7))
+    return res._replace(value=res.value + Fraction(1, 7))
 
 
 def _tamper_dual(res):
-    return replace(res, dual=[-v for v in res.dual])
+    return res._replace(dual=[-v for v in res.dual])
 
 
 def _tamper_dual_infeasible(res):
     # y >= 0 and y.b == value still hold (the last row is an edge row, b = 1),
     # but y^T A >= c fails on the lambda column.
-    return replace(res, dual=[Fraction(0)] * (len(res.dual) - 1) + [res.value])
+    return res._replace(dual=[Fraction(0)] * (len(res.dual) - 1) + [res.value])
 
 
 def _tamper_overload(res):
-    return replace(res, x=[2 * v for v in res.x])
+    return res._replace(x=[2 * v for v in res.x])
 
 
 def _tamper_underdeliver(res):
-    return replace(res, x=[Fraction(0)] * len(res.x))
+    return res._replace(x=[Fraction(0)] * len(res.x))
 
 
 def _tamper_negate(res):
-    return replace(res, x=[-v for v in res.x])
+    return res._replace(x=[-v for v in res.x])
 
 
 @pytest.mark.parametrize(
@@ -386,11 +385,11 @@ def test_check_rate_feasible_rejects_tampered_lp_answer(nets, monkeypatch, capsy
 
 
 def _tamper_lower_value(res):
-    return replace(res, value=res.value - Fraction(1, 7))
+    return res._replace(value=res.value - Fraction(1, 7))
 
 
 def _tamper_zero_dual(res):
-    return replace(res, dual=[Fraction(0)] * len(res.dual))
+    return res._replace(dual=[Fraction(0)] * len(res.dual))
 
 
 @pytest.mark.parametrize("tamper", [_tamper_lower_value, _tamper_zero_dual])
@@ -735,6 +734,16 @@ def test_rate_differential_matches_its_pinned_hashes():
     the pinned values."""
     pinned = json.loads((Path(__file__).parent / "golden" / "differential.json").read_text())["rate"]
     assert differential.run("rate", pinned["seeds"]) == {k: pinned[k] for k in ("answers", "pivots")}
+
+
+def test_fresh_rate_differential_matches_its_pinned_hashes():
+    """tests/differential.py's rate-fresh family on a small seed range: the
+    verdicts and schemes at lambda* +- 1/1000 on a network object that keeps
+    no lambda* dual, so the LP dual refutes lambda* + 1/1000, and the pivot
+    counts of every LP hash to the pinned values."""
+    pinned = json.loads((Path(__file__).parent / "golden" / "differential.json").read_text())["rate-fresh"]
+    assert differential.run("rate-fresh", pinned["seeds"]) == {
+        k: pinned[k] for k in ("answers", "pivots")}
 
 
 def test_deadline_differential_matches_its_pinned_hashes():

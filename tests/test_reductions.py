@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import random
 import re
 from pathlib import Path
@@ -37,6 +36,17 @@ MUTUAL = IndexCodingInstance(2, 1, (frozenset({2}), frozenset({1})))
 def test_index_instance_validation():
     with pytest.raises(ValueError):
         IndexCodingInstance(2, 1, (frozenset({1}), frozenset()))
+
+
+def test_instances_are_immutable():
+    inst = DeadlineInstance((("s", "d", 1),), "s", "d", tau=1, horizon=0)
+    assert inst.base_nodes == ("s", "d")  # its cached_property still stores
+    for record, name in ((FIG3, "K"), (inst, "tau"), (inst, "base_nodes")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 2)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert (FIG3.K, inst.tau, inst.base_nodes) == (4, 1, ("s", "d"))
 
 
 def test_index_to_network_fig3_shape():
@@ -556,13 +566,15 @@ def test_find_extendable_paths_skips_paths_with_two_shifts_of_one_family():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([None, 1, 2, 5]), st.booleans())
 def test_session0_mincut_matches_the_probe_grid(seed, injection, loop):
     rng = random.Random(seed)
-    if loop:  # source = sink: reached again through memory slots or the a-loop
+    if loop:  # the source reached again through memory slots or the a-loop
         inst = DeadlineInstance(
-            (("s", "a", 1), ("a", "s", 2)), "s", "s", tau=rng.randint(1, 4),
+            (("s", "a", 1), ("a", "s", 2), ("a", "d", 1)), "s", "d", tau=rng.randint(2, 5),
             horizon=rng.randint(0, 2), memory=rng.randint(0, 5), injection=injection,
         )
     else:
-        inst = dataclasses.replace(oracles.random_deadline(rng), injection=injection)
+        base = oracles.random_deadline(rng)
+        inst = DeadlineInstance(base.edges, base.source, base.sink, base.tau, base.horizon,
+                                base.memory, injection)
     try:
         tnet = deadline_to_time_extended(inst)
     except DeadlineTooSmall:
@@ -578,9 +590,8 @@ def test_time_extended_network_matches_the_two_grid_build():
     @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(0, 3),
            st.sampled_from(["unset", "below", "above"]))
     def compare(seed, memory, horizon, injection):
-        inst = dataclasses.replace(
-            oracles.random_deadline(random.Random(seed)), memory=memory, horizon=horizon
-        )
+        base = oracles.random_deadline(random.Random(seed))
+        inst = DeadlineInstance(base.edges, base.source, base.sink, base.tau, horizon, memory)
         try:
             ref = oracles.two_grid_time_extended(inst)
         except DeadlineTooSmall:
@@ -592,7 +603,8 @@ def test_time_extended_network_matches_the_two_grid_build():
             below.append(inst)
         if injection != "unset":
             width = ref.mincut0 - 1 if injection == "below" else ref.mincut0 + 1
-            inst = dataclasses.replace(inst, injection=width)
+            inst = DeadlineInstance(inst.edges, inst.source, inst.sink, inst.tau, inst.horizon,
+                                    inst.memory, width)
             ref = oracles.two_grid_time_extended(inst)
         tnet = deadline_to_time_extended(inst)
         assert (tnet.J, tnet.mincut0) == (ref.J, ref.mincut0)

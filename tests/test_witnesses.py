@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import time
 from functools import partial
@@ -918,14 +917,14 @@ def test_strict_def5_flag_tightens_first_condition():
 # verify_witness it must produce.  The second "paths" case crosses its cut
 # edge once but stops short of d1.
 TAMPERED = [
-    ("session_order", lambda w: dataclasses.replace(w, session_order=(1, 1))),
-    ("cuts", lambda w: dataclasses.replace(w, cuts=(frozenset({0, 5}), w.cuts[1]))),
-    ("cumulative", lambda w: dataclasses.replace(w, cuts=(frozenset({0, 3, 9}), frozenset({4, 10})))),
-    ("perms", lambda w: dataclasses.replace(w, perms=(w.perms[0], (5, 5)))),
-    ("distributive", lambda w: dataclasses.replace(w, perms=((5, 0, 11), (11, 5)))),
-    ("paths", lambda w: dataclasses.replace(w, paths=(w.paths[0], ((4, 5, 6, 8),) * 2))),
-    ("paths", lambda w: dataclasses.replace(w, paths=(((0, 1), *w.paths[0][1:]), w.paths[1]))),
-    ("paths", lambda w: dataclasses.replace(w, paths=w.paths[:1])),
+    ("session_order", lambda w: w._replace(session_order=(1, 1))),
+    ("cuts", lambda w: w._replace(cuts=(frozenset({0, 5}), w.cuts[1]))),
+    ("cumulative", lambda w: w._replace(cuts=(frozenset({0, 3, 9}), frozenset({4, 10})))),
+    ("perms", lambda w: w._replace(perms=(w.perms[0], (5, 5)))),
+    ("distributive", lambda w: w._replace(perms=((5, 0, 11), (11, 5)))),
+    ("paths", lambda w: w._replace(paths=(w.paths[0], ((4, 5, 6, 8),) * 2))),
+    ("paths", lambda w: w._replace(paths=(((0, 1), *w.paths[0][1:]), w.paths[1]))),
+    ("paths", lambda w: w._replace(paths=w.paths[:1])),
 ]
 
 
@@ -970,31 +969,30 @@ def _tamper(rng: random.Random, net: Network, wit: Witness, kind: str) -> Witnes
     s, d = net.sessions[wit.session_order[pos] - 1]
     if kind == "cut-edge-added":
         added = cut | {rng.randrange(len(net.edges))}
-        return dataclasses.replace(wit, cuts=_at(wit.cuts, pos, added))
+        return wit._replace(cuts=_at(wit.cuts, pos, added))
     if kind == "cut-edge-dropped" and cut:
-        return dataclasses.replace(wit, cuts=_at(wit.cuts, pos, cut - {rng.choice(sorted(cut))}))
+        return wit._replace(cuts=_at(wit.cuts, pos, cut - {rng.choice(sorted(cut))}))
     if kind == "other-min-cut":  # another min cut-set of the session, in a random order
         other = rng.choice(graph.enumerate_min_cutsets(net, s, d)[0])
         order = tuple(rng.sample(sorted(other), len(other)))
-        return dataclasses.replace(wit, cuts=_at(wit.cuts, pos, other),
-                                   perms=_at(wit.perms, pos, order))
+        return wit._replace(cuts=_at(wit.cuts, pos, other), perms=_at(wit.perms, pos, order))
     if kind == "perm-reversed":
-        return dataclasses.replace(wit, perms=_at(wit.perms, pos, perm[::-1]))
+        return wit._replace(perms=_at(wit.perms, pos, perm[::-1]))
     if kind == "perm-edge-changed" and perm:
         changed = (rng.randrange(len(net.edges)), *perm[1:])
-        return dataclasses.replace(wit, perms=_at(wit.perms, pos, changed))
+        return wit._replace(perms=_at(wit.perms, pos, changed))
     if kind == "path-set-dropped":
-        return dataclasses.replace(wit, paths=wit.paths[:pos] + wit.paths[pos + 1:])
+        return wit._replace(paths=wit.paths[:pos] + wit.paths[pos + 1:])
     if kind == "path-dropped" and pset:
-        return dataclasses.replace(wit, paths=_at(wit.paths, pos, pset[1:]))
+        return wit._replace(paths=_at(wit.paths, pos, pset[1:]))
     if kind == "path-extra":
         extra = rng.choice(enumerate_paths(net, s, d)[0] or [()])
-        return dataclasses.replace(wit, paths=_at(wit.paths, pos, (*pset, extra)))
+        return wit._replace(paths=_at(wit.paths, pos, (*pset, extra)))
     if kind == "path-replaced" and pset:
         other = rng.choice(enumerate_paths(net, s, d)[0])
-        return dataclasses.replace(wit, paths=_at(wit.paths, pos, (other, *pset[1:])))
+        return wit._replace(paths=_at(wit.paths, pos, (other, *pset[1:])))
     if kind == "path-cut-short" and pset and pset[0]:
-        return dataclasses.replace(wit, paths=_at(wit.paths, pos, (pset[0][:-1], *pset[1:])))
+        return wit._replace(paths=_at(wit.paths, pos, (pset[0][:-1], *pset[1:])))
     if kind == "positions-swapped" and K > 1:
         q = rng.randrange(K)
         swap = lambda seq: _at(_at(seq, pos, seq[q]), q, seq[pos])  # noqa: E731
@@ -1004,7 +1002,7 @@ def _tamper(rng: random.Random, net: Network, wit: Witness, kind: str) -> Witnes
         rng.shuffle(order)
         if rng.random() < 0.25:
             order[0] = order[-1]
-        return dataclasses.replace(wit, session_order=tuple(order))
+        return wit._replace(session_order=tuple(order))
     return wit
 
 
